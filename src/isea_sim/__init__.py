@@ -19,7 +19,7 @@ from .channel import (
     realization_from_matrix,
     sample_channel,
     scaled_min_alignment,
-    zf_beamformers,
+    zf_norms_sq,
 )
 from .errors import ConfigError, InfeasibleAccessError, NumericalError
 from .feature_model import (

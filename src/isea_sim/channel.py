@@ -2,9 +2,11 @@
 
 Two access modes are modeled.  Over-the-air aggregation lets all sensors
 transmit simultaneously with power control inverting the channel along the
-receive beam; its effective SNR is limited by the weakest alignment
-|v^H h_k|^2.  Orthogonal access gives each sensor its own slot with a
-zero-forcing receive beam, trading noise amplification for isolation.
+receive beam v; its effective SNR is limited by the weakest alignment
+|v^H h_k|^2 = lambda1 |q1_k|^2, so a draw is summarized by the principal
+pair (lambda1, q1) alone.  Orthogonal access gives each sensor its own
+slot with a zero-forcing receive beam b_k, trading noise amplification for
+isolation; its SNR needs only ||b_k||^2, the diagonal of (H^H H)^-1.
 Both reduce to the noiseless average plus isotropic Gaussian noise whose
 power is the inverse effective SNR, which is how receivers simulate them.
 """
@@ -29,15 +31,14 @@ _FULL_EIG_MAX = 64
 class ChannelRealization:
     """One draw of the N x K channel with its principal singular structure.
 
-    ``v`` and ``q1`` are the principal left/right singular vectors of H
-    (unit norm, largest-magnitude entry made real positive) and
-    ``lambda1`` the largest eigenvalue of H^H H, so H q1 = sqrt(lambda1) v
-    up to a global phase.
+    ``q1`` is the principal right singular vector of H (unit norm,
+    largest-magnitude entry made real positive) and ``lambda1`` the
+    largest eigenvalue of H^H H.  The receive beam v = H q1 / sqrt(lambda1)
+    is never needed: v^H h_k = sqrt(lambda1) conj(q1_k).
     """
 
     H: np.ndarray        # (N, K) complex
     lambda1: float
-    v: np.ndarray        # (N,) complex
     q1: np.ndarray       # (K,) complex
 
     @property
@@ -111,10 +112,8 @@ def realization_from_matrix(H):
         lam, q1 = _top_eigenpair(H.conj().T @ H)
         if lam <= 0:
             raise NumericalError("channel matrix has no positive singular value")
-        v = H @ q1 / np.sqrt(lam)
-    v = _fix_phase(v / np.linalg.norm(v))
     q1 = _fix_phase(q1 / np.linalg.norm(q1))
-    return ChannelRealization(H=H, lambda1=lam, v=v, q1=q1)
+    return ChannelRealization(H=H, lambda1=lam, q1=q1)
 
 
 def sample_channel(num_antennas, num_sensors, rng):
@@ -125,9 +124,16 @@ def sample_channel(num_antennas, num_sensors, rng):
 
 
 def min_beam_alignment(channel):
-    """min_k |v^H h_k|^2, the weakest sensor's gain along the receive beam."""
-    proj = channel.v.conj() @ channel.H
-    return float(np.min(np.abs(proj) ** 2))
+    """min_k |v^H h_k|^2 = lambda1 min_k |q1_k|^2, the weakest sensor's gain
+    along the receive beam.
+
+    A sensor whose channel column is exactly zero has no gain at all; the
+    eigensolver may still leave a rounding-level q1_k there, so such a
+    column is answered with an exact zero.
+    """
+    if not channel.H.any(axis=0).all():
+        return 0.0
+    return channel.lambda1 * float(np.min(np.abs(channel.q1) ** 2))
 
 
 def scaled_min_alignment(channel):
@@ -151,77 +157,47 @@ def aircomp_effective_snr(channel, scenario):
     gamma_air = 2 K^2 / (sigma^2 * b_norm_sq).  A channel whose weakest
     alignment vanishes is flagged degenerate with gamma_air = 0.
     """
-    K = channel.num_sensors
     min_align = min_beam_alignment(channel)
-    min_q = float(np.min(np.abs(channel.q1) ** 2))
-    if min_align <= 0 or min_q <= 0:
+    if min_align <= 0:
         return AircompSnr(gamma_air=0.0, b_norm_sq=np.inf, degenerate=True)
-    b_norm_sq = scenario.nu_sq / (channel.lambda1 * min_q)
-    gamma = transmit_snr(scenario)
-    gamma_air = 2.0 * K**2 * gamma / scenario.nu_sq * min_align
-    return AircompSnr(gamma_air=float(gamma_air), b_norm_sq=float(b_norm_sq))
-
-
-def _noise_power(effective_snr):
-    if effective_snr == np.inf:
-        return 0.0
-    if effective_snr <= 0:
-        return np.inf
-    return 1.0 / effective_snr
+    K = channel.num_sensors
+    gamma_air = 2.0 * K**2 * transmit_snr(scenario) / scenario.nu_sq * min_align
+    return AircompSnr(gamma_air=float(gamma_air), b_norm_sq=scenario.nu_sq / min_align)
 
 
 def _receive_direct(f_bar, effective_snr, rng):
-    power = _noise_power(effective_snr)
-    z = rng.standard_normal(f_bar.shape[0])
-    if power == np.inf:
-        return np.full_like(f_bar, np.nan), power
-    return f_bar + np.sqrt(power) * z, power
+    """Noiseless average plus N(0, (1/snr) I), with the noise power; all-NaN,
+    with no draw, when the SNR is zero and nothing gets through."""
+    if effective_snr <= 0:
+        return np.full_like(f_bar, np.nan), np.inf
+    power = 1.0 / effective_snr  # 0.0 at infinite SNR
+    return f_bar + np.sqrt(power) * rng.standard_normal(f_bar.shape[0]), power
 
 
-def aircomp_receive(scenario, channel, local_features, rng, literal=False):
+def aircomp_receive(scenario, channel, local_features, rng):
     """Aggregate sensor features over the air.
 
-    With ``literal=False`` the output is drawn from the equivalent model:
-    the noiseless average plus N(0, (1/gamma_air) I) noise.  With
-    ``literal=True`` the receiver combining is simulated symbol by symbol:
-    scaled complex antenna noise is projected onto the transmit-inversion
-    beam, which has the same distribution.  The literal path exists so
-    tests can confirm the equivalence.
+    The output is drawn from the equivalent model: the noiseless average
+    plus N(0, (1/gamma_air) I) noise.  A degenerate channel delivers an
+    all-NaN vector and is flagged.
     """
     f_bar = aggregate_noiseless(local_features)
     snr = aircomp_effective_snr(channel, scenario)
-    if snr.degenerate:
-        return AggregationOutcome(
-            f_tilde=np.full_like(f_bar, np.nan),
-            mode="aircomp",
-            effective_snr=0.0,
-            noise_power_per_dim=np.inf,
-            degenerate=True,
-        )
-    if literal:
-        K = channel.num_sensors
-        M = f_bar.shape[0]
-        shape = (channel.num_antennas, M)
-        Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(
-            scenario.sigma_sq / 2.0
-        )
-        b = channel.v * np.sqrt(snr.b_norm_sq)
-        f_tilde = f_bar + (Z.conj().T @ b).real / K
-        power = _noise_power(snr.gamma_air)
-    else:
-        f_tilde, power = _receive_direct(f_bar, snr.gamma_air, rng)
+    f_tilde, power = _receive_direct(f_bar, snr.gamma_air, rng)
     return AggregationOutcome(
         f_tilde=f_tilde,
         mode="aircomp",
         effective_snr=snr.gamma_air,
         noise_power_per_dim=power,
+        degenerate=snr.degenerate,
     )
 
 
-def zf_beamformers(channel):
-    """Zero-forcing receive beams, one column per sensor: B = H (H^H H)^-1.
+def zf_norms_sq(channel):
+    """Squared norms ||b_k||^2 of the zero-forcing receive beams
+    B = H (H^H H)^-1, which are the real diagonal of (H^H H)^-1.
 
-    Satisfies b_k^H h_j = delta_kj.  Requires at least as many antennas as
+    B itself is never formed.  Requires at least as many antennas as
     sensors; raises :class:`InfeasibleAccessError` otherwise and
     :class:`NumericalError` when the Gram matrix is singular.
     """
@@ -230,12 +206,11 @@ def zf_beamformers(channel):
         raise InfeasibleAccessError(
             f"zero-forcing needs num_antennas >= num_sensors, got N={N} < K={K}"
         )
-    W = channel.H.conj().T @ channel.H
     try:
-        Bh = np.linalg.solve(W, channel.H.conj().T)
+        gram_inv = np.linalg.inv(channel.H.conj().T @ channel.H)
     except np.linalg.LinAlgError:
         raise NumericalError("channel Gram matrix is singular") from None
-    return Bh.conj().T
+    return np.diagonal(gram_inv).real.copy()
 
 
 def orthogonal_effective_snr(channel, scenario):
@@ -244,8 +219,7 @@ def orthogonal_effective_snr(channel, scenario):
     gamma_aoa = gamma K^2 / (nu^2 * sum_k ||b_k||^2); the zero-forcing
     norms grow as antennas shrink toward the sensor count.
     """
-    B = zf_beamformers(channel)
-    total_norm = float(np.sum(np.abs(B) ** 2))
+    total_norm = float(zf_norms_sq(channel).sum())
     gamma = transmit_snr(scenario)
     if gamma == np.inf:
         return np.inf, total_norm
@@ -276,18 +250,14 @@ def adaptive_receive(scenario, channel, local_features, rng):
     """
     f_bar = aggregate_noiseless(local_features)
     air = aircomp_effective_snr(channel, scenario)
+    gamma_aoa = -np.inf  # an infeasible orthogonal branch never wins
     if channel.num_antennas >= channel.num_sensors:
         gamma_aoa, _ = orthogonal_effective_snr(channel, scenario)
-    else:
-        gamma_aoa = None
-    if gamma_aoa is None or air.gamma_air >= gamma_aoa:
+    if air.gamma_air >= gamma_aoa:
         resolved, chosen_snr, degenerate = "aircomp", air.gamma_air, air.degenerate
     else:
         resolved, chosen_snr, degenerate = "orthogonal", gamma_aoa, False
-    if degenerate:
-        f_tilde, power = np.full_like(f_bar, np.nan), np.inf
-    else:
-        f_tilde, power = _receive_direct(f_bar, chosen_snr, rng)
+    f_tilde, power = _receive_direct(f_bar, chosen_snr, rng)
     return AggregationOutcome(
         f_tilde=f_tilde,
         mode="adaptive-resolved",

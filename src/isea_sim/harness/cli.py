@@ -58,7 +58,12 @@ def _parse_sweep(text):
         token = token.strip()
         if not token:
             continue
-        number = float(token)
+        try:
+            number = float(token)
+        except ValueError:
+            raise ConfigError(f"--sweep value {token!r} is not a number") from None
+        if not np.isfinite(number):
+            raise ConfigError(f"--sweep value {token!r} is not finite")
         values.append(int(number) if number.is_integer() else number)
     if not values:
         raise ConfigError("--sweep produced an empty grid")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +23,11 @@ from ..channel import (
     orthogonal_effective_snr,
     sample_channel,
     scaled_min_alignment,
-    zf_beamformers,
+    transmit_snr,
+    zf_norms_sq,
 )
 from ..errors import ConfigError
-from ..inference import PIPELINES, run_trials
+from ..inference import PIPELINES, _stderr, run_trials
 from ..scenario import ScenarioConfig, build_scenario
 from ..streams import EXPERIMENT_STREAMS, substream
 from ..theory import (
@@ -60,6 +63,9 @@ CSV_COLUMNS = (
 FEASIBLE = "ok"
 INFEASIBLE = "INFEASIBLE"
 
+# Experiments whose sweep values are sensor or antenna counts.
+_COUNT_SWEEPS = ("sweep-k", "sweep-n", "bounds", "snr-dist", "bnorm-dist")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -82,6 +88,10 @@ class ExperimentSpec:
             raise ConfigError("sweep_values must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep_values must be strictly increasing")
+        if self.experiment in _COUNT_SWEEPS and not all(
+            float(v).is_integer() for v in values
+        ):
+            raise ConfigError(f"{self.experiment} sweeps a count; sweep_values must be integers")
         object.__setattr__(self, "sweep_values", values)
         pipelines = tuple(self.pipelines)
         if not pipelines or any(p not in PIPELINES for p in pipelines):
@@ -201,6 +211,8 @@ def run_experiment(spec, workers=1, paper_scale=False):
     for every worker count.  ``paper_scale`` enlarges grids or trial
     counts toward publication scale instead of desk scale.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     runner = {
         "sweep-k": _run_simulation_sweep,
         "sweep-n": _run_simulation_sweep,
@@ -279,58 +291,97 @@ def _run_simulation_sweep(spec, workers, paper_scale):
     return rows, ()
 
 
+def _trial_streams(cfg, experiment, point, draws):
+    """One counter-based generator per draw of a sweep point."""
+    stream_id = EXPERIMENT_STREAMS[experiment]
+    return (substream(cfg.master_seed, stream_id, point, t) for t in range(draws))
+
+
+def _per_draw(stat, num_antennas, num_sensors, rngs):
+    """``stat`` of one fresh channel per generator in ``rngs``, as an array.
+
+    This is the harness's only per-draw channel loop.  Channels are drawn
+    lazily and dropped after use, so one N x K matrix is alive at a time.
+    A ``stat`` that returns a tuple gives one column per entry.
+    """
+    return np.array(
+        [stat(sample_channel(num_antennas, num_sensors, rng)) for rng in rngs], dtype=float
+    )
+
+
+def _antennas_for(omega, num_sensors):
+    num_antennas = int(round(omega * num_sensors))
+    if num_antennas < 1:
+        raise ConfigError(
+            f"omega={omega:g} at K={num_sensors} gives round(omega K) = {num_antennas} antennas"
+        )
+    return num_antennas
+
+
+def _ks(samples, reference_cdf):
+    """The KS distance every distribution check reports; too few draws is
+    a configuration error, not a crash."""
+    if samples.shape[0] < 100:
+        raise ConfigError(
+            f"a distribution check needs at least 100 draws, got {samples.shape[0]}"
+        )
+    return ks_statistic(samples, reference_cdf)
+
+
+def _alignment_law_fit(num_antennas, num_sensors, omega, rngs):
+    """K-scaled weakest alignment of a channel per generator, and its KS
+    distance to the limiting exponential law at ratio ``omega``."""
+    zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, rngs)
+    return _ks(zeta, scaled_alignment_cdf(omega)), zeta
+
+
+def _zf_norm_pair(channel):
+    norms = zf_norms_sq(channel)
+    return norms[0], norms.sum()
+
+
+def _zf_norm_law_fit(num_antennas, num_sensors, rngs):
+    """``(||b_1||^2, sum_k ||b_k||^2)`` of a channel per generator, and the KS
+    distance of the first column to its exact inverse chi-square law."""
+    # the reshape keeps both columns even when there are no draws
+    norms = _per_draw(_zf_norm_pair, num_antennas, num_sensors, rngs).reshape(-1, 2)
+    return _ks(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors)), norms
+
+
 def run_snr_distribution_check(num_sensors, omega, draws, rng, threshold=0.03):
-    """Sample the K-scaled weakest alignment and test it against its
-    limiting exponential law.  Returns ``(ks, passed)``."""
-    if draws < 10:
-        raise ValueError("need at least 10 draws")
-    num_antennas = max(1, round(omega * num_sensors))
-    samples = np.empty(draws)
-    for i in range(draws):
-        ch = sample_channel(num_antennas, num_sensors, rng)
-        samples[i] = scaled_min_alignment(ch)
-    ks = ks_statistic(samples, scaled_alignment_cdf(omega))
+    """Sample the K-scaled weakest alignment at N = round(omega K), drawing
+    every channel from ``rng`` in turn, and test it against its limiting
+    exponential law.  Returns ``(ks, passed)``."""
+    ks, _ = _alignment_law_fit(
+        _antennas_for(omega, num_sensors), num_sensors, omega, repeat(rng, draws)
+    )
     return ks, ks < threshold
 
 
 def run_zf_norm_distribution_check(num_antennas, num_sensors, draws, rng, threshold=0.02):
-    """Sample one zero-forcing beam norm per draw and test it against the
-    scaled inverse chi-square law.  Returns ``(ks, mean_norm, passed)``."""
-    if draws < 10:
-        raise ValueError("need at least 10 draws")
-    samples = np.empty(draws)
-    for i in range(draws):
-        ch = sample_channel(num_antennas, num_sensors, rng)
-        B = zf_beamformers(ch)
-        samples[i] = np.sum(np.abs(B[:, 0]) ** 2)
-    ks = ks_statistic(samples, zf_norm_cdf(num_antennas, num_sensors))
-    return ks, float(samples.mean()), ks < threshold
+    """Sample one zero-forcing beam norm per draw, every channel from
+    ``rng`` in turn, and test it against the scaled inverse chi-square
+    law.  Returns ``(ks, mean_norm, passed)``."""
+    ks, norms = _zf_norm_law_fit(num_antennas, num_sensors, repeat(rng, draws))
+    return ks, float(norms[:, 0].mean()), ks < threshold
 
 
 def _run_snr_dist(spec, workers, paper_scale):
     del workers  # channel-only loops run single-process; results match any count
     cfg = spec.scenario
     omega = cfg.num_antennas / cfg.num_sensors
-    stream_id = EXPERIMENT_STREAMS["snr-dist"]
     values = spec.sweep_values
     if paper_scale:
         values = tuple(values) + tuple(2 * v for v in values)
+    draws = cfg.mc_trials
     rows, notes = [], []
     for point, K in enumerate(values):
         K = int(K)
-        N = max(1, round(omega * K))
-        scen = build_scenario(
-            dataclasses.replace(cfg, num_sensors=K, num_antennas=N)
-        )
-        gamma = np.inf if scen.sigma_sq == 0 else 1.0 / scen.sigma_sq
-        draws = cfg.mc_trials
-        zeta = np.empty(draws)
-        for t in range(draws):
-            rng = substream(cfg.master_seed, stream_id, point, t)
-            ch = sample_channel(N, K, rng)
-            zeta[t] = scaled_min_alignment(ch)
-        ks = ks_statistic(zeta, scaled_alignment_cdf(omega))
-        scale = 2.0 * K * gamma / scen.nu_sq
+        N = _antennas_for(omega, K)
+        scen = build_scenario(dataclasses.replace(cfg, num_sensors=K, num_antennas=N))
+        streams = _trial_streams(cfg, "snr-dist", point, draws)
+        ks, zeta = _alignment_law_fit(N, K, omega, streams)
+        scale = 2.0 * K * transmit_snr(scen) / scen.nu_sq
         rows.append(
             SweepRow(
                 sweep_value=K,
@@ -347,10 +398,10 @@ def _run_bnorm_dist(spec, workers, paper_scale):
     del workers
     cfg = spec.scenario
     K = cfg.num_sensors
-    stream_id = EXPERIMENT_STREAMS["bnorm-dist"]
     values = spec.sweep_values
     if paper_scale:
         values = tuple(values) + tuple(2 * v for v in values)
+    draws = cfg.mc_trials
     rows, notes = [], []
     for point, N in enumerate(values):
         N = int(N)
@@ -359,20 +410,11 @@ def _run_bnorm_dist(spec, workers, paper_scale):
             notes.append(f"N={N}: infeasible (K={K})")
             continue
         scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
-        gamma = np.inf if scen.sigma_sq == 0 else 1.0 / scen.sigma_sq
-        draws = cfg.mc_trials
-        norms = np.empty(draws)
-        snrs = np.empty(draws)
-        for t in range(draws):
-            rng = substream(cfg.master_seed, stream_id, point, t)
-            ch = sample_channel(N, K, rng)
-            B = zf_beamformers(ch)
-            norms[t] = np.sum(np.abs(B[:, 0]) ** 2)
-            snrs[t] = gamma * K**2 / (scen.nu_sq * np.sum(np.abs(B) ** 2))
-        ks = ks_statistic(norms, zf_norm_cdf(N, K))
+        ks, norms = _zf_norm_law_fit(N, K, _trial_streams(cfg, "bnorm-dist", point, draws))
+        snrs = transmit_snr(scen) * K**2 / (scen.nu_sq * norms[:, 1])
         prediction = None
         if N > K:
-            prediction = gamma * K * (N - K) / scen.nu_sq
+            prediction = transmit_snr(scen) * K * (N - K) / scen.nu_sq
         rows.append(
             SweepRow(
                 sweep_value=N,
@@ -381,112 +423,61 @@ def _run_bnorm_dist(spec, workers, paper_scale):
                 asymptotic_prediction=prediction,
             )
         )
-        notes.append(f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {norms.mean():.6g}")
+        notes.append(
+            f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {norms[:, 0].mean():.6g}"
+        )
     return rows, notes
+
+
+def _access_snrs(scenario, channel):
+    """``(gamma_air, gamma_aoa)`` of one draw; gamma_aoa is NaN where
+    orthogonal access is infeasible."""
+    gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
+    if channel.num_antennas < channel.num_sensors:
+        return gamma_air, np.nan
+    return gamma_air, orthogonal_effective_snr(channel, scenario)[0]
 
 
 def _run_crossing(spec, workers, paper_scale):
     del workers
     cfg = spec.scenario
     K = cfg.num_sensors
-    stream_id = EXPERIMENT_STREAMS["crossing"]
     draws = _trials_for(spec, paper_scale)
     rows, notes = [], []
     for point, omega in enumerate(spec.sweep_values):
-        N = max(1, round(omega * K))
+        N = _antennas_for(omega, K)
         scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
-        air = np.empty(draws)
-        aoa = np.full(draws, np.nan)
-        feasible = N >= K
-        for t in range(draws):
-            rng = substream(cfg.master_seed, stream_id, point, t)
-            ch = sample_channel(N, K, rng)
-            air[t] = aircomp_effective_snr(ch, scen).gamma_air
-            if feasible:
-                aoa[t], _ = orthogonal_effective_snr(ch, scen)
-        if feasible:
-            wins = (air >= aoa).astype(float)
-            prob = float(wins.mean())
-            prob_se = float(wins.std(ddof=1) / np.sqrt(draws)) if draws > 1 else 0.0
-            adaptive_snr = float(np.maximum(air, aoa).mean())
-        else:
-            prob, prob_se = 1.0, 0.0
-            adaptive_snr = float(air.mean())
+        streams = _trial_streams(cfg, "crossing", point, draws)
+        air, aoa = _per_draw(partial(_access_snrs, scen), N, K, streams).T
+        # a NaN gamma_aoa (orthogonal access infeasible) counts as an air win
+        wins = (~(air < aoa)).astype(float)
+        prob, prob_se = float(wins.mean()), _stderr(wins)
         predicted = crossing_probability(K, omega)
-        rows.append(
-            SweepRow(
-                sweep_value=omega,
-                pipeline="aircomp",
-                accuracy=prob,
-                accuracy_stderr=prob_se,
-                mean_effective_snr=float(air.mean()),
-                asymptotic_prediction=predicted,
-            )
-        )
-        if feasible:
+        mean_snrs = (air.mean(), aoa.mean() if N >= K else None, np.fmax(air, aoa).mean())
+        for pipeline, mean_snr in zip(("aircomp", "orthogonal", "adaptive"), mean_snrs):
+            if mean_snr is None:
+                rows.append(SweepRow(sweep_value=omega, pipeline=pipeline, feasible=INFEASIBLE))
+                continue
             rows.append(
                 SweepRow(
                     sweep_value=omega,
-                    pipeline="orthogonal",
+                    pipeline=pipeline,
                     accuracy=prob,
                     accuracy_stderr=prob_se,
-                    mean_effective_snr=float(aoa.mean()),
+                    mean_effective_snr=float(mean_snr),
                     asymptotic_prediction=predicted,
                 )
             )
-        else:
-            rows.append(
-                SweepRow(sweep_value=omega, pipeline="orthogonal", feasible=INFEASIBLE)
-            )
-        rows.append(
-            SweepRow(
-                sweep_value=omega,
-                pipeline="adaptive",
-                accuracy=prob,
-                accuracy_stderr=prob_se,
-                mean_effective_snr=adaptive_snr,
-                asymptotic_prediction=predicted,
-            )
-        )
         notes.append(
             f"omega={omega:g}: P(air wins)={prob:.4f}, asymptotic {predicted:.4f}"
         )
     return rows, notes
 
 
-def _loss_profile(scenario):
-    """Precompute the per-draw loss factor as a function of effective SNR.
-
-    Same algebra as :func:`isea_sim.theory.channel_loss_factor`, with the
-    scenario-dependent pieces hoisted out of the per-draw loop.
-    """
-    from ..theory import separation_summary
-
-    summary = separation_summary(scenario)
-    d_bar = summary.mean_separation
-    V = scenario.C_evecs
-    core = V.T @ scenario.C_inv @ scenario.P_bar @ summary.separation_matrix
-    core = core @ scenario.P_bar @ scenario.C_inv @ V
-    weights = np.diag(core).copy()
-    inv_evals = 1.0 / scenario.C_evals
-    K = scenario.num_sensors
-
-    def loss(snr):
-        if snr == np.inf:
-            return 1.0
-        if snr <= 0:
-            return 0.0
-        correction = float(np.sum(weights / (inv_evals + snr / K)))
-        return (d_bar - correction) / d_bar
-
-    return loss
-
-
 def _run_aloss(spec, workers, paper_scale):
     del workers
     cfg = spec.scenario
     omega = cfg.num_antennas / cfg.num_sensors
-    stream_id = EXPERIMENT_STREAMS["aloss"]
     draws = _trials_for(spec, paper_scale)
     rows, notes = [], []
     for point, gamma_lin in enumerate(spec.sweep_values):
@@ -495,24 +486,24 @@ def _run_aloss(spec, workers, paper_scale):
         scen = build_scenario(
             dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
         )
-        loss = _loss_profile(scen)
-        samples = np.empty(draws)
-        snrs = np.empty(draws)
-        for t in range(draws):
-            rng = substream(cfg.master_seed, stream_id, point, t)
-            ch = sample_channel(scen.num_antennas, scen.num_sensors, rng)
-            snr = aircomp_effective_snr(ch, scen).gamma_air
-            snrs[t] = snr
-            samples[t] = loss(snr)
+        streams = _trial_streams(cfg, "aloss", point, draws)
+        snrs = _per_draw(
+            lambda ch: aircomp_effective_snr(ch, scen).gamma_air,
+            scen.num_antennas,
+            scen.num_sensors,
+            streams,
+        )
+        # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
+        samples = np.zeros(draws)
+        usable = snrs > 0
+        samples[usable] = channel_loss_factor(scen, snrs[usable])
         e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, omega))
         rows.append(
             SweepRow(
                 sweep_value=gamma_lin,
                 pipeline="aircomp",
                 accuracy=float(samples.mean()),
-                accuracy_stderr=float(samples.std(ddof=1) / np.sqrt(draws))
-                if draws > 1
-                else 0.0,
+                accuracy_stderr=_stderr(samples),
                 mean_effective_snr=float(snrs.mean()),
                 surrogate_lower=log_form,
                 surrogate_upper=e1_form,

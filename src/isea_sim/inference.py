@@ -99,9 +99,11 @@ def ml_classify(model, f_tilde):
 
 def posterior_probabilities(model, f_tilde):
     """Class posterior under the uniform prior, via max-shifted softmax."""
-    logits = -0.5 * _mahalanobis_sq(model, f_tilde)
-    shifted = logits - logits.max()
-    weights = np.exp(shifted)
+    return _softmax(-0.5 * _mahalanobis_sq(model, f_tilde))
+
+
+def _softmax(logits):
+    weights = np.exp(logits - logits.max())
     return weights / weights.sum()
 
 
@@ -269,12 +271,10 @@ def simulate_trial(scenario, pipeline, rng, fixed_channel=None):
     label, predicted, entropy, snr_value, logits, resolved = _run_one_trial(
         scenario, pipeline, rng, fixed_channel
     )
-    shifted = logits - logits.max()
-    weights = np.exp(shifted)
     return TrialRecord(
         label=label,
         predicted=predicted,
-        posterior=weights / weights.sum(),
+        posterior=_softmax(logits),
         entropy=entropy,
         effective_snr=snr_value,
         pipeline=pipeline,

@@ -104,6 +104,8 @@ def parse_config_text(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in values:
+            raise ConfigError(f"line {lineno}: duplicate configuration key {key!r}")
         if key in _INT_FIELDS:
             try:
                 values[key] = int(value)
@@ -116,7 +118,7 @@ def parse_config_text(text):
                 raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from None
         else:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
-        if key in values and not np.isfinite(float(values[key])):
+        if not np.isfinite(float(values[key])):
             raise ConfigError(f"line {lineno}: {key} must be finite")
     return ScenarioConfig(**values)
 

@@ -160,24 +160,25 @@ def channel_loss_factor(scenario, snr):
         D_tilde = D_bar - Tr(P_bar C^-1 (C^-1 + (snr/K) I)^-1 C^-1 P_bar D)
 
     which agrees with the direct weighting (C + (K/snr) I)^-1 and shows
-    the loss explicitly as a subtraction.  Returns 1.0 for infinite SNR.
+    the loss explicitly as a subtraction.  In C's eigenbasis the trace is
+    a weighted sum over eigenvalues, so the scenario part is computed once
+    and ``snr`` may be an array of SNRs; the result then has its shape.
+    Infinite SNR gives exactly 1.0.
     """
-    if snr == np.inf:
-        return 1.0
-    if not snr > 0:
+    snr = np.asarray(snr, dtype=float)
+    if not np.all(snr > 0):
         raise ValueError("snr must be positive")
     summary = separation_summary(scenario)
     d_bar = summary.mean_separation
     if d_bar <= 0:
         raise NumericalError("mean separation is zero; loss factor undefined")
     V = scenario.C_evecs
-    inner_evals = 1.0 / scenario.C_evals + snr / scenario.num_sensors
-    B = V @ ((1.0 / inner_evals)[:, None] * V.T)
-    core = scenario.C_inv @ B @ scenario.C_inv
-    correction = float(
-        np.trace(scenario.P_bar @ core @ scenario.P_bar @ summary.separation_matrix)
-    )
-    return (d_bar - correction) / d_bar
+    core = V.T @ scenario.C_inv @ scenario.P_bar @ summary.separation_matrix
+    weights = np.diag(core @ scenario.P_bar @ scenario.C_inv @ V)
+    inner = 1.0 / scenario.C_evals + snr[..., None] / scenario.num_sensors
+    correction = np.sum(weights / inner, axis=-1)
+    loss = (d_bar - correction) / d_bar
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def expected_loss_factor_bounds(r):

@@ -31,6 +31,38 @@ def _align_phase(x, ref):
     return x * np.exp(-1j * np.angle(inner))
 
 
+def _receive_beam(ch):
+    """Oracle: the principal left singular vector v = H q1 / sqrt(lambda1)."""
+    return ch.H @ ch.q1 / np.sqrt(ch.lambda1)
+
+
+def _zf_matrix(H):
+    """Oracle: the zero-forcing receive beams B = H (H^H H)^-1 as columns."""
+    return np.linalg.solve(H.conj().T @ H, H.conj().T).conj().T
+
+
+def _symbol_level_aircomp(scen, ch, local_features, rng):
+    """Oracle: simulate the over-the-air receiver symbol by symbol.
+
+    Scaled complex antenna noise is projected onto the transmit-inversion
+    beam b = sqrt(nu^2 / min_k |v^H h_k|^2) v, with v and the alignment
+    formed here rather than taken from the library.
+    """
+    K = ch.num_sensors
+    f_bar = iz.aggregate_noiseless(local_features)
+    v = _receive_beam(ch)
+    b = v * np.sqrt(scen.nu_sq / np.min(np.abs(v.conj() @ ch.H) ** 2))
+    shape = (ch.num_antennas, f_bar.shape[0])
+    Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(
+        scen.sigma_sq / 2.0
+    )
+    return f_bar + (Z.conj().T @ b).real / K
+
+
+# tall, square and wide arrays, plus single-antenna and single-sensor edges
+_SHAPES = [(2, 5), (5, 5), (9, 4), (1, 3), (6, 1), (6, 4), (3, 5), (12, 10), (20, 10)]
+
+
 # ------------------------------------------------------------- channel draws
 
 
@@ -38,9 +70,10 @@ def test_scalar_channel_eigenstructure():
     ch = iz.sample_channel(1, 1, substream(0, 0))
     h = ch.H[0, 0]
     assert abs(ch.lambda1 - abs(h) ** 2) < 1e-12
-    # phase convention: the single entry of each eigenvector is +1
-    np.testing.assert_allclose(ch.v, [1.0 + 0j], atol=1e-12)
+    # phase convention: the single entry of q1 is +1, so the receive beam
+    # is the unit-modulus phase of h
     np.testing.assert_allclose(ch.q1, [1.0 + 0j], atol=1e-12)
+    np.testing.assert_allclose(_receive_beam(ch), [h / abs(h)], atol=1e-12)
 
 
 def test_entry_variance_is_unit():
@@ -55,11 +88,16 @@ def test_entry_variance_is_unit():
 def test_principal_pair_identity_up_to_phase():
     for i, (N, K) in enumerate([(2, 5), (5, 5), (9, 4), (1, 3), (6, 1)]):
         ch = iz.sample_channel(N, K, substream(2, 0, point_index=i))
-        assert abs(np.linalg.norm(ch.v) - 1) < 1e-9
+        v = _receive_beam(ch)
+        assert abs(np.linalg.norm(v) - 1) < 1e-9
         assert abs(np.linalg.norm(ch.q1) - 1) < 1e-9
-        lhs = ch.H @ ch.q1
-        rhs = np.sqrt(ch.lambda1) * ch.v
-        assert np.max(np.abs(_align_phase(lhs, rhs) - rhs)) < 1e-7
+        # H^H v = sqrt(lambda1) q1 closes the singular pair
+        rhs = np.sqrt(ch.lambda1) * ch.q1
+        assert np.max(np.abs(ch.H.conj().T @ v - rhs)) < 1e-7
+        # and v is the principal left singular vector of an independent SVD
+        U, svals, _ = np.linalg.svd(ch.H)
+        assert abs(svals[0] ** 2 - ch.lambda1) < 1e-9 * ch.lambda1
+        assert np.max(np.abs(_align_phase(U[:, 0], v) - v)) < 1e-7
 
 
 def test_top_eigenvalue_dominates():
@@ -79,8 +117,19 @@ def test_realization_from_matrix_matches_sampler():
     ch = iz.sample_channel(6, 4, substream(4, 0))
     rebuilt = iz.realization_from_matrix(ch.H)
     assert np.array_equal(ch.H, rebuilt.H)
-    np.testing.assert_allclose(ch.v, rebuilt.v, atol=1e-12)
+    assert ch.lambda1 == rebuilt.lambda1
+    np.testing.assert_allclose(_receive_beam(ch), _receive_beam(rebuilt), atol=1e-12)
     np.testing.assert_allclose(ch.q1, rebuilt.q1, atol=1e-12)
+
+
+def test_min_alignment_equals_projection_onto_receive_beam():
+    # lambda1 min|q1|^2 against min_k |v^H h_k|^2 with v formed here
+    rng = substream(24, 0)
+    for N, K in _SHAPES:
+        for _ in range(5):
+            ch = iz.sample_channel(N, K, rng)
+            oracle = np.min(np.abs(_receive_beam(ch).conj() @ ch.H) ** 2)
+            assert iz.min_beam_alignment(ch) == pytest.approx(oracle, rel=1e-9)
 
 
 # --------------------------------------------------------- beam-aligned SNR
@@ -119,16 +168,25 @@ def test_effective_snr_power_budget_identity():
 
 
 def test_degenerate_channel_flagged():
-    scen = _scenario(num_sensors=4, num_antennas=6)
-    H = iz.sample_channel(6, 4, substream(8, 0)).H.copy()
-    H[:, 2] = 0.0  # silence one sensor: its beam gain is exactly zero
-    ch = iz.realization_from_matrix(H)
-    snr = iz.aircomp_effective_snr(ch, scen)
-    assert snr.degenerate
-    assert snr.gamma_air == 0.0
+    # Silencing one sensor makes its beam gain exactly zero.  The
+    # eigensolver can leave |q1_k|^2 at rounding level (1e-31) on such a
+    # column, so this runs many draws over tall, square and wide arrays.
+    rng = substream(8, 0)
+    for N, K in [(6, 4), (3, 5), (12, 10), (20, 10), (5, 5)]:
+        scen = _scenario(num_sensors=K, num_antennas=N)
+        for t in range(30):
+            H = iz.sample_channel(N, K, rng).H.copy()
+            H[:, t % K] = 0.0
+            ch = iz.realization_from_matrix(H)
+            assert iz.min_beam_alignment(ch) == 0.0
+            snr = iz.aircomp_effective_snr(ch, scen)
+            assert snr.degenerate
+            assert snr.gamma_air == 0.0
+            assert snr.b_norm_sq == np.inf
     feats = iz.sample_local_features(scen, 0, substream(8, 1))
     out = iz.aircomp_receive(scen, ch, feats, substream(8, 2))
     assert out.degenerate
+    assert np.all(np.isnan(out.f_tilde))
 
 
 # ----------------------------------------------------------- aircomp receive
@@ -172,7 +230,7 @@ def test_literal_matrix_noise_matches_direct_draw():
         feats = iz.sample_local_features(scen, 0, rng_a)
         direct[i] = iz.aircomp_receive(scen, ch, feats, rng_a).f_tilde
         feats_b = iz.sample_local_features(scen, 0, rng_b)
-        literal[i] = iz.aircomp_receive(scen, ch, feats_b, rng_b, literal=True).f_tilde
+        literal[i] = _symbol_level_aircomp(scen, ch, feats_b, rng_b)
     Sd = np.cov(direct, rowvar=False)
     Sl = np.cov(literal, rowvar=False)
     assert np.linalg.norm(Sl - Sd) / np.linalg.norm(Sd) < 0.05
@@ -187,8 +245,9 @@ def test_zf_on_orthonormal_columns_returns_channel():
     G = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     Q, _ = np.linalg.qr(G)
     ch = iz.realization_from_matrix(Q)
-    B = iz.zf_beamformers(ch)
+    B = _zf_matrix(ch.H)
     np.testing.assert_allclose(B, Q, atol=1e-10)
+    np.testing.assert_allclose(iz.zf_norms_sq(ch), np.ones(4), atol=1e-10)
 
 
 def test_zf_defining_property():
@@ -197,22 +256,42 @@ def test_zf_defining_property():
         K = 2 + i % 5
         N = K + i % 4  # includes the square case
         ch = iz.sample_channel(N, K, rng)
-        B = iz.zf_beamformers(ch)
+        B = _zf_matrix(ch.H)
         gram = B.conj().T @ ch.H
         assert np.max(np.abs(gram - np.eye(K))) < 1e-8
+        # the Gram-inverse diagonal is the column norms of that B
+        np.testing.assert_allclose(
+            iz.zf_norms_sq(ch), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-9
+        )
+
+
+def test_zf_norms_match_beam_columns_at_square_edge():
+    # N = K leaves no spare antenna: the norms are largest and the Gram
+    # matrix worst conditioned, which is where the two routes could part.
+    rng = substream(13, 1)
+    for K in (1, 2, 5, 10, 30):
+        for _ in range(5):
+            ch = iz.sample_channel(K, K, rng)
+            B = _zf_matrix(ch.H)
+            assert np.max(np.abs(B.conj().T @ ch.H - np.eye(K))) < 1e-6
+            np.testing.assert_allclose(
+                iz.zf_norms_sq(ch), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-7
+            )
 
 
 def test_zf_infeasible_when_undersized():
     ch = iz.sample_channel(3, 5, substream(14, 0))
     with pytest.raises(iz.InfeasibleAccessError):
-        iz.zf_beamformers(ch)
+        iz.zf_norms_sq(ch)
+    with pytest.raises(iz.InfeasibleAccessError):
+        iz.orthogonal_effective_snr(ch, _scenario(num_sensors=5, num_antennas=3))
 
 
 def test_zf_singular_gram_reported():
     H = iz.sample_channel(5, 3, substream(15, 0)).H.copy()
     H[:, 1] = 0.0
     with pytest.raises(iz.NumericalError):
-        iz.zf_beamformers(iz.realization_from_matrix(H))
+        iz.zf_norms_sq(iz.realization_from_matrix(H))
 
 
 def test_zf_norm_distribution():
@@ -223,7 +302,7 @@ def test_zf_norm_distribution():
     vals = np.empty(4000)
     for i in range(4000):
         ch = iz.sample_channel(16, 10, rng)
-        vals[i] = float(np.sum(np.abs(iz.zf_beamformers(ch)[:, 0]) ** 2))
+        vals[i] = iz.zf_norms_sq(ch)[0]
     ks = iz.ks_statistic(vals, iz.zf_norm_cdf(16, 10))
     assert ks < 0.03
     assert abs(vals.mean() - 1 / 6) / (1 / 6) < 0.05
@@ -239,7 +318,7 @@ def test_zf_norm_inverse_exponential_edge():
     vals = np.empty(10000)
     for i in range(10000):
         ch = iz.sample_channel(3, 3, rng)
-        vals[i] = float(np.sum(np.abs(iz.zf_beamformers(ch)[:, 0]) ** 2))
+        vals[i] = iz.zf_norms_sq(ch)[0]
     assert iz.ks_statistic(vals, cdf) < 0.02
 
 

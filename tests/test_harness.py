@@ -387,6 +387,58 @@ def test_cli_rejects_empty_sweep(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args, config_extra, message",
+    [
+        (["aloss", "--sweep", "1,abc"], "", "'abc' is not a number"),
+        (["aloss", "--sweep", "1,nan"], "", "not finite"),
+        (["sweep-k", "--sweep", "1.5"], "", "must be integers"),
+        (["bounds", "--sweep", "1.5"], "", "must be integers"),
+        (["sweep-n", "--sweep", "2,12.5"], "", "must be integers"),
+        (["aloss", "--sweep", "1", "--workers", "-3"], "", "workers must be at least 1"),
+        (["aloss", "--sweep", "1"], "num_sensors = 8\n", "duplicate configuration key"),
+    ],
+)
+def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message):
+    config = _write_config(tmp_path, CONFIG_TEXT + config_extra)
+    out = tmp_path / "never.csv"
+    code = cli.main([args[0], "--config", str(config), "--out", str(out), *args[1:]])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["snr-dist", "bnorm-dist"])
+def test_cli_distribution_check_needs_100_draws(tmp_path, capsys, experiment):
+    config = _write_config(tmp_path)
+    out = tmp_path / "never.csv"
+    code = cli.main([experiment, "--config", str(config), "--out", str(out), "--trials", "50"])
+    assert code == 2
+    assert "at least 100 draws" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_crossing_rejects_a_point_without_antennas(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    out = tmp_path / "never.csv"
+    code = cli.main(["crossing", "--config", str(config), "--out", str(out), "--sweep", "0,1"])
+    assert code == 2
+    assert "round(omega K) = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_snr_dist_rejects_a_point_without_antennas(tmp_path, capsys):
+    # omega = N/K = 2/10, so K = 2 would need round(0.4) = 0 antennas
+    config = _write_config(
+        tmp_path, CONFIG_TEXT.replace("num_antennas = 12", "num_antennas = 2")
+    )
+    out = tmp_path / "never.csv"
+    code = cli.main(["snr-dist", "--config", str(config), "--out", str(out), "--sweep", "2"])
+    assert code == 2
+    assert "round(omega K) = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_maps_numerical_failures_to_exit_three(tmp_path, capsys, monkeypatch):
     config = _write_config(tmp_path)
 

@@ -239,6 +239,23 @@ def test_loss_factor_limits_and_monotonicity():
         iz.channel_loss_factor(sc, 0.0)
 
 
+def test_loss_factor_accepts_an_array_of_snrs():
+    # one call over many draws must match the direct weighting draw by draw
+    sc = _scenario()
+    snrs = np.array([0.1, 1.0, 10.0, 100.0, np.inf])
+    vals = iz.channel_loss_factor(sc, snrs)
+    assert vals.shape == snrs.shape
+    d_bar = iz.separation_summary(sc).mean_separation
+    for snr, val in zip(snrs[:-1], vals):
+        direct = iz.separation_summary(sc, snr=snr).mean_separation / d_bar
+        assert val == pytest.approx(direct, rel=1e-10)
+        assert val == pytest.approx(iz.channel_loss_factor(sc, snr), rel=1e-14)
+    assert vals[-1] == 1.0
+    assert iz.channel_loss_factor(sc, snrs.reshape(5, 1)).shape == (5, 1)
+    with pytest.raises(ValueError):
+        iz.channel_loss_factor(sc, np.array([1.0, 0.0]))
+
+
 def test_loss_factor_isotropic_closed_form():
     # With C = c I the weighting shrinks every mode equally, so the factor
     # reduces to c / (c + K / snr).

@@ -32,12 +32,8 @@ from .feature_model import (
 )
 from .inference import (
     PIPELINES,
-    ClassifierModel,
     TrialBatch,
     TrialRecord,
-    build_classifier,
-    estimate_accuracy,
-    estimate_uncertainty,
     local_discrimination_gain,
     ml_classify,
     pairwise_separation,

@@ -63,14 +63,12 @@ class AircompSnr:
 class AggregationOutcome:
     """Result of pushing one feature set through an access pipeline.
 
-    ``mode`` is ``aircomp``, ``orthogonal``, or ``adaptive-resolved``; in
-    the adaptive case ``resolved_mode`` names the branch that won the
-    effective-SNR comparison.  ``noise_power_per_dim * effective_snr = 1``
-    whenever the SNR is finite and positive.
+    The adaptive pipeline names the branch that won the effective-SNR
+    comparison in ``resolved_mode``.  ``noise_power_per_dim * effective_snr
+    = 1`` whenever the SNR is finite and positive.
     """
 
     f_tilde: np.ndarray
-    mode: str
     effective_snr: float
     noise_power_per_dim: float
     resolved_mode: str | None = None
@@ -186,7 +184,6 @@ def aircomp_receive(scenario, channel, local_features, rng):
     f_tilde, power = _receive_direct(f_bar, snr.gamma_air, rng)
     return AggregationOutcome(
         f_tilde=f_tilde,
-        mode="aircomp",
         effective_snr=snr.gamma_air,
         noise_power_per_dim=power,
         degenerate=snr.degenerate,
@@ -235,7 +232,6 @@ def orthogonal_receive(scenario, channel, local_features, rng):
     f_tilde, power = _receive_direct(f_bar, gamma_aoa, rng)
     return AggregationOutcome(
         f_tilde=f_tilde,
-        mode="orthogonal",
         effective_snr=gamma_aoa,
         noise_power_per_dim=power,
     )
@@ -260,7 +256,6 @@ def adaptive_receive(scenario, channel, local_features, rng):
     f_tilde, power = _receive_direct(f_bar, chosen_snr, rng)
     return AggregationOutcome(
         f_tilde=f_tilde,
-        mode="adaptive-resolved",
         effective_snr=chosen_snr,
         noise_power_per_dim=power,
         resolved_mode=resolved,

@@ -96,6 +96,11 @@ class ExperimentSpec:
         pipelines = tuple(self.pipelines)
         if not pipelines or any(p not in PIPELINES for p in pipelines):
             raise ConfigError(f"pipelines must be a nonempty subset of {PIPELINES}")
+        if len(set(pipelines)) != len(pipelines):
+            raise ConfigError(f"pipelines must not repeat, got {','.join(pipelines)}")
+        own = _FIXED_PIPELINES.get(self.experiment)
+        if own is not None and set(pipelines) != set(own):
+            raise ConfigError(f"{self.experiment} always runs pipelines {','.join(own)}")
         object.__setattr__(self, "pipelines", pipelines)
         if self.bound_c <= 0:
             raise ConfigError("bound_c must be positive")
@@ -171,14 +176,20 @@ _DEFAULT_SWEEPS = {
     "aloss": (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
 }
 
-_DEFAULT_PIPELINES = {
-    "sweep-k": ("noiseless", "aircomp"),
-    "sweep-n": ("aircomp", "orthogonal", "adaptive"),
-    "bounds": ("noiseless",),
+# Experiments that derive every row from channel draws alone; their rows
+# always cover exactly these pipelines.
+_FIXED_PIPELINES = {
     "snr-dist": ("aircomp",),
     "bnorm-dist": ("orthogonal",),
     "crossing": ("aircomp", "orthogonal", "adaptive"),
     "aloss": ("aircomp",),
+}
+
+_DEFAULT_PIPELINES = {
+    "sweep-k": ("noiseless", "aircomp"),
+    "sweep-n": ("aircomp", "orthogonal", "adaptive"),
+    "bounds": ("noiseless",),
+    **_FIXED_PIPELINES,
 }
 
 
@@ -366,13 +377,16 @@ def run_zf_norm_distribution_check(num_antennas, num_sensors, draws, rng, thresh
     return ks, float(norms[:, 0].mean()), ks < threshold
 
 
+def _paper_grid(values):
+    """The sweep values and their doubles, increasing and without repeats."""
+    return tuple(sorted(set(values) | {2 * v for v in values}))
+
+
 def _run_snr_dist(spec, workers, paper_scale):
     del workers  # channel-only loops run single-process; results match any count
     cfg = spec.scenario
     omega = cfg.num_antennas / cfg.num_sensors
-    values = spec.sweep_values
-    if paper_scale:
-        values = tuple(values) + tuple(2 * v for v in values)
+    values = _paper_grid(spec.sweep_values) if paper_scale else spec.sweep_values
     draws = cfg.mc_trials
     rows, notes = [], []
     for point, K in enumerate(values):
@@ -398,9 +412,7 @@ def _run_bnorm_dist(spec, workers, paper_scale):
     del workers
     cfg = spec.scenario
     K = cfg.num_sensors
-    values = spec.sweep_values
-    if paper_scale:
-        values = tuple(values) + tuple(2 * v for v in values)
+    values = _paper_grid(spec.sweep_values) if paper_scale else spec.sweep_values
     draws = cfg.mc_trials
     rows, notes = [], []
     for point, N in enumerate(values):

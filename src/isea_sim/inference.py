@@ -1,16 +1,21 @@
-"""Maximum-likelihood fusion classifier and Monte Carlo estimators.
+"""Maximum-likelihood fusion classifier and the Monte Carlo trial engine.
 
 The server classifies the aggregated feature vector under the mixture
 model implied by averaging: class means P_bar mu_l and effective
 covariance C/K, plus an isotropic term 1/gamma for the channel noise of
-the access mode in use.  Posteriors, classification decisions, pairwise
-class separations, and the Monte Carlo estimators for sensing uncertainty
-and accuracy all live here.
+the access mode in use.  The class log-likelihoods are evaluated in the
+eigenbasis of C, so the M x M inverse is never formed; this one route
+gives the posteriors, the decisions and the per-trial entropies.  Pairwise
+class separations live here too, and :func:`run_trials` runs a batch of
+trials whose summaries are the Monte Carlo estimates of sensing
+uncertainty and accuracy.  :func:`simulate_trial` replays any single
+trial from its (seed, stream, point, trial) coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -29,55 +34,6 @@ PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 _COND_LIMIT = 1e12
 _CHUNK_TRIALS = 512
 
-# Worker-process state for parallel trial execution, set by _pool_init.
-_POOL_STATE = None
-
-
-@dataclass(frozen=True, eq=False)
-class ClassifierModel:
-    """Gaussian classifier for the aggregated feature vector."""
-
-    projected_centroids: np.ndarray   # (L, M) rows P_bar mu_l
-    effective_cov: np.ndarray         # (M, M)
-    effective_cov_inv: np.ndarray     # (M, M)
-
-
-def build_classifier(scenario, snr=None):
-    """Build the fusion classifier.
-
-    Args:
-        scenario: the problem instance.
-        snr: effective channel SNR of the access mode, or None/inf for the
-            noiseless model.  The effective covariance is C/K plus
-            (1/snr) I when finite.
-
-    Raises:
-        NumericalError: if the effective covariance has condition number
-            above 1e12, or its computed inverse fails the identity check
-            at 1e-8.
-    """
-    noise_power = _noise_power_from_snr(snr)
-    K = scenario.num_sensors
-    evals = scenario.C_evals / K + noise_power
-    if evals.max() / evals.min() > _COND_LIMIT:
-        raise NumericalError(
-            "effective covariance condition number exceeds 1e12; "
-            "inversion results would not be trustworthy"
-        )
-    V = scenario.C_evecs
-    cov = V @ (evals[:, None] * V.T)
-    inv = V @ ((1.0 / evals)[:, None] * V.T)
-    cov = 0.5 * (cov + cov.T)
-    inv = 0.5 * (inv + inv.T)
-    M = scenario.feature_dim
-    if np.max(np.abs(cov @ inv - np.eye(M))) > 1e-8:
-        raise NumericalError("effective covariance inverse fails the identity check")
-    return ClassifierModel(
-        projected_centroids=scenario.proj_centroids,
-        effective_cov=cov,
-        effective_cov_inv=inv,
-    )
-
 
 def _noise_power_from_snr(snr):
     if snr is None or snr == np.inf:
@@ -87,19 +43,15 @@ def _noise_power_from_snr(snr):
     return 1.0 / snr
 
 
-def _mahalanobis_sq(model, f_tilde):
-    diff = model.projected_centroids - np.asarray(f_tilde, dtype=float)[None, :]
-    return np.einsum("li,ij,lj->l", diff, model.effective_cov_inv, diff)
+def ml_classify(scenario, f_tilde, snr=None):
+    """Maximum-likelihood class decision at effective channel SNR ``snr``
+    (None or inf for the noiseless model); ties resolve to the lowest index."""
+    return int(np.argmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr))))
 
 
-def ml_classify(model, f_tilde):
-    """Maximum-likelihood class decision; ties resolve to the lowest index."""
-    return int(np.argmin(_mahalanobis_sq(model, f_tilde)))
-
-
-def posterior_probabilities(model, f_tilde):
+def posterior_probabilities(scenario, f_tilde, snr=None):
     """Class posterior under the uniform prior, via max-shifted softmax."""
-    return _softmax(-0.5 * _mahalanobis_sq(model, f_tilde))
+    return _softmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))
 
 
 def _softmax(logits):
@@ -117,8 +69,10 @@ def posterior_entropy(posterior):
 def _posterior_logits(scenario, f_tilde, noise_power):
     """Per-class log-likelihoods up to a constant, via C's eigenbasis.
 
-    Equivalent to the :class:`ClassifierModel` route but without forming
-    the M x M inverse; used on the per-trial hot path.
+    The effective covariance is C/K plus ``noise_power`` I.
+
+    Raises:
+        NumericalError: if its condition number exceeds 1e12.
     """
     # C_evals is ascending, so adding the isotropic noise keeps the order.
     evals = scenario.C_evals / scenario.num_sensors + noise_power
@@ -231,7 +185,7 @@ def _stderr(values):
     return float(values.std(ddof=1) / np.sqrt(n))
 
 
-def _run_one_trial(scenario, pipeline, rng, fixed_channel):
+def _run_one_trial(scenario, pipeline, rng):
     label = sample_label(scenario.num_classes, rng)
     features = sample_local_features(scenario, label, rng)
     resolved = None
@@ -240,9 +194,7 @@ def _run_one_trial(scenario, pipeline, rng, fixed_channel):
         snr_value, noise_power = np.inf, 0.0
         degenerate = False
     else:
-        ch = fixed_channel
-        if ch is None:
-            ch = sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
+        ch = sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
         if pipeline == "aircomp":
             outcome = aircomp_receive(scenario, ch, features, rng)
         elif pipeline == "orthogonal":
@@ -266,10 +218,14 @@ def _run_one_trial(scenario, pipeline, rng, fixed_channel):
     return label, predicted, entropy, snr_value, logits, resolved
 
 
-def simulate_trial(scenario, pipeline, rng, fixed_channel=None):
-    """Run one trial and return the full :class:`TrialRecord`."""
+def simulate_trial(scenario, pipeline, rng):
+    """Run one trial and return the full :class:`TrialRecord`.
+
+    With ``rng = substream(seed, stream_id, point_index, trial_index)`` this
+    replays trial ``trial_index`` of the matching :func:`run_trials` call.
+    """
     label, predicted, entropy, snr_value, logits, resolved = _run_one_trial(
-        scenario, pipeline, rng, fixed_channel
+        scenario, pipeline, rng
     )
     return TrialRecord(
         label=label,
@@ -282,7 +238,7 @@ def simulate_trial(scenario, pipeline, rng, fixed_channel=None):
     )
 
 
-def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop, fixed_channel):
+def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop):
     n = stop - start
     entropies = np.empty(n)
     labels = np.empty(n, dtype=np.int64)
@@ -290,27 +246,12 @@ def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, s
     snrs = np.empty(n)
     for i in range(n):
         rng = substream(master_seed, stream_id, point_index, start + i)
-        label, predicted, entropy, snr_value, _, _ = _run_one_trial(
-            scenario, pipeline, rng, fixed_channel
-        )
+        label, predicted, entropy, snr_value, _, _ = _run_one_trial(scenario, pipeline, rng)
         entropies[i] = entropy
         labels[i] = label
         predictions[i] = predicted
         snrs[i] = snr_value
     return entropies, labels, predictions, snrs
-
-
-def _pool_init(scenario, pipeline, master_seed, stream_id, point_index, fixed_channel):
-    global _POOL_STATE
-    _POOL_STATE = (scenario, pipeline, master_seed, stream_id, point_index, fixed_channel)
-
-
-def _pool_chunk(bounds):
-    scenario, pipeline, master_seed, stream_id, point_index, fixed_channel = _POOL_STATE
-    start, stop = bounds
-    return _run_chunk(
-        scenario, pipeline, master_seed, stream_id, point_index, start, stop, fixed_channel
-    )
 
 
 def run_trials(
@@ -321,7 +262,6 @@ def run_trials(
     stream_id=STREAM_TRIALS,
     point_index=0,
     workers=1,
-    fixed_channel=None,
 ):
     """Run Monte Carlo trials of one access pipeline.
 
@@ -329,9 +269,9 @@ def run_trials(
     (master_seed, stream_id, point_index, trial_index), so the result is
     independent of ``workers`` and of scheduling, and pipelines evaluated
     with the same stream coordinates see identical labels, features, and
-    channels (paired comparisons).
-
-    The channel is redrawn every trial unless ``fixed_channel`` is given.
+    channels (paired comparisons).  The returned :class:`TrialBatch`
+    carries the uncertainty and accuracy estimates with their standard
+    errors.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
@@ -342,52 +282,21 @@ def run_trials(
             "orthogonal access infeasible: "
             f"N={scenario.num_antennas} < K={scenario.num_sensors}"
         )
-    seed = scenario.config.master_seed
-    bounds = [
-        (start, min(start + _CHUNK_TRIALS, trials))
-        for start in range(0, trials, _CHUNK_TRIALS)
-    ]
-    if workers <= 1 or len(bounds) == 1:
-        parts = [
-            _run_chunk(scenario, pipeline, seed, stream_id, point_index, a, b, fixed_channel)
-            for a, b in bounds
-        ]
+    chunk = partial(
+        _run_chunk, scenario, pipeline, scenario.config.master_seed, stream_id, point_index
+    )
+    starts = range(0, trials, _CHUNK_TRIALS)
+    stops = [min(start + _CHUNK_TRIALS, trials) for start in starts]
+    if workers <= 1 or len(starts) == 1:
+        parts = list(map(chunk, starts, stops))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(scenario, pipeline, seed, stream_id, point_index, fixed_channel),
-        ) as pool:
-            parts = list(pool.map(_pool_chunk, bounds))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(chunk, starts, stops))
     return TrialBatch(
         entropies=np.concatenate([p[0] for p in parts]),
         labels=np.concatenate([p[1] for p in parts]),
         predictions=np.concatenate([p[2] for p in parts]),
         effective_snrs=np.concatenate([p[3] for p in parts]),
     )
-
-
-def estimate_uncertainty(scenario, pipeline, trials, **kwargs):
-    """Monte Carlo estimate of the expected posterior entropy.
-
-    Returns ``(mean, standard_error)``.  Requires at least 100 trials so
-    the normal-approximation error bars are meaningful.
-    """
-    if trials < 100:
-        raise ValueError("estimate_uncertainty needs at least 100 trials")
-    batch = run_trials(scenario, pipeline, trials, **kwargs)
-    return batch.mean_entropy, batch.entropy_stderr
-
-
-def estimate_accuracy(scenario, pipeline, trials, **kwargs):
-    """Monte Carlo estimate of classification accuracy.
-
-    Returns ``(mean, standard_error)`` with the same trial-pairing
-    guarantees as :func:`run_trials`.
-    """
-    if trials < 100:
-        raise ValueError("estimate_accuracy needs at least 100 trials")
-    batch = run_trials(scenario, pipeline, trials, **kwargs)
-    return batch.accuracy, batch.accuracy_stderr

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import isea_sim as iz
 from isea_sim import feature_model, theory
@@ -24,7 +24,6 @@ from isea_sim.harness.experiments import (
     run_snr_distribution_check,
     run_zf_norm_distribution_check,
 )
-from isea_sim.inference import build_classifier, posterior_probabilities
 from isea_sim.streams import substream
 
 MASTER_SEED = 20240
@@ -273,11 +272,12 @@ def test_09_entropy_quadrature_oracle():
             _config(feature_dim=1, num_classes=2, num_sensors=1, num_antennas=2),
             centroids=np.array([[1.0], [-1.0]]),
         )
-        model = build_classifier(sc)
-        sigma = np.sqrt(sc.config.sensing_covariance_scale / sc.num_sensors)
+        var = sc.config.sensing_covariance_scale / sc.num_sensors
+        sigma = np.sqrt(var)
 
         def integrand(f):
-            post = posterior_probabilities(model, np.array([f]))
+            # closed-form two-class posterior: logistic in the logit 2 f / var
+            post = special.expit([2.0 * f / var, -2.0 * f / var])
             return stats.norm.pdf(f, 1.0, sigma) * iz.posterior_entropy(post)
 
         oracle, quad_err = integrate.quad(integrand, -8.0, 8.0, limit=400)

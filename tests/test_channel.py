@@ -331,7 +331,6 @@ def test_orthogonal_noiseless_receive_is_exact():
     feats = iz.sample_local_features(scen, 3, substream(18, 1))
     out = iz.orthogonal_receive(scen, ch, feats, substream(18, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
-    assert out.mode == "orthogonal"
 
 
 def test_orthogonal_snr_collapses_at_square_channel():
@@ -371,7 +370,6 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
         feats = iz.sample_local_features(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         assert out.resolved_mode == "aircomp"
-        assert out.mode == "adaptive-resolved"
 
 
 def test_adaptive_selects_larger_snr():

@@ -87,6 +87,9 @@ def test_default_spec_grids():
     assert default_spec("bnorm-dist", cfg).sweep_values == (9,)
     assert default_spec("sweep-k", cfg).sweep_values == tuple(range(1, 13))
     assert default_spec("sweep-n", cfg).pipelines == ("aircomp", "orthogonal", "adaptive")
+    # a fixed-pipeline experiment accepts its own set spelled out
+    crossing = ("aircomp", "orthogonal", "adaptive")
+    assert default_spec("crossing", cfg, pipelines=crossing).pipelines == crossing
     assert default_spec("bounds", cfg).output_path == "bounds.csv"
     with pytest.raises(ConfigError):
         default_spec("nope", cfg)
@@ -406,6 +409,40 @@ def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message
     assert code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, pipelines, message",
+    [
+        ("crossing", "noiseless", "crossing always runs pipelines aircomp,orthogonal,adaptive"),
+        ("crossing", "aircomp,orthogonal", "crossing always runs"),
+        ("snr-dist", "orthogonal", "snr-dist always runs pipelines aircomp"),
+        ("bnorm-dist", "aircomp,orthogonal", "bnorm-dist always runs pipelines orthogonal"),
+        ("aloss", "aircomp,adaptive", "aloss always runs pipelines aircomp"),
+        ("sweep-k", "aircomp,aircomp", "must not repeat"),
+        ("crossing", "aircomp,orthogonal,adaptive,aircomp", "must not repeat"),
+    ],
+)
+def test_cli_rejects_ignored_or_repeated_pipelines(tmp_path, capsys, experiment, pipelines, message):
+    config = _write_config(tmp_path)
+    out = tmp_path / "never.csv"
+    code = cli.main(
+        [experiment, "--config", str(config), "--out", str(out), "--pipelines", pipelines]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep, grid",
+    [("snr-dist", (5, 10), (5, 10, 20)), ("bnorm-dist", (12, 24), (12, 24, 48))],
+)
+def test_paper_scale_grid_has_no_repeated_points(tmp_path, experiment, sweep, grid):
+    cfg = _cfg(mc_trials=100)
+    spec = default_spec(experiment, cfg, output_path=tmp_path / "p.csv", sweep_values=sweep)
+    report = run_experiment(spec, paper_scale=True)
+    assert tuple(row.sweep_value for row in report.rows) == grid
 
 
 @pytest.mark.parametrize("experiment", ["snr-dist", "bnorm-dist"])

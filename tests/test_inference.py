@@ -1,4 +1,4 @@
-"""Classification, posterior entropy, and Monte Carlo estimators."""
+"""Classification, posterior entropy, and the Monte Carlo trial engine."""
 
 import dataclasses
 
@@ -132,43 +132,77 @@ def test_noisy_separation_direct_inverse_route():
 # ----------------------------------------------------------------- classifier
 
 
+def _oracle_posterior(scen, f, snr=None):
+    """Posterior from the Mahalanobis distances under the explicitly
+    inverted M x M effective covariance C/K + (1/snr) I; an independent
+    check on the library's eigenbasis route."""
+    noise = 0.0 if snr is None or snr == np.inf else 1.0 / snr
+    cov = scen.C / scen.num_sensors + noise * np.eye(scen.feature_dim)
+    diff = scen.proj_centroids - np.asarray(f, dtype=float)[None, :]
+    maha = np.einsum("li,ij,lj->l", diff, np.linalg.inv(cov), diff)
+    weights = np.exp(-0.5 * (maha - maha.min()))
+    return weights / weights.sum()
+
+
+def test_posterior_matches_explicit_inverse_oracle():
+    A = substream(31, 1).standard_normal((5, 5))
+    covariance = A @ A.T / 5 + 0.05 * np.eye(5)  # non-isotropic override
+    scenarios = (
+        iz.build_scenario(_config(num_classes=8, observation_rank=2)),
+        iz.build_scenario(_config(num_classes=8, observation_rank=3), covariance=covariance),
+    )
+    rng = substream(31, 0)
+    for scen in scenarios:
+        for snr in (None, np.inf, 0.7, 5.0):
+            for _ in range(200):
+                f = scen.proj_centroids[rng.integers(8)] + rng.standard_normal(5) * 0.3
+                probs = iz.posterior_probabilities(scen, f, snr=snr)
+                np.testing.assert_allclose(probs, _oracle_posterior(scen, f, snr), atol=1e-9)
+                assert iz.ml_classify(scen, f, snr=snr) == int(np.argmax(probs))
+
+
+def test_classifier_rejects_nonpositive_snr():
+    scen = iz.build_scenario(_config())
+    for snr in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            iz.posterior_probabilities(scen, np.zeros(5), snr=snr)
+
+
 def test_classifier_recovers_exact_centroid():
     scen = iz.build_scenario(_config())
-    model = iz.build_classifier(scen)
     for label in range(5):
-        assert iz.ml_classify(model, scen.proj_centroids[label]) == label
+        assert iz.ml_classify(scen, scen.proj_centroids[label]) == label
 
 
 def test_classifier_nearest_centroid_on_line():
-    model = iz.build_classifier(_line_scenario())
-    assert iz.ml_classify(model, np.array([0.2])) == 0
-    assert iz.ml_classify(model, np.array([-0.2])) == 1
+    scen = _line_scenario()
+    assert iz.ml_classify(scen, np.array([0.2])) == 0
+    assert iz.ml_classify(scen, np.array([-0.2])) == 1
 
 
 def test_classifier_agrees_with_posterior_argmax():
     scen = iz.build_scenario(_config(num_classes=8, observation_rank=2))
-    model = iz.build_classifier(scen, snr=5.0)
     rng = substream(30, 0)
     for _ in range(10000):
         f = rng.standard_normal(5) * 2.0
-        probs = iz.posterior_probabilities(model, f)
-        assert iz.ml_classify(model, f) == int(np.argmax(probs))
+        probs = iz.posterior_probabilities(scen, f, snr=5.0)
+        assert iz.ml_classify(scen, f, snr=5.0) == int(np.argmax(probs))
 
 
 def test_posterior_uniform_when_indistinguishable():
     cfg = _config(num_classes=4)
     shared = np.tile(np.array([0.3, -0.7, 0.1, 0.0, 1.0]), (4, 1))
     scen = iz.build_scenario(cfg, centroids=shared)
-    model = iz.build_classifier(scen)
-    probs = iz.posterior_probabilities(model, np.array([5.0, 0.0, -2.0, 1.0, 0.0]))
+    f = np.array([5.0, 0.0, -2.0, 1.0, 0.0])
+    probs = iz.posterior_probabilities(scen, f)
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
+    assert iz.ml_classify(scen, f) == 0  # ties resolve to the lowest index
 
 
 def test_posterior_stable_for_extreme_inputs():
     scen = iz.build_scenario(_config())
-    model = iz.build_classifier(scen)
     f = np.full(5, 1e4)  # log-likelihood spread far beyond exp range
-    probs = iz.posterior_probabilities(model, f)
+    probs = iz.posterior_probabilities(scen, f)
     assert np.all(probs >= 0)
     assert np.all(probs <= 1)
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -177,9 +211,8 @@ def test_posterior_stable_for_extreme_inputs():
 def test_posterior_matches_logistic_closed_form():
     var = 0.1
     scen = _line_scenario(var)
-    model = iz.build_classifier(scen)
     for x in np.linspace(-3, 3, 25):
-        probs = iz.posterior_probabilities(model, np.array([x]))
+        probs = iz.posterior_probabilities(scen, np.array([x]))
         expected = 1.0 / (1.0 + np.exp(-2.0 * x / var))
         assert abs(probs[0] - expected) < 1e-10
 
@@ -188,11 +221,20 @@ def test_posterior_matches_logistic_closed_form():
 @settings(max_examples=200, deadline=None)
 def test_posterior_normalization_fuzz(values):
     scen = iz.build_scenario(_config())
-    model = iz.build_classifier(scen)
-    probs = iz.posterior_probabilities(model, np.array(values))
+    probs = iz.posterior_probabilities(scen, np.array(values))
     assert abs(probs.sum() - 1.0) < 1e-12
     ent = iz.posterior_entropy(probs)
     assert 0.0 <= ent <= np.log(5) + 1e-12
+
+
+def test_ill_conditioned_covariance_raises():
+    # C/K has condition number 1e13, past the 1e12 limit of the classifier.
+    cfg = _config(feature_dim=3, num_classes=3, num_sensors=1, observation_rank=3)
+    scen = iz.build_scenario(cfg, covariance=np.diag([1e-13, 1.0, 1.0]))
+    with pytest.raises(iz.NumericalError):
+        iz.run_trials(scen, "noiseless", 10)
+    with pytest.raises(iz.NumericalError):
+        iz.posterior_probabilities(scen, np.zeros(3))
 
 
 # ------------------------------------------------------------- trial running
@@ -202,11 +244,11 @@ def test_identical_centroids_give_maximal_uncertainty():
     cfg = _config(num_classes=5)
     shared = np.tile(np.array([0.1, 0.2, 0.3, 0.4, 0.5]), (5, 1))
     scen = iz.build_scenario(cfg, centroids=shared)
-    h, se = iz.estimate_uncertainty(scen, "noiseless", 500)
-    assert abs(h - np.log(5)) < 1e-12
-    assert se < 1e-15  # rounding jitter only
-    acc, _ = iz.estimate_accuracy(scen, "noiseless", 4000)
-    # argmin tie-break always selects class 0, which is drawn 1/L of the time
+    batch = iz.run_trials(scen, "noiseless", 500)
+    assert abs(batch.mean_entropy - np.log(5)) < 1e-12
+    assert batch.entropy_stderr < 1e-15  # rounding jitter only
+    acc = iz.run_trials(scen, "noiseless", 4000).accuracy
+    # the tie-break always selects class 0, which is drawn 1/L of the time
     assert abs(acc - 0.2) < 3 * np.sqrt(0.2 * 0.8 / 4000)
 
 
@@ -223,8 +265,8 @@ def test_uncertainty_matches_quadrature_oracle():
 
     exact, quad_err = quad(integrand, -8, 8, limit=200)
     assert quad_err < 1e-8
-    h, se = iz.estimate_uncertainty(scen, "noiseless", 20000)
-    assert abs(h - exact) < 3 * se
+    batch = iz.run_trials(scen, "noiseless", 20000)
+    assert abs(batch.mean_entropy - exact) < 3 * batch.entropy_stderr
 
 
 def test_uncertainty_not_monotone_in_sensor_count():
@@ -244,9 +286,9 @@ def test_perfectly_separable_scenario_is_classified_exactly():
         sensing_covariance_scale=1e-12, transmit_snr_db=float("inf"),
     )
     scen = iz.build_scenario(cfg)
-    acc, se = iz.estimate_accuracy(scen, "noiseless", 2000)
-    assert acc == 1.0
-    assert se == 0.0
+    batch = iz.run_trials(scen, "noiseless", 2000)
+    assert batch.accuracy == 1.0
+    assert batch.accuracy_stderr == 0.0
 
 
 def test_higher_observation_rank_improves_accuracy():
@@ -260,14 +302,6 @@ def test_higher_observation_rank_improves_accuracy():
         accs[r] = batch
     gap = accs[70].accuracy - accs[50].accuracy
     assert gap > 3 * (accs[70].accuracy_stderr + accs[50].accuracy_stderr)
-
-
-def test_estimators_reject_tiny_trial_counts():
-    scen = iz.build_scenario(_config())
-    with pytest.raises(ValueError):
-        iz.estimate_uncertainty(scen, "noiseless", 99)
-    with pytest.raises(ValueError):
-        iz.estimate_accuracy(scen, "noiseless", 50)
 
 
 def test_unknown_pipeline_rejected():
@@ -293,17 +327,37 @@ def test_worker_split_is_invisible():
     assert np.array_equal(serial.effective_snrs, pooled.effective_snrs)
 
 
-def test_fixed_channel_uncertainty_decreases_with_snr():
-    ch = iz.sample_channel(12, 10, substream(77, 0))
+def test_paired_uncertainty_decreases_with_snr():
+    # Under one seed only the noise scale depends on the transmit SNR: each
+    # trial draws the same label, features and channel at every SNR, so the
+    # per-trial entropies are paired across the runs.
     prev = None
     for db in (-10.0, 0.0, 10.0, 20.0):
         scen = iz.build_scenario(_config(transmit_snr_db=db))
-        batch = iz.run_trials(scen, "aircomp", 4000, fixed_channel=ch)
+        batch = iz.run_trials(scen, "aircomp", 4000)
         if prev is not None:
-            diff = prev.entropies - batch.entropies  # shared streams pair trials
+            assert np.array_equal(batch.labels, prev.labels)
+            diff = prev.entropies - batch.entropies
             se = diff.std(ddof=1) / np.sqrt(diff.size)
             assert diff.mean() > 3 * se
         prev = batch
+
+
+@pytest.mark.parametrize("pipeline", iz.PIPELINES)
+def test_simulate_trial_replays_run_trials(pipeline):
+    # 600 trials span two chunks; indices 511 and 512 sit on either side of
+    # the boundary, and the two-worker run maps each chunk in the pool.
+    scen = iz.build_scenario(_config())
+    stream_id, point = 7, 3
+    batch = iz.run_trials(scen, pipeline, 600, stream_id=stream_id, point_index=point, workers=2)
+    for i in (0, 511, 512, 599):
+        rec = iz.simulate_trial(scen, pipeline, substream(20240, stream_id, point, i))
+        assert rec.label == batch.labels[i]
+        assert rec.predicted == batch.predictions[i]
+        assert rec.entropy == batch.entropies[i]
+        assert rec.effective_snr == batch.effective_snrs[i]
+        assert abs(rec.posterior.sum() - 1.0) < 1e-12
+        assert int(np.argmax(rec.posterior)) == rec.predicted
 
 
 def test_trial_records_have_consistent_fields():

@@ -22,23 +22,13 @@ from .channel import (
     zf_norms_sq,
 )
 from .errors import ConfigError, InfeasibleAccessError, NumericalError
-from .feature_model import (
-    FeatureSample,
-    aggregate_noiseless,
-    sample_feature_set,
-    sample_label,
-    sample_local_feature,
-    sample_local_features,
-)
+from .feature_model import aggregate_noiseless, sample_label, sample_local_features
 from .inference import (
     PIPELINES,
     TrialBatch,
     TrialRecord,
-    local_discrimination_gain,
     ml_classify,
-    pairwise_separation,
     pairwise_separation_matrix,
-    posterior_entropy,
     posterior_probabilities,
     run_trials,
     simulate_trial,
@@ -47,20 +37,16 @@ from .scenario import (
     Scenario,
     ScenarioConfig,
     build_scenario,
-    expected_observation_matrix,
     generate_centroids,
     generate_observation_matrix,
     isotropic_observation_mean,
     load_config,
     parse_config_text,
     validate_scenario,
-    with_sensing_scale,
-    without_sensing_noise,
 )
 from .theory import (
     KAPPA_LOWER,
     SeparationSummary,
-    SurrogateParams,
     asymptotic_separation,
     bound_offset,
     channel_loss_factor,
@@ -69,7 +55,6 @@ from .theory import (
     exp_integral_e1_scaled,
     expected_loss_factor_bounds,
     expected_loss_r,
-    kappa_alternative,
     kappa_upper,
     ks_statistic,
     scaled_alignment_cdf,

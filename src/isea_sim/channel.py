@@ -219,16 +219,16 @@ def orthogonal_effective_snr(channel, scenario):
     total_norm = float(zf_norms_sq(channel).sum())
     gamma = transmit_snr(scenario)
     if gamma == np.inf:
-        return np.inf, total_norm
+        return np.inf
     K = channel.num_sensors
-    return float(gamma * K**2 / (scenario.nu_sq * total_norm)), total_norm
+    return float(gamma * K**2 / (scenario.nu_sq * total_norm))
 
 
 def orthogonal_receive(scenario, channel, local_features, rng):
     """Aggregate via orthogonal access: noiseless average plus
     N(0, (1/gamma_aoa) I) noise."""
     f_bar = aggregate_noiseless(local_features)
-    gamma_aoa, _ = orthogonal_effective_snr(channel, scenario)
+    gamma_aoa = orthogonal_effective_snr(channel, scenario)
     f_tilde, power = _receive_direct(f_bar, gamma_aoa, rng)
     return AggregationOutcome(
         f_tilde=f_tilde,
@@ -248,7 +248,7 @@ def adaptive_receive(scenario, channel, local_features, rng):
     air = aircomp_effective_snr(channel, scenario)
     gamma_aoa = -np.inf  # an infeasible orthogonal branch never wins
     if channel.num_antennas >= channel.num_sensors:
-        gamma_aoa, _ = orthogonal_effective_snr(channel, scenario)
+        gamma_aoa = orthogonal_effective_snr(channel, scenario)
     if air.gamma_air >= gamma_aoa:
         resolved, chosen_snr, degenerate = "aircomp", air.gamma_air, air.degenerate
     else:

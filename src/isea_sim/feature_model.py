@@ -7,18 +7,7 @@ the arithmetic mean of the sensor features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True, eq=False)
-class FeatureSample:
-    """One draw of the multi-view observation model."""
-
-    label: int
-    ground_truth: np.ndarray      # (M,) class centroid of the drawn label
-    local_features: np.ndarray    # (K, M)
 
 
 def sample_label(num_classes, rng):
@@ -26,26 +15,11 @@ def sample_label(num_classes, rng):
     return int(rng.integers(num_classes))
 
 
-def sample_local_feature(scenario, sensor_index, label, rng):
-    """Draw one sensor's noisy view P_k mu_l + w_k, w_k ~ N(0, C)."""
-    mean = scenario.sensor_centroids[sensor_index, label]
-    noise = scenario.C_factor @ rng.standard_normal(scenario.feature_dim)
-    return mean + noise
-
 def sample_local_features(scenario, label, rng):
-    """Draw all K sensor views at once; rows are independent given the label."""
+    """Draw all K sensor views P_k mu_l + w_k, w_k ~ N(0, C), at once; rows
+    are independent given the label."""
     z = rng.standard_normal((scenario.num_sensors, scenario.feature_dim))
     return scenario.sensor_centroids[:, label, :] + z @ scenario.C_factor.T
-
-
-def sample_feature_set(scenario, rng):
-    """Draw a label and the matching sensor views as a :class:`FeatureSample`."""
-    label = sample_label(scenario.num_classes, rng)
-    return FeatureSample(
-        label=label,
-        ground_truth=scenario.centroids[label].copy(),
-        local_features=sample_local_features(scenario, label, rng),
-    )
 
 
 def aggregate_noiseless(local_features):

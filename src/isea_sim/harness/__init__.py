@@ -1,25 +1,1 @@
 """Experiment harness: sweep drivers, CSV reports, CLI entry point."""
-
-from .experiments import (
-    EXPERIMENTS,
-    ExperimentSpec,
-    SweepReport,
-    SweepRow,
-    default_spec,
-    run_experiment,
-    run_snr_distribution_check,
-    run_zf_norm_distribution_check,
-)
-from .plots import emit_plot_script
-
-__all__ = [
-    "EXPERIMENTS",
-    "ExperimentSpec",
-    "SweepReport",
-    "SweepRow",
-    "default_spec",
-    "emit_plot_script",
-    "run_experiment",
-    "run_snr_distribution_check",
-    "run_zf_norm_distribution_check",
-]

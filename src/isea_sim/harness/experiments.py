@@ -76,7 +76,6 @@ class ExperimentSpec:
     sweep_values: tuple
     pipelines: tuple = ("noiseless",)
     output_path: str = ""
-    bound_c: float = 1.0
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -102,8 +101,6 @@ class ExperimentSpec:
         if own is not None and set(pipelines) != set(own):
             raise ConfigError(f"{self.experiment} always runs pipelines {','.join(own)}")
         object.__setattr__(self, "pipelines", pipelines)
-        if self.bound_c <= 0:
-            raise ConfigError("bound_c must be positive")
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,7 @@ def _run_simulation_sweep(spec, workers, paper_scale):
                 snr_arg, mean_snr_col = mean_snr, mean_snr
                 loss = channel_loss_factor(scen, mean_snr)
             pw = pairwise_separation_matrix(scen, snr=snr_arg)
-            lower, upper = uncertainty_bounds(pw, spec.bound_c, K, scen.feature_dim)
+            lower, upper = uncertainty_bounds(pw, 1.0, K, scen.feature_dim)
             rows.append(
                 SweepRow(
                     sweep_value=value,
@@ -447,7 +444,7 @@ def _access_snrs(scenario, channel):
     gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
     if channel.num_antennas < channel.num_sensors:
         return gamma_air, np.nan
-    return gamma_air, orthogonal_effective_snr(channel, scenario)[0]
+    return gamma_air, orthogonal_effective_snr(channel, scenario)
 
 
 def _run_crossing(spec, workers, paper_scale):
@@ -455,9 +452,16 @@ def _run_crossing(spec, workers, paper_scale):
     cfg = spec.scenario
     K = cfg.num_sensors
     draws = _trials_for(spec, paper_scale)
+    values = spec.sweep_values
+    antennas = [_antennas_for(omega, K) for omega in values]
+    for a, b, N, next_N in zip(values, values[1:], antennas, antennas[1:]):
+        if N == next_N:
+            raise ConfigError(
+                f"omega={a:g} and omega={b:g} at K={K} both give round(omega K) = {N} antennas"
+            )
     rows, notes = [], []
-    for point, omega in enumerate(spec.sweep_values):
-        N = _antennas_for(omega, K)
+    for point, N in enumerate(antennas):
+        omega = N / K  # the simulated ratio, which the rows and notes report
         scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
         streams = _trial_streams(cfg, "crossing", point, draws)
         air, aoa = _per_draw(partial(_access_snrs, scen), N, K, streams).T

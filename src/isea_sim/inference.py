@@ -59,13 +59,6 @@ def _softmax(logits):
     return weights / weights.sum()
 
 
-def posterior_entropy(posterior):
-    """Shannon entropy (natural log) of a posterior vector."""
-    p = np.asarray(posterior, dtype=float)
-    nonzero = p > 0
-    return float(-(p[nonzero] * np.log(p[nonzero])).sum())
-
-
 def _posterior_logits(scenario, f_tilde, noise_power):
     """Per-class log-likelihoods up to a constant, via C's eigenbasis.
 
@@ -91,14 +84,6 @@ def _entropy_from_logits(logits):
     return max(float(entropy), 0.0)
 
 
-def local_discrimination_gain(scenario, sensor_index, label_a, label_b):
-    """Mahalanobis separation of two classes as seen by one sensor:
-    (mu_a - mu_b)^T P_k C^-1 P_k (mu_a - mu_b)."""
-    delta = scenario.centroids[label_a] - scenario.centroids[label_b]
-    proj = scenario.P[sensor_index] @ delta
-    return float(proj @ scenario.C_inv @ proj)
-
-
 def _separation_weight(scenario, snr):
     """Inverse of the per-pair covariance C + (K/snr) I, in factored form."""
     noise = 0.0 if snr is None or snr == np.inf else scenario.num_sensors / snr
@@ -107,20 +92,14 @@ def _separation_weight(scenario, snr):
     return V @ ((1.0 / evals)[:, None] * V.T)
 
 
-def pairwise_separation(scenario, label_a, label_b, snr=None):
-    """Separation of one class pair after fusion.
+def pairwise_separation_matrix(scenario, snr=None):
+    """All pairwise class separations after fusion, as a symmetric (L, L)
+    matrix with zero diagonal.
 
     Noiseless: (mu_a - mu_b)^T P_bar C^-1 P_bar (mu_a - mu_b), which is K
     times smaller than the separation under the effective covariance C/K.
     With a finite ``snr`` the weighting becomes (C + (K/snr) I)^-1.
     """
-    delta = scenario.centroids[label_a] - scenario.centroids[label_b]
-    proj = scenario.P_bar @ delta
-    return float(proj @ _separation_weight(scenario, snr) @ proj)
-
-
-def pairwise_separation_matrix(scenario, snr=None):
-    """All pairwise separations as a symmetric (L, L) matrix, zero diagonal."""
     W = _separation_weight(scenario, snr)
     proj = scenario.proj_centroids
     G = proj @ W @ proj.T

@@ -8,19 +8,13 @@ statistics (symbol variance and channel noise power).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .streams import (
-    STREAM_CENTROIDS,
-    STREAM_EXPECTED_OBS,
-    STREAM_OBSERVATION,
-    substream,
-)
+from .streams import STREAM_CENTROIDS, STREAM_OBSERVATION, substream
 
 _INT_FIELDS = {
     "feature_dim",
@@ -276,7 +270,7 @@ def build_scenario(config, centroids=None, covariance=None):
     return scenario
 
 
-def validate_scenario(scenario, projection_tol=1e-9):
+def validate_scenario(scenario):
     """Check the structural invariants of a built scenario.
 
     Raises :class:`ConfigError` on violation.  Covers projection symmetry,
@@ -290,7 +284,7 @@ def validate_scenario(scenario, projection_tol=1e-9):
         Pk = P[k]
         if np.max(np.abs(Pk - Pk.T)) >= 1e-12:
             raise ConfigError(f"projection {k} is not symmetric")
-        if np.max(np.abs(Pk @ Pk - Pk)) >= projection_tol:
+        if np.max(np.abs(Pk @ Pk - Pk)) >= 1e-9:
             raise ConfigError(f"projection {k} is not idempotent")
         if abs(np.trace(Pk) - r) >= 1e-9:
             raise ConfigError(f"projection {k} does not have trace {r}")
@@ -302,45 +296,6 @@ def validate_scenario(scenario, projection_tol=1e-9):
         raise ConfigError("transmit symbol variance must be positive")
 
 
-def expected_observation_matrix(scenario, num_samples, rng=None):
-    """Monte Carlo estimate of the mean observation projection E[P_k].
-
-    Uses fresh projection draws, independent of the ones baked into the
-    scenario.  For the default synthesis the exact answer is ``(r/M) I``;
-    see :func:`isotropic_observation_mean`.
-    """
-    if num_samples < 1:
-        raise ValueError("num_samples must be positive")
-    cfg = scenario.config
-    if rng is None:
-        rng = substream(cfg.master_seed, STREAM_EXPECTED_OBS)
-    total = np.zeros((cfg.feature_dim, cfg.feature_dim))
-    for _ in range(num_samples):
-        total += generate_observation_matrix(cfg.feature_dim, cfg.observation_rank, rng)
-    return total / num_samples
-
-
 def isotropic_observation_mean(feature_dim, rank):
     """Closed form of E[P_k] for uniformly random rank-r projections."""
     return (rank / feature_dim) * np.eye(feature_dim)
-
-
-def with_sensing_scale(scenario, scale):
-    """Rebuild the scenario's config with a different sensing covariance scale.
-
-    Keeps the same seed, so centroids and projections are unchanged.
-    """
-    config = dataclasses.replace(scenario.config, sensing_covariance_scale=scale)
-    return build_scenario(config, centroids=scenario.centroids)
-
-
-def without_sensing_noise(scenario):
-    """Zero-covariance copy of a scenario, for exactness tests.
-
-    The config keeps a positive covariance scale by contract, so the zero
-    limit is provided as a hook instead: sampling sees C = 0 and returns
-    P_k mu exactly, while classifier-side caches (C_inv and friends) retain
-    the original scenario's values and must not be used.
-    """
-    zero = np.zeros_like(scenario.C)
-    return dataclasses.replace(scenario, C=zero, C_factor=zero)

@@ -18,7 +18,6 @@ _MASK64 = (1 << 64) - 1
 STREAM_TRIALS = 0
 STREAM_CENTROIDS = 1001
 STREAM_OBSERVATION = 1002
-STREAM_EXPECTED_OBS = 1003
 
 # Harness experiments get one stream id each; all pipelines at a given
 # (experiment, point, trial) share the stream so comparisons are paired.

@@ -10,6 +10,7 @@ All entropies use natural logarithms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,34 +30,11 @@ def kappa_upper(feature_dim, c):
     return 1.0 / (c * feature_dim + 2.0)
 
 
-def kappa_alternative(feature_dim, c):
-    """Alternative convention kappa = 1/(c M + 1) seen in plotted overlays."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return 1.0 / (c * feature_dim + 1.0)
-
-
 def bound_offset(c):
     """Additive constant of the upper bound: log(c e^(1/c) / (1 + c))."""
     if c <= 0:
         raise ValueError("c must be positive")
     return float(np.log(c) + 1.0 / c - np.log1p(c))
-
-
-@dataclass(frozen=True)
-class SurrogateParams:
-    """A (kappa, additive offset) pair selecting one surrogate variant."""
-
-    kappa: float
-    offset: float = 0.0
-
-    @classmethod
-    def lower(cls):
-        return cls(kappa=KAPPA_LOWER, offset=0.0)
-
-    @classmethod
-    def upper(cls, feature_dim, c=1.0):
-        return cls(kappa=kappa_upper(feature_dim, c), offset=bound_offset(c))
 
 
 def surrogate_uncertainty_full(pairwise, kappa, num_sensors):
@@ -93,14 +71,11 @@ class SeparationSummary:
     ``separation_matrix`` is the feature-space average of the outer
     products of centroid differences over ordered pairs; its trace against
     P_bar W P_bar reproduces ``mean_separation`` exactly.
-    ``residual_scale`` is the variance of the pairwise separations, the
-    natural size of the error made by the equal-distance simplification.
     """
 
     pairwise: np.ndarray          # (L, L)
     mean_separation: float
     separation_matrix: np.ndarray  # (M, M)
-    residual_scale: float
 
 
 def separation_summary(scenario, snr=None):
@@ -115,12 +90,10 @@ def separation_summary(scenario, snr=None):
     centered = scenario.centroids - scenario.centroids.mean(axis=0)
     pop_cov = centered.T @ centered / L
     separation_matrix = (2.0 * L / (L - 1.0)) * pop_cov
-    mean_sep = float(off_diag.mean())
     return SeparationSummary(
         pairwise=pw,
-        mean_separation=mean_sep,
+        mean_separation=float(off_diag.mean()),
         separation_matrix=separation_matrix,
-        residual_scale=float(((off_diag - mean_sep) ** 2).mean()),
     )
 
 
@@ -137,18 +110,12 @@ def uncertainty_bounds(pairwise, c, num_sensors, feature_dim):
     return lower, upper
 
 
-def asymptotic_separation(scenario, expected_obs=None):
-    """Large-K limit of the mean separation: Tr(EP C^-1 EP D).
-
-    ``expected_obs`` defaults to the closed-form mean projection
-    (r/M) I of the uniform rank-r synthesis.
-    """
-    if expected_obs is None:
-        expected_obs = isotropic_observation_mean(
-            scenario.feature_dim, scenario.config.observation_rank
-        )
+def asymptotic_separation(scenario):
+    """Large-K limit of the mean separation: Tr(EP C^-1 EP D), with EP the
+    closed-form mean projection (r/M) I of the uniform rank-r synthesis."""
+    EP = isotropic_observation_mean(scenario.feature_dim, scenario.config.observation_rank)
     D = separation_summary(scenario).separation_matrix
-    return float(np.trace(expected_obs @ scenario.C_inv @ expected_obs @ D))
+    return float(np.trace(EP @ scenario.C_inv @ EP @ D))
 
 
 def channel_loss_factor(scenario, snr):
@@ -212,68 +179,27 @@ def expected_loss_r(scenario, omega):
     return 2.0 * gamma * (1.0 + np.sqrt(omega)) ** 2 * lam_min / scenario.nu_sq
 
 
-_EULER = float(np.euler_gamma)
-
-
 def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0.
+    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0."""
+    x = float(x)
+    if not x > 0:
+        raise ValueError("E1 requires x > 0")
+    return float(scipy.special.exp1(x))
 
-    Power series below x = 1, modified Lentz continued fraction above;
-    both converge past 1e-12 relative accuracy.
+
+def exp_integral_e1_scaled(x):
+    """Overflow-safe e^x E1(x).
+
+    From x = 700 on, where E1 falls into subnormals, this is the asymptotic
+    series sum_{n=0}^{6} (-1)^n n! / x^(n+1), whose truncation error is
+    below 7!/x^8, a relative 1e-16.
     """
     x = float(x)
     if not x > 0:
         raise ValueError("E1 requires x > 0")
-    if x <= 1.0:
-        return _e1_series(x)
-    return np.exp(-x) * _e1_cf_tail(x)
-
-
-def exp_integral_e1_scaled(x):
-    """Overflow-safe e^x E1(x); useful when x is large."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError("E1 requires x > 0")
-    if x <= 1.0:
-        return np.exp(x) * _e1_series(x)
-    return _e1_cf_tail(x)
-
-
-def _e1_series(x, max_terms=30):
-    total = -_EULER - np.log(x)
-    term = 1.0
-    for n in range(1, max_terms + 1):
-        term *= -x / n
-        contribution = -term / n
-        total += contribution
-        if abs(contribution) < 1e-16 * max(abs(total), 1e-300):
-            break
-    return total
-
-
-def _e1_cf_tail(x, max_iter=200):
-    # Continued fraction 1/(x+1- 1^2/(x+3- 2^2/(x+5- ...))), evaluated by
-    # the modified Lentz method; equals e^x E1(x).
-    tiny = 1e-300
-    b = x + 1.0
-    f = b if b != 0 else tiny
-    C = f
-    D = 0.0
-    for n in range(1, max_iter + 1):
-        a = -float(n * n)
-        b = x + 2.0 * n + 1.0
-        D = b + a * D
-        if D == 0:
-            D = tiny
-        C = b + a / C
-        if C == 0:
-            C = tiny
-        D = 1.0 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return 1.0 / f
+    if x < 700.0:
+        return float(np.exp(x) * scipy.special.exp1(x))
+    return sum((-1) ** n * math.factorial(n) / x ** (n + 1) for n in range(7))
 
 
 def scaled_alignment_cdf(omega):

@@ -257,7 +257,7 @@ def test_08_crossing_probability_formula():
         for _ in range(draws):
             ch = iz.sample_channel(N, K, rng)
             gamma_air = aircomp_effective_snr(ch, sc).gamma_air
-            gamma_aoa, _ = orthogonal_effective_snr(ch, sc)
+            gamma_aoa = orthogonal_effective_snr(ch, sc)
             wins += gamma_air >= gamma_aoa
         empirical = wins / draws
         predicted = theory.crossing_probability(K, omega)
@@ -278,7 +278,7 @@ def test_09_entropy_quadrature_oracle():
         def integrand(f):
             # closed-form two-class posterior: logistic in the logit 2 f / var
             post = special.expit([2.0 * f / var, -2.0 * f / var])
-            return stats.norm.pdf(f, 1.0, sigma) * iz.posterior_entropy(post)
+            return stats.norm.pdf(f, 1.0, sigma) * special.entr(post).sum()
 
         oracle, quad_err = integrate.quad(integrand, -8.0, 8.0, limit=400)
         assert quad_err < 1e-7  # far below the Monte Carlo noise floor

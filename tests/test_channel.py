@@ -343,7 +343,7 @@ def test_orthogonal_snr_collapses_at_square_channel():
         vals = np.empty(1000)
         for t in range(1000):
             ch = iz.sample_channel(N, 50, rng)
-            vals[t] = iz.orthogonal_effective_snr(ch, scen)[0] / 50
+            vals[t] = iz.orthogonal_effective_snr(ch, scen) / 50
         med[N] = np.median(vals)
     assert med[50] < 0.05 * med[100]
 
@@ -354,7 +354,7 @@ def test_orthogonal_snr_mean_matches_closed_form():
     vals = np.empty(1000)
     for t in range(1000):
         ch = iz.sample_channel(100, 50, rng)
-        vals[t] = iz.orthogonal_effective_snr(ch, scen)[0] / 50
+        vals[t] = iz.orthogonal_effective_snr(ch, scen) / 50
     closed = 10.0 * (100 - 50) / scen.nu_sq
     assert abs(vals.mean() - closed) / closed < 0.05
 
@@ -379,7 +379,7 @@ def test_adaptive_selects_larger_snr():
     for _ in range(60):
         ch = iz.sample_channel(18, 10, rng)
         ga = iz.aircomp_effective_snr(ch, scen).gamma_air
-        go = iz.orthogonal_effective_snr(ch, scen)[0]
+        go = iz.orthogonal_effective_snr(ch, scen)
         feats = iz.sample_local_features(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         want = "orthogonal" if go > ga else "aircomp"
@@ -415,7 +415,7 @@ def test_adaptive_mean_snr_dominates_both_modes():
             ch = iz.sample_channel(N, 10, rng)
             air[t] = iz.aircomp_effective_snr(ch, scen).gamma_air
             if N >= 10:
-                orth[t] = iz.orthogonal_effective_snr(ch, scen)[0]
+                orth[t] = iz.orthogonal_effective_snr(ch, scen)
             ada[t] = max(air[t], orth[t])
         best = max(air.mean(), orth.mean() if N >= 10 else -np.inf)
         spread = max(air.std(ddof=1), orth.std(ddof=1) if N >= 10 else 0.0)

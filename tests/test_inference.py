@@ -5,9 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 from scipy.integrate import dblquad, quad
 
 import isea_sim as iz
+from isea_sim import inference
 from isea_sim.streams import substream
 
 
@@ -44,16 +46,18 @@ def _line_scenario(var=0.1):
 
 
 # -------------------------------------------------------- discrimination gain
+# _plane_scenario has a single sensor, so P_bar = P_0 and the fused pairwise
+# separation is that sensor's local discrimination gain.
 
 
 def test_gain_vanishes_for_same_class():
     scen = iz.build_scenario(_config())
-    assert iz.local_discrimination_gain(scen, 0, 2, 2) == 0.0
+    assert iz.pairwise_separation_matrix(scen)[2, 2] == 0.0
 
 
 def test_gain_closed_form_in_plane():
     scen = _plane_scenario()
-    assert abs(iz.local_discrimination_gain(scen, 0, 0, 1) - 10.0) < 1e-9
+    assert abs(iz.pairwise_separation_matrix(scen)[0, 1] - 10.0) < 1e-9
 
 
 def test_gain_matches_symmetric_kl_quadrature():
@@ -76,17 +80,15 @@ def test_gain_matches_symmetric_kl_quadrature():
 
     val, err = dblquad(integrand, -4, 5, -4, 4, epsabs=1e-9)
     assert err < 1e-6
-    assert abs(iz.local_discrimination_gain(scen, 0, 0, 1) - val) < 1e-6
+    assert abs(iz.pairwise_separation_matrix(scen)[0, 1] - val) < 1e-6
 
 
 def test_gain_symmetry():
     scen = iz.build_scenario(_config(observation_rank=3))
-    for k in range(3):
-        for a in range(5):
-            for b in range(5):
-                assert iz.local_discrimination_gain(scen, k, a, b) == pytest.approx(
-                    iz.local_discrimination_gain(scen, k, b, a), abs=1e-12
-                )
+    for snr in (None, 3.7):
+        mat = iz.pairwise_separation_matrix(scen, snr=snr)
+        assert np.array_equal(mat, mat.T)
+        assert np.all(np.diag(mat) == 0)
 
 
 # --------------------------------------------------------- pairwise separation
@@ -94,39 +96,27 @@ def test_gain_symmetry():
 
 def test_separation_noisy_limit_recovers_noiseless():
     scen = iz.build_scenario(_config())
-    clean = iz.pairwise_separation(scen, 0, 1)
-    noisy = iz.pairwise_separation(scen, 0, 1, snr=1e12)
+    clean = iz.pairwise_separation_matrix(scen)[0, 1]
+    noisy = iz.pairwise_separation_matrix(scen, snr=1e12)[0, 1]
     assert abs(noisy - clean) / clean < 1e-6
 
 
 def test_separation_shrinks_with_noise():
     scen = iz.build_scenario(_config())
-    clean = iz.pairwise_separation(scen, 1, 3)
+    clean = iz.pairwise_separation_matrix(scen)[1, 3]
     for snr in (0.1, 1.0, 10.0, 100.0):
-        assert iz.pairwise_separation(scen, 1, 3, snr=snr) < clean
-
-
-def test_separation_matrix_consistent_with_scalars():
-    scen = iz.build_scenario(_config(num_classes=4))
-    mat = iz.pairwise_separation_matrix(scen)
-    assert np.array_equal(mat, mat.T)
-    assert np.all(np.diag(mat) == 0)
-    for a in range(4):
-        for b in range(4):
-            if a != b:
-                assert mat[a, b] == pytest.approx(
-                    iz.pairwise_separation(scen, a, b), rel=1e-12
-                )
+        assert iz.pairwise_separation_matrix(scen, snr=snr)[1, 3] < clean
 
 
 def test_noisy_separation_direct_inverse_route():
     scen = iz.build_scenario(_config(observation_rank=2))
     K, gamma = 10, 3.7
     middle = np.linalg.inv(scen.C + (K / gamma) * np.eye(5))
+    mat = iz.pairwise_separation_matrix(scen, snr=gamma)
     for a, b in [(0, 1), (2, 4)]:
         delta = scen.centroids[a] - scen.centroids[b]
         direct = delta @ scen.P_bar @ middle @ scen.P_bar @ delta
-        assert abs(iz.pairwise_separation(scen, a, b, snr=gamma) - direct) < 1e-10
+        assert abs(mat[a, b] - direct) < 1e-10
 
 
 # ----------------------------------------------------------------- classifier
@@ -223,7 +213,7 @@ def test_posterior_normalization_fuzz(values):
     scen = iz.build_scenario(_config())
     probs = iz.posterior_probabilities(scen, np.array(values))
     assert abs(probs.sum() - 1.0) < 1e-12
-    ent = iz.posterior_entropy(probs)
+    ent = special.entr(probs).sum()
     assert 0.0 <= ent <= np.log(5) + 1e-12
 
 
@@ -358,6 +348,18 @@ def test_simulate_trial_replays_run_trials(pipeline):
         assert rec.effective_snr == batch.effective_snrs[i]
         assert abs(rec.posterior.sum() - 1.0) < 1e-12
         assert int(np.argmax(rec.posterior)) == rec.predicted
+
+
+@pytest.mark.parametrize("pipeline", iz.PIPELINES)
+def test_chunk_size_does_not_change_results(monkeypatch, pipeline):
+    # 97 does not divide 600 or 512, so every chunk edge moves.
+    scen = iz.build_scenario(_config())
+    batches = []
+    for chunk in (512, 97):
+        monkeypatch.setattr(inference, "_CHUNK_TRIALS", chunk)
+        batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
+    for field in ("entropies", "labels", "predictions", "effective_snrs"):
+        np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))
 
 
 def test_trial_records_have_consistent_fields():

@@ -140,23 +140,12 @@ def test_bound_offset_positive_and_known_at_one():
 
 def test_kappa_conventions():
     assert iz.kappa_upper(10, 1.0) == pytest.approx(1.0 / 12.0)
-    assert iz.kappa_alternative(10, 1.0) == pytest.approx(1.0 / 11.0)
     assert iz.kappa_upper(4, 0.5) == pytest.approx(0.25)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             iz.kappa_upper(10, bad)
         with pytest.raises(ValueError):
-            iz.kappa_alternative(10, bad)
-        with pytest.raises(ValueError):
             iz.bound_offset(bad)
-
-
-def test_surrogate_params_wiring():
-    low = iz.SurrogateParams.lower()
-    assert low.kappa == 0.5 and low.offset == 0.0
-    up = iz.SurrogateParams.upper(8, c=2.0)
-    assert up.kappa == pytest.approx(1.0 / 18.0)
-    assert up.offset == pytest.approx(iz.bound_offset(2.0))
 
 
 def test_bounds_ordered_on_random_instances():
@@ -188,8 +177,6 @@ def test_separation_summary_trace_identity():
     summary = iz.separation_summary(sc)
     traced = float(np.trace(sc.P_bar @ sc.C_inv @ sc.P_bar @ summary.separation_matrix))
     assert traced == pytest.approx(summary.mean_separation, rel=1e-10)
-    off = summary.pairwise[~np.eye(summary.pairwise.shape[0], dtype=bool)]
-    assert summary.residual_scale == pytest.approx(off.var(), rel=1e-12)
 
 
 def test_asymptotic_separation_identity_projection_traces_separation():
@@ -216,11 +203,15 @@ def test_asymptotic_separation_matches_sampled_projection_mean():
         sensing_covariance_scale=0.2,
         master_seed=41,
     )
-    from isea_sim.scenario import expected_observation_matrix
-
-    ep = expected_observation_matrix(sc, 100000, substream(20240, 24))
+    rng = substream(20240, 24)
+    n = 100000
+    ep = np.zeros((6, 6))
+    for _ in range(n):
+        ep += iz.generate_observation_matrix(6, 3, rng)
+    ep /= n
+    D = iz.separation_summary(sc).separation_matrix
+    empirical = float(np.trace(ep @ sc.C_inv @ ep @ D))
     closed = iz.asymptotic_separation(sc)
-    empirical = iz.asymptotic_separation(sc, expected_obs=ep)
     assert empirical == pytest.approx(closed, rel=0.01)  # observed 0.08% off
 
 
@@ -347,8 +338,6 @@ def test_expected_loss_scale_parameter_formula():
     gamma = 1.0 / sc.sigma_sq
     by_hand = 2.0 * gamma * (1.0 + np.sqrt(omega)) ** 2 * 0.25 / sc.nu_sq
     assert iz.expected_loss_r(sc, omega) == pytest.approx(by_hand, rel=1e-12)
-    noiseless = iz.without_sensing_noise  # unrelated hook; keep import honest
-    assert noiseless is not None
     with pytest.raises(ValueError):
         iz.expected_loss_r(sc, -1.0)
 
@@ -375,13 +364,6 @@ def test_exponential_integral_against_quadrature():
         assert iz.exp_integral_e1(x) == pytest.approx(oracle, abs=1e-9)
 
 
-def test_exponential_integral_matches_scipy_everywhere():
-    xs = np.logspace(-3, 2.5, 200)
-    ours = np.array([iz.exp_integral_e1(float(x)) for x in xs])
-    rel = np.abs(ours / special.exp1(xs) - 1.0)
-    assert rel.max() < 1e-10
-
-
 def test_exponential_integral_classical_envelope():
     # (e^-x / 2) log(1 + 2/x)  <  E1(x)  <  e^-x log(1 + 1/x)
     for x in np.logspace(-3, 2, 50):
@@ -403,6 +385,13 @@ def test_scaled_exponential_integral_survives_large_arguments():
     assert iz.exp_integral_e1_scaled(1e8) == pytest.approx(1e-8, rel=1e-6)
     assert iz.exp_integral_e1(800.0) == pytest.approx(0.0, abs=1e-300)
     assert iz.exp_integral_e1_scaled(800.0) > 0.0
+
+
+def test_scaled_exponential_integral_continuous_at_series_switch():
+    # below 700 the value is e^x E1(x), from 700 on the asymptotic series
+    below = iz.exp_integral_e1_scaled(np.nextafter(700.0, 0.0))
+    above = iz.exp_integral_e1_scaled(700.0)
+    assert above == pytest.approx(below, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ asymptotic laws.
 from .channel import (
     AggregationOutcome,
     ChannelRealization,
+    access_snrs,
     adaptive_receive,
     aircomp_effective_snr,
     aircomp_receive,

@@ -55,7 +55,6 @@ class AircompSnr:
     """Effective SNR of over-the-air aggregation for one channel draw."""
 
     gamma_air: float
-    b_norm_sq: float
     degenerate: bool = False
 
 
@@ -63,16 +62,15 @@ class AircompSnr:
 class AggregationOutcome:
     """Result of pushing one feature set through an access pipeline.
 
-    The adaptive pipeline names the branch that won the effective-SNR
-    comparison in ``resolved_mode``.  ``noise_power_per_dim * effective_snr
-    = 1`` whenever the SNR is finite and positive.
+    ``f_tilde`` is the noiseless average plus noise of power
+    1/``effective_snr`` per dimension; an SNR of 0 means nothing got
+    through and ``f_tilde`` is all NaN.  The adaptive pipeline names the
+    branch that won in ``resolved_mode``.
     """
 
     f_tilde: np.ndarray
     effective_snr: float
-    noise_power_per_dim: float
     resolved_mode: str | None = None
-    degenerate: bool = False
 
 
 def _fix_phase(x):
@@ -150,44 +148,33 @@ def transmit_snr(scenario):
 def aircomp_effective_snr(channel, scenario):
     """Effective SNR of over-the-air aggregation.
 
-    Returns an :class:`AircompSnr` carrying gamma_air together with the
-    squared norm of the sum-power-optimal transmit inversion, which obeys
-    gamma_air = 2 K^2 / (sigma^2 * b_norm_sq).  A channel whose weakest
-    alignment vanishes is flagged degenerate with gamma_air = 0.
+    Returns an :class:`AircompSnr` carrying gamma_air = 2 K^2 gamma
+    min_k |v^H h_k|^2 / nu^2.  A channel whose weakest alignment vanishes
+    is flagged degenerate with gamma_air = 0.
     """
     min_align = min_beam_alignment(channel)
     if min_align <= 0:
-        return AircompSnr(gamma_air=0.0, b_norm_sq=np.inf, degenerate=True)
+        return AircompSnr(gamma_air=0.0, degenerate=True)
     K = channel.num_sensors
     gamma_air = 2.0 * K**2 * transmit_snr(scenario) / scenario.nu_sq * min_align
-    return AircompSnr(gamma_air=float(gamma_air), b_norm_sq=scenario.nu_sq / min_align)
+    return AircompSnr(gamma_air=float(gamma_air))
 
 
-def _receive_direct(f_bar, effective_snr, rng):
-    """Noiseless average plus N(0, (1/snr) I), with the noise power; all-NaN,
-    with no draw, when the SNR is zero and nothing gets through."""
+def _receive(local_features, effective_snr, rng, resolved_mode=None):
+    """The equivalent model every access mode reduces to: the noiseless
+    average plus N(0, (1/snr) I).  An SNR of 0 delivers an all-NaN vector
+    and draws nothing; an infinite one still consumes its draw."""
+    f_bar = aggregate_noiseless(local_features)
     if effective_snr <= 0:
-        return np.full_like(f_bar, np.nan), np.inf
-    power = 1.0 / effective_snr  # 0.0 at infinite SNR
-    return f_bar + np.sqrt(power) * rng.standard_normal(f_bar.shape[0]), power
+        f_tilde = np.full_like(f_bar, np.nan)
+    else:
+        f_tilde = f_bar + np.sqrt(1.0 / effective_snr) * rng.standard_normal(f_bar.shape[0])
+    return AggregationOutcome(f_tilde, effective_snr, resolved_mode)
 
 
 def aircomp_receive(scenario, channel, local_features, rng):
-    """Aggregate sensor features over the air.
-
-    The output is drawn from the equivalent model: the noiseless average
-    plus N(0, (1/gamma_air) I) noise.  A degenerate channel delivers an
-    all-NaN vector and is flagged.
-    """
-    f_bar = aggregate_noiseless(local_features)
-    snr = aircomp_effective_snr(channel, scenario)
-    f_tilde, power = _receive_direct(f_bar, snr.gamma_air, rng)
-    return AggregationOutcome(
-        f_tilde=f_tilde,
-        effective_snr=snr.gamma_air,
-        noise_power_per_dim=power,
-        degenerate=snr.degenerate,
-    )
+    """Aggregate sensor features over the air at gamma_air."""
+    return _receive(local_features, aircomp_effective_snr(channel, scenario).gamma_air, rng)
 
 
 def zf_norms_sq(channel):
@@ -225,39 +212,27 @@ def orthogonal_effective_snr(channel, scenario):
 
 
 def orthogonal_receive(scenario, channel, local_features, rng):
-    """Aggregate via orthogonal access: noiseless average plus
-    N(0, (1/gamma_aoa) I) noise."""
-    f_bar = aggregate_noiseless(local_features)
-    gamma_aoa = orthogonal_effective_snr(channel, scenario)
-    f_tilde, power = _receive_direct(f_bar, gamma_aoa, rng)
-    return AggregationOutcome(
-        f_tilde=f_tilde,
-        effective_snr=gamma_aoa,
-        noise_power_per_dim=power,
-    )
+    """Aggregate via orthogonal access at gamma_aoa."""
+    return _receive(local_features, orthogonal_effective_snr(channel, scenario), rng)
+
+
+def access_snrs(channel, scenario):
+    """``(gamma_air, gamma_aoa)`` of one draw, the only access-mode rule.
+
+    gamma_aoa is -inf when orthogonal access is infeasible (N < K), so
+    over the air wins exactly when ``gamma_air >= gamma_aoa``: ties and
+    infeasible orthogonal access both go to the air.
+    """
+    gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
+    if channel.num_antennas < channel.num_sensors:
+        return gamma_air, -np.inf
+    return gamma_air, orthogonal_effective_snr(channel, scenario)
 
 
 def adaptive_receive(scenario, channel, local_features, rng):
-    """Pick the access mode with the larger effective SNR for this draw.
-
-    Ties resolve to over-the-air aggregation, and when orthogonal access
-    is infeasible (N < K) the air branch is used unconditionally.  The
-    outcome records which branch won in ``resolved_mode``.
-    """
-    f_bar = aggregate_noiseless(local_features)
-    air = aircomp_effective_snr(channel, scenario)
-    gamma_aoa = -np.inf  # an infeasible orthogonal branch never wins
-    if channel.num_antennas >= channel.num_sensors:
-        gamma_aoa = orthogonal_effective_snr(channel, scenario)
-    if air.gamma_air >= gamma_aoa:
-        resolved, chosen_snr, degenerate = "aircomp", air.gamma_air, air.degenerate
-    else:
-        resolved, chosen_snr, degenerate = "orthogonal", gamma_aoa, False
-    f_tilde, power = _receive_direct(f_bar, chosen_snr, rng)
-    return AggregationOutcome(
-        f_tilde=f_tilde,
-        effective_snr=chosen_snr,
-        noise_power_per_dim=power,
-        resolved_mode=resolved,
-        degenerate=degenerate,
-    )
+    """Receive through the access mode with the larger effective SNR for
+    this draw, by :func:`access_snrs`; ``resolved_mode`` names the winner."""
+    gamma_air, gamma_aoa = access_snrs(channel, scenario)
+    if gamma_air >= gamma_aoa:
+        return _receive(local_features, gamma_air, rng, "aircomp")
+    return _receive(local_features, gamma_aoa, rng, "orthogonal")

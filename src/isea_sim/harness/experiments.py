@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from ..channel import (
+    access_snrs,
     aircomp_effective_snr,
-    orthogonal_effective_snr,
     sample_channel,
     scaled_min_alignment,
     transmit_snr,
@@ -45,20 +44,6 @@ from ..theory import (
 )
 
 EXPERIMENTS = tuple(sorted(EXPERIMENT_STREAMS))
-
-CSV_COLUMNS = (
-    "sweep_value",
-    "pipeline",
-    "mean_uncertainty",
-    "uncertainty_stderr",
-    "accuracy",
-    "accuracy_stderr",
-    "mean_effective_snr",
-    "surrogate_lower",
-    "surrogate_upper",
-    "asymptotic_prediction",
-    "feasible",
-)
 
 FEASIBLE = "ok"
 INFEASIBLE = "INFEASIBLE"
@@ -120,6 +105,9 @@ class SweepRow:
     feasible: str = FEASIBLE
 
 
+CSV_COLUMNS = tuple(field.name for field in dataclasses.fields(SweepRow))
+
+
 @dataclass(frozen=True)
 class SweepReport:
     """All rows of one experiment plus free-form result notes."""
@@ -129,25 +117,11 @@ class SweepReport:
     notes: tuple = ()
 
     def to_csv_text(self):
+        """Strings go in verbatim, numbers through :func:`_fmt`."""
         lines = [",".join(CSV_COLUMNS)]
         for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(row.sweep_value),
-                        row.pipeline,
-                        _fmt(row.mean_uncertainty),
-                        _fmt(row.uncertainty_stderr),
-                        _fmt(row.accuracy),
-                        _fmt(row.accuracy_stderr),
-                        _fmt(row.mean_effective_snr),
-                        _fmt(row.surrogate_lower),
-                        _fmt(row.surrogate_upper),
-                        _fmt(row.asymptotic_prediction),
-                        row.feasible,
-                    )
-                )
-            )
+            cells = (getattr(row, column) for column in CSV_COLUMNS)
+            lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in cells))
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path):
@@ -336,11 +310,11 @@ def _ks(samples, reference_cdf):
     return ks_statistic(samples, reference_cdf)
 
 
-def _alignment_law_fit(num_antennas, num_sensors, omega, rngs):
+def _alignment_law_fit(num_antennas, num_sensors, rngs):
     """K-scaled weakest alignment of a channel per generator, and its KS
-    distance to the limiting exponential law at ratio ``omega``."""
+    distance to the limiting exponential law at the simulated ratio N/K."""
     zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, rngs)
-    return _ks(zeta, scaled_alignment_cdf(omega)), zeta
+    return _ks(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
 
 
 def _zf_norm_pair(channel):
@@ -361,7 +335,7 @@ def run_snr_distribution_check(num_sensors, omega, draws, rng, threshold=0.03):
     every channel from ``rng`` in turn, and test it against its limiting
     exponential law.  Returns ``(ks, passed)``."""
     ks, _ = _alignment_law_fit(
-        _antennas_for(omega, num_sensors), num_sensors, omega, repeat(rng, draws)
+        _antennas_for(omega, num_sensors), num_sensors, repeat(rng, draws)
     )
     return ks, ks < threshold
 
@@ -391,17 +365,18 @@ def _run_snr_dist(spec, workers, paper_scale):
         N = _antennas_for(omega, K)
         scen = build_scenario(dataclasses.replace(cfg, num_sensors=K, num_antennas=N))
         streams = _trial_streams(cfg, "snr-dist", point, draws)
-        ks, zeta = _alignment_law_fit(N, K, omega, streams)
+        ks, zeta = _alignment_law_fit(N, K, streams)
         scale = 2.0 * K * transmit_snr(scen) / scen.nu_sq
+        ratio = N / K  # the simulated ratio, which the row and note report
         rows.append(
             SweepRow(
                 sweep_value=K,
                 pipeline="aircomp",
                 mean_effective_snr=scale * zeta.mean(),
-                asymptotic_prediction=scale * (1.0 + np.sqrt(omega)) ** 2,
+                asymptotic_prediction=scale * (1.0 + np.sqrt(ratio)) ** 2,
             )
         )
-        notes.append(f"K={K} omega={omega:g}: KS={ks:.4f} (threshold 0.03)")
+        notes.append(f"K={K} omega={ratio:g}: KS={ks:.4f} (threshold 0.03)")
     return rows, notes
 
 
@@ -438,15 +413,6 @@ def _run_bnorm_dist(spec, workers, paper_scale):
     return rows, notes
 
 
-def _access_snrs(scenario, channel):
-    """``(gamma_air, gamma_aoa)`` of one draw; gamma_aoa is NaN where
-    orthogonal access is infeasible."""
-    gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
-    if channel.num_antennas < channel.num_sensors:
-        return gamma_air, np.nan
-    return gamma_air, orthogonal_effective_snr(channel, scenario)
-
-
 def _run_crossing(spec, workers, paper_scale):
     del workers
     cfg = spec.scenario
@@ -464,12 +430,11 @@ def _run_crossing(spec, workers, paper_scale):
         omega = N / K  # the simulated ratio, which the rows and notes report
         scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
         streams = _trial_streams(cfg, "crossing", point, draws)
-        air, aoa = _per_draw(partial(_access_snrs, scen), N, K, streams).T
-        # a NaN gamma_aoa (orthogonal access infeasible) counts as an air win
-        wins = (~(air < aoa)).astype(float)
+        air, aoa = _per_draw(lambda ch: access_snrs(ch, scen), N, K, streams).T
+        wins = (air >= aoa).astype(float)
         prob, prob_se = float(wins.mean()), _stderr(wins)
         predicted = crossing_probability(K, omega)
-        mean_snrs = (air.mean(), aoa.mean() if N >= K else None, np.fmax(air, aoa).mean())
+        mean_snrs = (air.mean(), aoa.mean() if N >= K else None, np.maximum(air, aoa).mean())
         for pipeline, mean_snr in zip(("aircomp", "orthogonal", "adaptive"), mean_snrs):
             if mean_snr is None:
                 rows.append(SweepRow(sweep_value=omega, pipeline=pipeline, feasible=INFEASIBLE))

@@ -119,7 +119,6 @@ class TrialRecord:
     posterior: np.ndarray
     entropy: float
     effective_snr: float
-    pipeline: str
     resolved_mode: str | None = None
 
 
@@ -169,9 +168,7 @@ def _run_one_trial(scenario, pipeline, rng):
     features = sample_local_features(scenario, label, rng)
     resolved = None
     if pipeline == "noiseless":
-        f_tilde = aggregate_noiseless(features)
-        snr_value, noise_power = np.inf, 0.0
-        degenerate = False
+        f_tilde, snr_value = aggregate_noiseless(features), np.inf
     else:
         ch = sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
         if pipeline == "aircomp":
@@ -182,16 +179,13 @@ def _run_one_trial(scenario, pipeline, rng):
             outcome = adaptive_receive(scenario, ch, features, rng)
         else:
             raise ValueError(f"unknown pipeline {pipeline!r}")
-        f_tilde = outcome.f_tilde
-        snr_value = outcome.effective_snr
-        noise_power = outcome.noise_power_per_dim
+        f_tilde, snr_value = outcome.f_tilde, outcome.effective_snr
         resolved = outcome.resolved_mode
-        degenerate = outcome.degenerate
-    if degenerate:
+    if snr_value <= 0:
         # No usable channel: the posterior carries no information.
         logits = np.zeros(scenario.num_classes)
     else:
-        logits = _posterior_logits(scenario, f_tilde, noise_power)
+        logits = _posterior_logits(scenario, f_tilde, 1.0 / snr_value)  # 0.0 at infinite SNR
     predicted = int(np.argmax(logits))
     entropy = _entropy_from_logits(logits)
     return label, predicted, entropy, snr_value, logits, resolved
@@ -212,7 +206,6 @@ def simulate_trial(scenario, pipeline, rng):
         posterior=_softmax(logits),
         entropy=entropy,
         effective_snr=snr_value,
-        pipeline=pipeline,
         resolved_mode=resolved,
     )
 
@@ -271,7 +264,9 @@ def run_trials(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at once; more than one per
+        # chunk would sit idle
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             parts = list(pool.map(chunk, starts, stops))
     return TrialBatch(
         entropies=np.concatenate([p[0] for p in parts]),

@@ -8,6 +8,7 @@ statistics (symbol variance and channel noise power).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,18 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .streams import STREAM_CENTROIDS, STREAM_OBSERVATION, substream
-
-_INT_FIELDS = {
-    "feature_dim",
-    "num_classes",
-    "num_sensors",
-    "num_antennas",
-    "observation_rank",
-    "master_seed",
-    "mc_trials",
-}
-_FLOAT_FIELDS = {"sensing_covariance_scale", "centroid_scale", "transmit_snr_db"}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -88,6 +77,8 @@ def parse_config_text(text):
     Keys must match :class:`ScenarioConfig` field names exactly; anything
     else raises :class:`ConfigError`.
     """
+    # annotations are postponed, so each type is the string "int" or "float"
+    field_types = {field.name: field.type for field in dataclasses.fields(ScenarioConfig)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -100,18 +91,13 @@ def parse_config_text(text):
         value = value.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate configuration key {key!r}")
-        if key in _INT_FIELDS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects an integer, got {value!r}") from None
-        elif key in _FLOAT_FIELDS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} expects a number, got {value!r}") from None
-        else:
+        if key not in field_types:
             raise ConfigError(f"line {lineno}: unknown configuration key {key!r}")
+        parse, expected = (int, "an integer") if field_types[key] == "int" else (float, "a number")
+        try:
+            values[key] = parse(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} expects {expected}, got {value!r}") from None
         if not np.isfinite(float(values[key])):
             raise ConfigError(f"line {lineno}: {key} must be finite")
     return ScenarioConfig(**values)

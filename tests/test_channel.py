@@ -155,7 +155,8 @@ def test_effective_snr_quadratic_homogeneity():
 
 def test_effective_snr_power_budget_identity():
     # The min-quadratic-form expression must match 2 K^2 / (sigma^2 |b|^2)
-    # on every draw, tall or wide.
+    # on every draw, tall or wide, with the transmit inversion's squared
+    # norm |b|^2 = nu^2 / min_k |v^H h_k|^2 taken from the explicit beam v.
     rng = substream(7, 0)
     for i in range(50):
         K = 2 + i % 7
@@ -163,7 +164,9 @@ def test_effective_snr_power_budget_identity():
         scen = _scenario(num_sensors=K, num_antennas=N)
         ch = iz.sample_channel(N, K, rng)
         snr = iz.aircomp_effective_snr(ch, scen)
-        alt = 2 * K * K / (scen.sigma_sq * snr.b_norm_sq)
+        v = _receive_beam(ch)
+        b_norm_sq = scen.nu_sq / np.min(np.abs(v.conj() @ ch.H) ** 2)
+        alt = 2 * K * K / (scen.sigma_sq * b_norm_sq)
         assert abs(snr.gamma_air - alt) / alt < 1e-6
 
 
@@ -182,10 +185,9 @@ def test_degenerate_channel_flagged():
             snr = iz.aircomp_effective_snr(ch, scen)
             assert snr.degenerate
             assert snr.gamma_air == 0.0
-            assert snr.b_norm_sq == np.inf
     feats = iz.sample_local_features(scen, 0, substream(8, 1))
     out = iz.aircomp_receive(scen, ch, feats, substream(8, 2))
-    assert out.degenerate
+    assert out.effective_snr == 0.0
     assert np.all(np.isnan(out.f_tilde))
 
 
@@ -198,7 +200,7 @@ def test_noiseless_channel_receive_is_exact():
     feats = iz.sample_local_features(scen, 1, substream(9, 1))
     out = iz.aircomp_receive(scen, ch, feats, substream(9, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
-    assert out.noise_power_per_dim == 0.0
+    assert out.effective_snr == np.inf
 
 
 def test_receive_covariance_at_fixed_channel():
@@ -370,6 +372,7 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
         feats = iz.sample_local_features(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         assert out.resolved_mode == "aircomp"
+        assert iz.access_snrs(ch, scen)[1] == -np.inf
 
 
 def test_adaptive_selects_larger_snr():
@@ -380,11 +383,12 @@ def test_adaptive_selects_larger_snr():
         ch = iz.sample_channel(18, 10, rng)
         ga = iz.aircomp_effective_snr(ch, scen).gamma_air
         go = iz.orthogonal_effective_snr(ch, scen)
+        assert iz.access_snrs(ch, scen) == (ga, go)
         feats = iz.sample_local_features(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
-        want = "orthogonal" if go > ga else "aircomp"
+        want = "aircomp" if ga >= go else "orthogonal"
         assert out.resolved_mode == want
-        assert abs(out.effective_snr - max(ga, go)) / max(ga, go) < 1e-12
+        assert out.effective_snr == max(iz.access_snrs(ch, scen))
         seen.add(want)
     assert seen == {"aircomp", "orthogonal"}  # both branches exercised
 

@@ -8,6 +8,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,18 @@ def test_snr_dist_experiment_emits_single_default_row(tmp_path):
     assert row.mean_effective_snr > 0
     assert row.asymptotic_prediction > 0
     assert any("KS=" in note for note in report.notes)
+
+
+def test_snr_dist_reports_the_simulated_ratio(tmp_path):
+    # At K = 7 the config's omega = 12/10 gives N = round(8.4) = 8, so the
+    # row and note must use 8/7, the ratio that was simulated, not 1.2.
+    spec = default_spec("snr-dist", _cfg(), output_path=tmp_path / "snr.csv", sweep_values=(7,))
+    report = run_experiment(spec)
+    scen = iz.build_scenario(_cfg(num_sensors=7, num_antennas=8))
+    scale = 2.0 * 7 / (scen.sigma_sq * scen.nu_sq)
+    expected = scale * (1.0 + np.sqrt(8 / 7)) ** 2
+    assert report.rows[0].asymptotic_prediction == pytest.approx(expected, rel=1e-12)
+    assert "omega=1.14286" in report.notes[0]
 
 
 def test_bnorm_dist_marks_infeasible_points(tmp_path):
@@ -576,3 +589,49 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
     assert tags["adaptive_receive"](None, None, adaptive) in ("aircomp", "orthogonal")
     batch = iz.run_trials(scen, "noiseless", 3)
     assert tags["run_trials"]((scen, "noiseless", 3), {}, batch) == ("noiseless", 3)
+
+
+def _traced_span_counts(tmp_path, name, cli_args):
+    """Run one CLI call under ``bench/child.py --trace``; count its spans by
+    name, and the ``channel.receive`` spans by tag."""
+    child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+    spans = tmp_path / f"{name}.spans.tsv"
+    proc = subprocess.run(
+        [sys.executable, str(child), "--result", str(tmp_path / f"{name}.json"),
+         "--trace", str(spans), "--", *cli_args, "--out", str(tmp_path / f"{name}.csv")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split("\t") for line in spans.read_text(encoding="utf-8").splitlines()[1:]]
+    receive_tags = Counter(row[4] for row in rows if row[0] == "channel.receive")
+    return Counter(row[0] for row in rows), receive_tags
+
+
+def test_benchmark_trace_counts_each_channel_call(tmp_path):
+    # The per-layer metrics are not gated, so a receiver or experiment that
+    # bypassed the traced names would go unnoticed without these counts.
+    config = tmp_path / "small.cfg"
+    config.write_text(
+        "feature_dim = 5\nnum_classes = 5\nnum_sensors = 10\nnum_antennas = 12\n"
+        "mc_trials = 30\n",
+        encoding="utf-8",
+    )
+    # N = 5 (orthogonal infeasible) and N = 15, 30 draws each
+    counts, _ = _traced_span_counts(
+        tmp_path, "crossing", ["crossing", "--config", str(config), "--sweep", "0.5,1.5"]
+    )
+    assert counts["channel.sample"] == 60
+    assert counts["channel.air_snr"] == 60
+    assert counts["channel.orth_snr"] == 30
+    counts, receive_tags = _traced_span_counts(
+        tmp_path,
+        "sweep-n",
+        ["sweep-n", "--config", str(config), "--sweep", "8,12", "--pipelines", "adaptive"],
+    )
+    assert counts["channel.receive"] == 60
+    assert set(receive_tags) <= {"aircomp", "orthogonal"}
+    assert sum(receive_tags.values()) == 60
+    assert counts["channel.air_snr"] == 60
+    assert counts["channel.orth_snr"] == 30

@@ -1,5 +1,6 @@
 """Classification, posterior entropy, and the Monte Carlo trial engine."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -315,6 +316,26 @@ def test_worker_split_is_invisible():
     assert np.array_equal(serial.entropies, pooled.entropies)
     assert np.array_equal(serial.predictions, pooled.predictions)
     assert np.array_equal(serial.effective_snrs, pooled.effective_snrs)
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # A fork pool starts all of its workers at the first submit, so 600
+    # trials (two chunks) at three workers must ask for two, and the
+    # arrays must still equal the serial run's.
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    scen = iz.build_scenario(_config())
+    serial = iz.run_trials(scen, "aircomp", 600)
+    pooled = iz.run_trials(scen, "aircomp", 600, workers=3)
+    assert sizes == [2]
+    for field in ("entropies", "labels", "predictions", "effective_snrs"):
+        np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
 
 
 def test_paired_uncertainty_decreases_with_snr():

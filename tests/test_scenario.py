@@ -185,6 +185,13 @@ def test_parse_config_text_roundtrip():
     assert cfg.num_antennas == 10
     assert cfg.transmit_snr_db == 5.0
     assert cfg.master_seed == 99
+    # every field, each one off its default, parses back to its value and type
+    fields = dataclasses.fields(iz.ScenarioConfig)
+    want = iz.ScenarioConfig(**{f.name: f.default + 1 for f in fields})
+    text = "".join(f"{f.name} = {getattr(want, f.name)!r}\n" for f in fields)
+    parsed = iz.parse_config_text(text)
+    assert parsed == want
+    assert all(type(getattr(parsed, f.name)) is type(f.default) for f in fields)
 
 
 def test_unknown_config_key_rejected():
@@ -193,8 +200,10 @@ def test_unknown_config_key_rejected():
 
 
 def test_malformed_config_value_rejected():
-    with pytest.raises(iz.ConfigError):
+    with pytest.raises(iz.ConfigError, match="feature_dim expects an integer"):
         iz.parse_config_text("feature_dim = five\n")
+    with pytest.raises(iz.ConfigError, match="transmit_snr_db expects a number"):
+        iz.parse_config_text("transmit_snr_db = ten\n")
 
 
 def test_non_finite_config_value_rejected():

@@ -31,4 +31,6 @@ def aggregate_noiseless(local_features):
     features = np.asarray(local_features, dtype=float)
     if features.ndim != 2 or features.shape[0] < 1:
         raise ValueError("expected a nonempty (K, M) array of sensor features")
-    return features.mean(axis=0)
+    # add.reduce then divide is what ndarray.mean does, bit for bit, without
+    # its per-call dispatch
+    return np.add.reduce(features, axis=0) / features.shape[0]

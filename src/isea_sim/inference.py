@@ -27,7 +27,7 @@ from .channel import (
 )
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless, sample_label, sample_local_features
-from .streams import STREAM_TRIALS, substream
+from .streams import STREAM_TRIALS, trial_streams
 
 PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 
@@ -46,12 +46,17 @@ def _noise_power_from_snr(snr):
 def ml_classify(scenario, f_tilde, snr=None):
     """Maximum-likelihood class decision at effective channel SNR ``snr``
     (None or inf for the noiseless model); ties resolve to the lowest index."""
-    return int(np.argmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr))))
+    return int(np.argmax(_logits_at_snr(scenario, f_tilde, snr)))
 
 
 def posterior_probabilities(scenario, f_tilde, snr=None):
     """Class posterior under the uniform prior, via max-shifted softmax."""
-    return _softmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))
+    return _softmax(_logits_at_snr(scenario, f_tilde, snr))
+
+
+def _logits_at_snr(scenario, f_tilde, snr):
+    inv_var = _inverse_variances(scenario, _noise_power_from_snr(snr))
+    return _posterior_logits(scenario, f_tilde, inv_var)
 
 
 def _softmax(logits):
@@ -59,29 +64,41 @@ def _softmax(logits):
     return weights / weights.sum()
 
 
-def _posterior_logits(scenario, f_tilde, noise_power):
-    """Per-class log-likelihoods up to a constant, via C's eigenbasis.
-
-    The effective covariance is C/K plus ``noise_power`` I.
+def _inverse_variances(scenario, noise_power):
+    """Inverse eigenvalues of the effective covariance C/K + ``noise_power`` I,
+    in the order of C's eigenbasis; a (n, 1) ``noise_power`` gives one row
+    per trial.
 
     Raises:
-        NumericalError: if its condition number exceeds 1e12.
+        NumericalError: if a condition number exceeds 1e12.
     """
     # C_evals is ascending, so adding the isotropic noise keeps the order.
     evals = scenario.C_evals / scenario.num_sensors + noise_power
-    if evals[-1] / evals[0] > _COND_LIMIT:
+    if np.any(evals[..., -1] / evals[..., 0] > _COND_LIMIT):
         raise NumericalError("effective covariance condition number exceeds 1e12")
-    y = np.asarray(f_tilde, dtype=float) @ scenario.C_evecs
-    diff = scenario.proj_centroids_eig - y[None, :]
-    return -0.5 * ((diff * diff) @ (1.0 / evals))
+    return 1.0 / evals
 
 
-def _entropy_from_logits(logits):
-    shifted = logits - logits.max()
+def _posterior_logits(scenario, f_tilde, inv_var):
+    """Per-class log-likelihoods up to a constant, via C's eigenbasis, for
+    the effective covariance whose inverse eigenvalues are ``inv_var``.
+
+    ``f_tilde`` (..., M) gives logits (..., L).  Each vector goes through
+    the same vector-matrix and matrix-vector products as on its own, so a
+    batch matches its vectors taken one at a time bit for bit.
+    """
+    y = np.asarray(f_tilde, dtype=float)[..., None, :] @ scenario.C_evecs
+    diff = scenario.proj_centroids_eig - y
+    return -0.5 * np.matvec(diff * diff, inv_var)
+
+
+def _entropies(logits):
+    """Posterior entropy of each row of ``logits``, clamped at 0."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    total = weights.sum()
-    entropy = np.log(total) - float(weights @ shifted) / total
-    return max(float(entropy), 0.0)
+    total = np.add.reduce(weights, axis=-1)
+    entropy = np.log(total) - np.vecdot(weights, shifted) / total
+    return np.where(entropy < 0.0, 0.0, entropy)
 
 
 def _separation_weight(scenario, snr):
@@ -163,32 +180,35 @@ def _stderr(values):
     return float(values.std(ddof=1) / np.sqrt(n))
 
 
-def _run_one_trial(scenario, pipeline, rng):
+def _draw_trial(scenario, pipeline, rng):
+    """One trial's label, received vector, effective SNR and resolved mode."""
     label = sample_label(scenario.num_classes, rng)
     features = sample_local_features(scenario, label, rng)
-    resolved = None
     if pipeline == "noiseless":
-        f_tilde, snr_value = aggregate_noiseless(features), np.inf
+        return label, aggregate_noiseless(features), np.inf, None
+    ch = sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
+    if pipeline == "aircomp":
+        outcome = aircomp_receive(scenario, ch, features, rng)
+    elif pipeline == "orthogonal":
+        outcome = orthogonal_receive(scenario, ch, features, rng)
+    elif pipeline == "adaptive":
+        outcome = adaptive_receive(scenario, ch, features, rng)
     else:
-        ch = sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
-        if pipeline == "aircomp":
-            outcome = aircomp_receive(scenario, ch, features, rng)
-        elif pipeline == "orthogonal":
-            outcome = orthogonal_receive(scenario, ch, features, rng)
-        elif pipeline == "adaptive":
-            outcome = adaptive_receive(scenario, ch, features, rng)
-        else:
-            raise ValueError(f"unknown pipeline {pipeline!r}")
-        f_tilde, snr_value = outcome.f_tilde, outcome.effective_snr
-        resolved = outcome.resolved_mode
-    if snr_value <= 0:
-        # No usable channel: the posterior carries no information.
-        logits = np.zeros(scenario.num_classes)
-    else:
-        logits = _posterior_logits(scenario, f_tilde, 1.0 / snr_value)  # 0.0 at infinite SNR
-    predicted = int(np.argmax(logits))
-    entropy = _entropy_from_logits(logits)
-    return label, predicted, entropy, snr_value, logits, resolved
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    return label, outcome.f_tilde, outcome.effective_snr, outcome.resolved_mode
+
+
+def _classify(scenario, f_tilde, snrs):
+    """Logits, entropies and decisions for received vectors (n, M) at
+    effective SNRs (n,).  A trial with SNR <= 0 had no usable channel: its
+    posterior carries no information, so its logits are zero."""
+    logits = np.zeros((snrs.shape[0], scenario.num_classes))
+    usable = snrs > 0
+    if usable.any():
+        # 1/snr is 0.0 at infinite SNR
+        inv_var = _inverse_variances(scenario, 1.0 / snrs[usable, None])
+        logits[usable] = _posterior_logits(scenario, f_tilde[usable], inv_var)
+    return logits, _entropies(logits), logits.argmax(axis=1)
 
 
 def simulate_trial(scenario, pipeline, rng):
@@ -197,32 +217,31 @@ def simulate_trial(scenario, pipeline, rng):
     With ``rng = substream(seed, stream_id, point_index, trial_index)`` this
     replays trial ``trial_index`` of the matching :func:`run_trials` call.
     """
-    label, predicted, entropy, snr_value, logits, resolved = _run_one_trial(
-        scenario, pipeline, rng
+    label, f_tilde, snr_value, resolved = _draw_trial(scenario, pipeline, rng)
+    logits, entropies, predictions = _classify(
+        scenario, f_tilde[None, :], np.array([snr_value], dtype=float)
     )
     return TrialRecord(
         label=label,
-        predicted=predicted,
-        posterior=_softmax(logits),
-        entropy=entropy,
+        predicted=int(predictions[0]),
+        posterior=_softmax(logits[0]),
+        entropy=float(entropies[0]),
         effective_snr=snr_value,
         resolved_mode=resolved,
     )
 
 
 def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop):
+    """Draw trials [start, stop) one stream at a time, then classify them
+    as one batch."""
     n = stop - start
-    entropies = np.empty(n)
     labels = np.empty(n, dtype=np.int64)
-    predictions = np.empty(n, dtype=np.int64)
+    f_tilde = np.empty((n, scenario.feature_dim))
     snrs = np.empty(n)
-    for i in range(n):
-        rng = substream(master_seed, stream_id, point_index, start + i)
-        label, predicted, entropy, snr_value, _, _ = _run_one_trial(scenario, pipeline, rng)
-        entropies[i] = entropy
-        labels[i] = label
-        predictions[i] = predicted
-        snrs[i] = snr_value
+    rngs = trial_streams(master_seed, stream_id, point_index, start, stop)
+    for i, rng in enumerate(rngs):
+        labels[i], f_tilde[i], snrs[i], _ = _draw_trial(scenario, pipeline, rng)
+    _, entropies, predictions = _classify(scenario, f_tilde, snrs)
     return entropies, labels, predictions, snrs
 
 

@@ -46,3 +46,24 @@ def substream(master_seed, stream_id, point_index=0, trial_index=0):
         counter=[0, 0, trial_index & _MASK64, point_index & _MASK64],
     )
     return np.random.Generator(bitgen)
+
+
+def trial_streams(master_seed, stream_id, point_index, start, stop):
+    """Yield ``substream(master_seed, stream_id, point_index, t)`` for each
+    trial index t in [start, stop).
+
+    One Philox is re-keyed in place between trials, which skips the OS
+    entropy read and seed hashing of a fresh bit generator, so each yielded
+    generator is valid only until the next one is requested.
+    """
+    bitgen = np.random.Philox(
+        key=[master_seed & _MASK64, stream_id & _MASK64],
+        counter=[0, 0, start & _MASK64, point_index & _MASK64],
+    )
+    fresh = bitgen.state
+    counter = fresh["state"]["counter"]
+    rng = np.random.Generator(bitgen)
+    for trial_index in range(start, stop):
+        counter[2] = trial_index & _MASK64
+        bitgen.state = fresh
+        yield rng

@@ -11,7 +11,7 @@ from scipy.integrate import dblquad, quad
 
 import isea_sim as iz
 from isea_sim import inference
-from isea_sim.streams import substream
+from isea_sim.streams import substream, trial_streams
 
 
 def _config(**overrides):
@@ -369,6 +369,16 @@ def test_simulate_trial_replays_run_trials(pipeline):
         assert rec.effective_snr == batch.effective_snrs[i]
         assert abs(rec.posterior.sum() - 1.0) < 1e-12
         assert int(np.argmax(rec.posterior)) == rec.predicted
+
+
+def test_trial_streams_match_substreams():
+    # the re-keyed generator must draw exactly what a fresh substream draws,
+    # whatever the previous trial consumed
+    start, stop = 509, 517
+    for t, rng in zip(range(start, stop), trial_streams(20240, 7, 3, start, stop)):
+        fresh = substream(20240, 7, 3, t)
+        for draw in (lambda g: g.integers(5), lambda g: g.standard_normal((t % 4 + 1, 3))):
+            np.testing.assert_array_equal(draw(rng), draw(fresh))
 
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)

@@ -28,7 +28,7 @@ from ..channel import (
 from ..errors import ConfigError
 from ..inference import PIPELINES, _stderr, run_trials
 from ..scenario import ScenarioConfig, build_scenario
-from ..streams import EXPERIMENT_STREAMS, trial_streams
+from ..streams import EXPERIMENT_STREAMS, substream
 from ..theory import (
     KAPPA_LOWER,
     asymptotic_separation,
@@ -274,9 +274,9 @@ def _run_simulation_sweep(spec, workers, paper_scale):
 
 
 def _trial_streams(cfg, experiment, point, draws):
-    """One counter-based generator per draw of a sweep point, each valid
-    until the next is taken."""
-    return trial_streams(cfg.master_seed, EXPERIMENT_STREAMS[experiment], point, 0, draws)
+    """One counter-based generator per draw of a sweep point."""
+    stream_id = EXPERIMENT_STREAMS[experiment]
+    return (substream(cfg.master_seed, stream_id, point, t) for t in range(draws))
 
 
 def _per_draw(stat, num_antennas, num_sensors, rngs):

@@ -46,17 +46,12 @@ def _noise_power_from_snr(snr):
 def ml_classify(scenario, f_tilde, snr=None):
     """Maximum-likelihood class decision at effective channel SNR ``snr``
     (None or inf for the noiseless model); ties resolve to the lowest index."""
-    return int(np.argmax(_logits_at_snr(scenario, f_tilde, snr)))
+    return int(np.argmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr))))
 
 
 def posterior_probabilities(scenario, f_tilde, snr=None):
     """Class posterior under the uniform prior, via max-shifted softmax."""
-    return _softmax(_logits_at_snr(scenario, f_tilde, snr))
-
-
-def _logits_at_snr(scenario, f_tilde, snr):
-    inv_var = _inverse_variances(scenario, _noise_power_from_snr(snr))
-    return _posterior_logits(scenario, f_tilde, inv_var)
+    return _softmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))
 
 
 def _softmax(logits):
@@ -64,10 +59,13 @@ def _softmax(logits):
     return weights / weights.sum()
 
 
-def _inverse_variances(scenario, noise_power):
-    """Inverse eigenvalues of the effective covariance C/K + ``noise_power`` I,
-    in the order of C's eigenbasis; a (n, 1) ``noise_power`` gives one row
-    per trial.
+def _posterior_logits(scenario, f_tilde, noise_power):
+    """Per-class log-likelihoods up to a constant, via C's eigenbasis.
+
+    The effective covariance is C/K plus ``noise_power`` I.  Received
+    vectors (n, M) with noise powers (n, 1) give logits (n, L); each vector
+    goes through the same BLAS products as on its own, so a batch matches
+    its vectors taken one at a time bit for bit.
 
     Raises:
         NumericalError: if a condition number exceeds 1e12.
@@ -76,20 +74,9 @@ def _inverse_variances(scenario, noise_power):
     evals = scenario.C_evals / scenario.num_sensors + noise_power
     if np.any(evals[..., -1] / evals[..., 0] > _COND_LIMIT):
         raise NumericalError("effective covariance condition number exceeds 1e12")
-    return 1.0 / evals
-
-
-def _posterior_logits(scenario, f_tilde, inv_var):
-    """Per-class log-likelihoods up to a constant, via C's eigenbasis, for
-    the effective covariance whose inverse eigenvalues are ``inv_var``.
-
-    ``f_tilde`` (..., M) gives logits (..., L).  Each vector goes through
-    the same vector-matrix and matrix-vector products as on its own, so a
-    batch matches its vectors taken one at a time bit for bit.
-    """
     y = np.asarray(f_tilde, dtype=float)[..., None, :] @ scenario.C_evecs
     diff = scenario.proj_centroids_eig - y
-    return -0.5 * np.matvec(diff * diff, inv_var)
+    return -0.5 * ((diff * diff) @ (1.0 / evals)[..., None])[..., 0]
 
 
 def _entropies(logits):
@@ -97,7 +84,7 @@ def _entropies(logits):
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     total = np.add.reduce(weights, axis=-1)
-    entropy = np.log(total) - np.vecdot(weights, shifted) / total
+    entropy = np.log(total) - (weights[..., None, :] @ shifted[..., None])[..., 0, 0] / total
     return np.where(entropy < 0.0, 0.0, entropy)
 
 
@@ -206,8 +193,7 @@ def _classify(scenario, f_tilde, snrs):
     usable = snrs > 0
     if usable.any():
         # 1/snr is 0.0 at infinite SNR
-        inv_var = _inverse_variances(scenario, 1.0 / snrs[usable, None])
-        logits[usable] = _posterior_logits(scenario, f_tilde[usable], inv_var)
+        logits[usable] = _posterior_logits(scenario, f_tilde[usable], 1.0 / snrs[usable, None])
     return logits, _entropies(logits), logits.argmax(axis=1)
 
 
@@ -218,9 +204,7 @@ def simulate_trial(scenario, pipeline, rng):
     replays trial ``trial_index`` of the matching :func:`run_trials` call.
     """
     label, f_tilde, snr_value, resolved = _draw_trial(scenario, pipeline, rng)
-    logits, entropies, predictions = _classify(
-        scenario, f_tilde[None, :], np.array([snr_value], dtype=float)
-    )
+    logits, entropies, predictions = _classify(scenario, f_tilde[None, :], np.array([snr_value]))
     return TrialRecord(
         label=label,
         predicted=int(predictions[0]),
@@ -287,9 +271,5 @@ def run_trials(
         # chunk would sit idle
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             parts = list(pool.map(chunk, starts, stops))
-    return TrialBatch(
-        entropies=np.concatenate([p[0] for p in parts]),
-        labels=np.concatenate([p[1] for p in parts]),
-        predictions=np.concatenate([p[2] for p in parts]),
-        effective_snrs=np.concatenate([p[3] for p in parts]),
-    )
+    # each part is a chunk's (entropies, labels, predictions, effective_snrs)
+    return TrialBatch(*map(np.concatenate, zip(*parts)))

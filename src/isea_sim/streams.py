@@ -32,6 +32,11 @@ EXPERIMENT_STREAMS = {
 }
 
 
+def _counter(point_index, trial_index):
+    """Philox counter words of one (point, trial) cell: its 2**128 block."""
+    return [0, 0, trial_index & _MASK64, point_index & _MASK64]
+
+
 def substream(master_seed, stream_id, point_index=0, trial_index=0):
     """Return a ``numpy.random.Generator`` for one (stream, point, trial) cell.
 
@@ -43,27 +48,22 @@ def substream(master_seed, stream_id, point_index=0, trial_index=0):
     """
     bitgen = np.random.Philox(
         key=[master_seed & _MASK64, stream_id & _MASK64],
-        counter=[0, 0, trial_index & _MASK64, point_index & _MASK64],
+        counter=_counter(point_index, trial_index),
     )
     return np.random.Generator(bitgen)
 
 
 def trial_streams(master_seed, stream_id, point_index, start, stop):
-    """Yield ``substream(master_seed, stream_id, point_index, t)`` for each
-    trial index t in [start, stop).
+    """Yield, for each trial t in [start, stop), the generator that
+    ``substream(master_seed, stream_id, point_index, t)`` would return.
 
-    One Philox is re-keyed in place between trials, which skips the OS
-    entropy read and seed hashing of a fresh bit generator, so each yielded
-    generator is valid only until the next one is requested.
+    One Philox is re-keyed in place instead of seeded anew (no OS entropy
+    read or seed hashing), so each generator is valid only until the next
+    is taken.
     """
-    bitgen = np.random.Philox(
-        key=[master_seed & _MASK64, stream_id & _MASK64],
-        counter=[0, 0, start & _MASK64, point_index & _MASK64],
-    )
-    fresh = bitgen.state
-    counter = fresh["state"]["counter"]
-    rng = np.random.Generator(bitgen)
+    rng = substream(master_seed, stream_id, point_index, start)
+    state = rng.bit_generator.state
     for trial_index in range(start, stop):
-        counter[2] = trial_index & _MASK64
-        bitgen.state = fresh
+        state["state"]["counter"][:] = _counter(point_index, trial_index)
+        rng.bit_generator.state = state
         yield rng

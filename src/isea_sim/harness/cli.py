@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Usage: ``isea-sim <experiment> --config <file> [--seed U64] [--trials N]
-[--out PATH] [--workers N] [--paper-scale]``.  Exit codes: 0 on success,
+[--out PATH] [--workers N] [--paper-scale] [--sweep V1,V2,...]
+[--pipelines P1,P2,...]``.  Exit codes: 0 on success,
 2 for configuration problems, 3 for numerical failures.
 """
 
@@ -82,7 +83,7 @@ def main(argv=None):
         spec = default_spec(
             args.experiment,
             config,
-            output_path=args.out or f"{args.experiment}.csv",
+            output_path=args.out,
             sweep_values=_parse_sweep(args.sweep) if args.sweep else None,
             pipelines=tuple(args.pipelines.split(",")) if args.pipelines else None,
         )

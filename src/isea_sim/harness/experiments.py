@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from ..channel import (
 from ..errors import ConfigError
 from ..inference import PIPELINES, _stderr, run_trials
 from ..scenario import ScenarioConfig, build_scenario
-from ..streams import EXPERIMENT_STREAMS, substream
+from ..streams import substream
 from ..theory import (
     KAPPA_LOWER,
     asymptotic_separation,
@@ -43,18 +44,17 @@ from ..theory import (
     zf_norm_cdf,
 )
 
-EXPERIMENTS = tuple(sorted(EXPERIMENT_STREAMS))
-
 FEASIBLE = "ok"
 INFEASIBLE = "INFEASIBLE"
-
-# Experiments whose sweep values are sensor or antenna counts.
-_COUNT_SWEEPS = ("sweep-k", "sweep-n", "bounds", "snr-dist", "bnorm-dist")
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully resolved experiment request."""
+    """A fully resolved experiment request.
+
+    Every sweep the experiment cannot run is rejected here, before any
+    channel or trial is drawn.
+    """
 
     scenario: ScenarioConfig
     experiment: str
@@ -63,18 +63,15 @@ class ExperimentSpec:
     output_path: str = ""
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}"
-            )
+        record = _EXPERIMENTS.get(self.experiment)
+        if record is None:
+            raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
         values = tuple(self.sweep_values)
         if not values:
             raise ConfigError("sweep_values must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep_values must be strictly increasing")
-        if self.experiment in _COUNT_SWEEPS and not all(
-            float(v).is_integer() for v in values
-        ):
+        if record.count_field and not all(float(v).is_integer() for v in values):
             raise ConfigError(f"{self.experiment} sweeps a count; sweep_values must be integers")
         object.__setattr__(self, "sweep_values", values)
         pipelines = tuple(self.pipelines)
@@ -82,10 +79,28 @@ class ExperimentSpec:
             raise ConfigError(f"pipelines must be a nonempty subset of {PIPELINES}")
         if len(set(pipelines)) != len(pipelines):
             raise ConfigError(f"pipelines must not repeat, got {','.join(pipelines)}")
-        own = _FIXED_PIPELINES.get(self.experiment)
-        if own is not None and set(pipelines) != set(own):
-            raise ConfigError(f"{self.experiment} always runs pipelines {','.join(own)}")
+        if record.fixed_pipelines and set(pipelines) != set(record.pipelines):
+            fixed = ",".join(record.pipelines)
+            raise ConfigError(f"{self.experiment} always runs pipelines {fixed}")
         object.__setattr__(self, "pipelines", pipelines)
+
+        cfg = self.scenario
+        if self.experiment == "crossing":
+            antennas = [_antennas_for(omega, cfg.num_sensors) for omega in values]
+            for a, b, N, next_N in zip(values, values[1:], antennas, antennas[1:]):
+                if N == next_N:
+                    raise ConfigError(
+                        f"omega={a:g} and omega={b:g} at K={cfg.num_sensors} "
+                        f"both give round(omega K) = {N} antennas"
+                    )
+        elif self.experiment == "snr-dist":
+            # doubling K for --paper-scale never brings round(omega K) to 0
+            for K in values:
+                _antennas_for(cfg.num_antennas / cfg.num_sensors, int(K))
+        elif self.experiment == "aloss" and values[0] <= 0:  # values increase
+            raise ConfigError("aloss sweep values are linear SNRs and must be positive")
+        if self.experiment in ("snr-dist", "bnorm-dist") and cfg.mc_trials < 100:
+            raise ConfigError(f"a distribution check needs at least 100 draws, got {cfg.mc_trials}")
 
 
 @dataclass(frozen=True)
@@ -139,49 +154,19 @@ def _fmt(value):
     return f"{value:.9g}"
 
 
-_DEFAULT_SWEEPS = {
-    "sweep-k": tuple(range(1, 13)),
-    "sweep-n": tuple(range(2, 21)),
-    "bounds": tuple(range(1, 13)),
-    "crossing": (0.25, 0.5, 0.75, 1.0, 1.21, 1.44, 1.96, 4.0),
-    "aloss": (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
-}
-
-# Experiments that derive every row from channel draws alone; their rows
-# always cover exactly these pipelines.
-_FIXED_PIPELINES = {
-    "snr-dist": ("aircomp",),
-    "bnorm-dist": ("orthogonal",),
-    "crossing": ("aircomp", "orthogonal", "adaptive"),
-    "aloss": ("aircomp",),
-}
-
-_DEFAULT_PIPELINES = {
-    "sweep-k": ("noiseless", "aircomp"),
-    "sweep-n": ("aircomp", "orthogonal", "adaptive"),
-    "bounds": ("noiseless",),
-    **_FIXED_PIPELINES,
-}
-
-
 def default_spec(experiment, config, output_path="", sweep_values=None, pipelines=None):
     """Build an :class:`ExperimentSpec` with per-experiment default grids."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; choose from {EXPERIMENTS}")
-    if sweep_values is None:
-        if experiment == "snr-dist":
-            sweep_values = (config.num_sensors,)
-        elif experiment == "bnorm-dist":
-            sweep_values = (config.num_antennas,)
-        else:
-            sweep_values = _DEFAULT_SWEEPS[experiment]
-    if pipelines is None:
-        pipelines = _DEFAULT_PIPELINES[experiment]
+    record = _EXPERIMENTS.get(experiment)
+    if record is not None:  # an unknown name is ExperimentSpec's error to raise
+        if sweep_values is None:
+            sweep_values = record.grid or (getattr(config, record.count_field),)
+        if pipelines is None:
+            pipelines = record.pipelines
     return ExperimentSpec(
         scenario=config,
         experiment=experiment,
-        sweep_values=tuple(sweep_values),
-        pipelines=tuple(pipelines),
+        sweep_values=sweep_values,
+        pipelines=pipelines,
         output_path=str(output_path) if output_path else f"{experiment}.csv",
     )
 
@@ -191,92 +176,78 @@ def run_experiment(spec, workers=1, paper_scale=False):
 
     ``workers`` parallelizes Monte Carlo trials; results are bit-identical
     for every worker count.  ``paper_scale`` enlarges grids or trial
-    counts toward publication scale instead of desk scale.
+    counts toward publication scale instead of desk scale: an experiment
+    whose default grid is the config's own count also sweeps the doubles
+    of its values, every other one runs ten times the draws.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    runner = {
-        "sweep-k": _run_simulation_sweep,
-        "sweep-n": _run_simulation_sweep,
-        "bounds": _run_simulation_sweep,
-        "snr-dist": _run_snr_dist,
-        "bnorm-dist": _run_bnorm_dist,
-        "crossing": _run_crossing,
-        "aloss": _run_aloss,
-    }[spec.experiment]
-    rows, notes = runner(spec, workers=workers, paper_scale=paper_scale)
+    record = _EXPERIMENTS[spec.experiment]
+    values, draws = spec.sweep_values, spec.scenario.mc_trials
+    if paper_scale and record.grid is None:
+        values = tuple(sorted(set(values) | {2 * v for v in values}))
+    elif paper_scale:
+        draws *= 10
+    rows, notes = [], []
+    for point, value in enumerate(values):
+        point_rows, point_notes = record.run(spec, point, value, draws, workers)
+        rows += point_rows
+        notes += point_notes
     report = SweepReport(experiment=spec.experiment, rows=tuple(rows), notes=tuple(notes))
     if spec.output_path:
         report.write_csv(spec.output_path)
     return report
 
 
-def _trials_for(spec, paper_scale):
-    trials = spec.scenario.mc_trials
-    return trials * 10 if paper_scale else trials
-
-
-def _point_scenario(spec, value):
-    cfg = spec.scenario
-    if spec.experiment in ("sweep-k", "bounds"):
-        cfg = dataclasses.replace(cfg, num_sensors=int(value))
-    elif spec.experiment == "sweep-n":
-        cfg = dataclasses.replace(cfg, num_antennas=int(value))
-    return build_scenario(cfg)
-
-
-def _run_simulation_sweep(spec, workers, paper_scale):
-    trials = _trials_for(spec, paper_scale)
-    stream_id = EXPERIMENT_STREAMS[spec.experiment]
+def _simulation_point(spec, point, value, trials, workers):
+    """Monte Carlo trials of each pipeline at one sensor or antenna count."""
+    record = _EXPERIMENTS[spec.experiment]
+    scen = build_scenario(dataclasses.replace(spec.scenario, **{record.count_field: int(value)}))
+    L = scen.num_classes
+    K = scen.num_sensors
+    xi = asymptotic_separation(scen)
     rows = []
-    for point, value in enumerate(spec.sweep_values):
-        scen = _point_scenario(spec, value)
-        L = scen.num_classes
-        K = scen.num_sensors
-        xi = asymptotic_separation(scen)
-        for pipeline in spec.pipelines:
-            if pipeline == "orthogonal" and scen.num_antennas < scen.num_sensors:
-                rows.append(
-                    SweepRow(sweep_value=value, pipeline=pipeline, feasible=INFEASIBLE)
-                )
-                continue
-            batch = run_trials(
-                scen,
-                pipeline,
-                trials,
-                stream_id=stream_id,
-                point_index=point,
-                workers=workers,
+    for pipeline in spec.pipelines:
+        if pipeline == "orthogonal" and scen.num_antennas < scen.num_sensors:
+            rows.append(SweepRow(sweep_value=value, pipeline=pipeline, feasible=INFEASIBLE))
+            continue
+        batch = run_trials(
+            scen,
+            pipeline,
+            trials,
+            stream_id=record.stream_id,
+            point_index=point,
+            workers=workers,
+        )
+        mean_snr = batch.mean_effective_snr
+        if pipeline == "noiseless" or not np.isfinite(mean_snr):
+            snr_arg, mean_snr_col, loss = None, None, 1.0
+        else:
+            snr_arg, mean_snr_col = mean_snr, mean_snr
+            loss = channel_loss_factor(scen, mean_snr)
+        pw = pairwise_separation_matrix(scen, snr=snr_arg)
+        lower, upper = uncertainty_bounds(pw, 1.0, K, scen.feature_dim)
+        rows.append(
+            SweepRow(
+                sweep_value=value,
+                pipeline=pipeline,
+                mean_uncertainty=batch.mean_entropy,
+                uncertainty_stderr=batch.entropy_stderr,
+                accuracy=batch.accuracy,
+                accuracy_stderr=batch.accuracy_stderr,
+                mean_effective_snr=mean_snr_col,
+                surrogate_lower=lower,
+                surrogate_upper=upper,
+                asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),
             )
-            mean_snr = batch.mean_effective_snr
-            if pipeline == "noiseless" or not np.isfinite(mean_snr):
-                snr_arg, mean_snr_col, loss = None, None, 1.0
-            else:
-                snr_arg, mean_snr_col = mean_snr, mean_snr
-                loss = channel_loss_factor(scen, mean_snr)
-            pw = pairwise_separation_matrix(scen, snr=snr_arg)
-            lower, upper = uncertainty_bounds(pw, 1.0, K, scen.feature_dim)
-            rows.append(
-                SweepRow(
-                    sweep_value=value,
-                    pipeline=pipeline,
-                    mean_uncertainty=batch.mean_entropy,
-                    uncertainty_stderr=batch.entropy_stderr,
-                    accuracy=batch.accuracy,
-                    accuracy_stderr=batch.accuracy_stderr,
-                    mean_effective_snr=mean_snr_col,
-                    surrogate_lower=lower,
-                    surrogate_upper=upper,
-                    asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),
-                )
-            )
+        )
     return rows, ()
 
 
-def _trial_streams(cfg, experiment, point, draws):
+def _draw_streams(spec, point, draws):
     """One counter-based generator per draw of a sweep point."""
-    stream_id = EXPERIMENT_STREAMS[experiment]
-    return (substream(cfg.master_seed, stream_id, point, t) for t in range(draws))
+    stream_id = _EXPERIMENTS[spec.experiment].stream_id
+    return (substream(spec.scenario.master_seed, stream_id, point, t) for t in range(draws))
 
 
 def _per_draw(stat, num_antennas, num_sensors, rngs):
@@ -284,7 +255,9 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
 
     This is the harness's only per-draw channel loop.  Channels are drawn
     lazily and dropped after use, so one N x K matrix is alive at a time.
-    A ``stat`` that returns a tuple gives one column per entry.
+    A ``stat`` that returns a tuple gives one column per entry.  The
+    benchmark's tracer rebinds ``sample_channel`` and ``substream`` in this
+    module, so both are called through their module-level names.
     """
     return np.array(
         [stat(sample_channel(num_antennas, num_sensors, rng)) for rng in rngs], dtype=float
@@ -300,43 +273,19 @@ def _antennas_for(omega, num_sensors):
     return num_antennas
 
 
-def _ks(samples, reference_cdf):
-    """The KS distance every distribution check reports; too few draws is
-    a configuration error, not a crash."""
-    if samples.shape[0] < 100:
-        raise ConfigError(
-            f"a distribution check needs at least 100 draws, got {samples.shape[0]}"
-        )
-    return ks_statistic(samples, reference_cdf)
-
-
-def _alignment_law_fit(num_antennas, num_sensors, rngs):
-    """K-scaled weakest alignment of a channel per generator, and its KS
-    distance to the limiting exponential law at the simulated ratio N/K."""
-    zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, rngs)
-    return _ks(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
-
-
 def _zf_norm_pair(channel):
+    """``(||b_1||^2, sum_k ||b_k||^2)`` of one channel."""
     norms = zf_norms_sq(channel)
     return norms[0], norms.sum()
-
-
-def _zf_norm_law_fit(num_antennas, num_sensors, rngs):
-    """``(||b_1||^2, sum_k ||b_k||^2)`` of a channel per generator, and the KS
-    distance of the first column to its exact inverse chi-square law."""
-    # the reshape keeps both columns even when there are no draws
-    norms = _per_draw(_zf_norm_pair, num_antennas, num_sensors, rngs).reshape(-1, 2)
-    return _ks(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors)), norms
 
 
 def run_snr_distribution_check(num_sensors, omega, draws, rng, threshold=0.03):
     """Sample the K-scaled weakest alignment at N = round(omega K), drawing
     every channel from ``rng`` in turn, and test it against its limiting
     exponential law.  Returns ``(ks, passed)``."""
-    ks, _ = _alignment_law_fit(
-        _antennas_for(omega, num_sensors), num_sensors, repeat(rng, draws)
-    )
+    num_antennas = _antennas_for(omega, num_sensors)
+    zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, repeat(rng, draws))
+    ks = ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors))
     return ks, ks < threshold
 
 
@@ -344,155 +293,141 @@ def run_zf_norm_distribution_check(num_antennas, num_sensors, draws, rng, thresh
     """Sample one zero-forcing beam norm per draw, every channel from
     ``rng`` in turn, and test it against the scaled inverse chi-square
     law.  Returns ``(ks, mean_norm, passed)``."""
-    ks, norms = _zf_norm_law_fit(num_antennas, num_sensors, repeat(rng, draws))
+    norms = _per_draw(_zf_norm_pair, num_antennas, num_sensors, repeat(rng, draws))
+    ks = ks_statistic(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors))
     return ks, float(norms[:, 0].mean()), ks < threshold
 
 
-def _paper_grid(values):
-    """The sweep values and their doubles, increasing and without repeats."""
-    return tuple(sorted(set(values) | {2 * v for v in values}))
-
-
-def _run_snr_dist(spec, workers, paper_scale):
-    del workers  # channel-only loops run single-process; results match any count
+def _snr_dist_point(spec, point, K, draws, workers):
+    """K-scaled weakest alignment at N = round(omega K), omega the config's N/K."""
     cfg = spec.scenario
-    omega = cfg.num_antennas / cfg.num_sensors
-    values = _paper_grid(spec.sweep_values) if paper_scale else spec.sweep_values
-    draws = cfg.mc_trials
-    rows, notes = [], []
-    for point, K in enumerate(values):
-        K = int(K)
-        N = _antennas_for(omega, K)
-        scen = build_scenario(dataclasses.replace(cfg, num_sensors=K, num_antennas=N))
-        streams = _trial_streams(cfg, "snr-dist", point, draws)
-        ks, zeta = _alignment_law_fit(N, K, streams)
-        scale = 2.0 * K * transmit_snr(scen) / scen.nu_sq
-        ratio = N / K  # the simulated ratio, which the row and note report
-        rows.append(
-            SweepRow(
-                sweep_value=K,
-                pipeline="aircomp",
-                mean_effective_snr=scale * zeta.mean(),
-                asymptotic_prediction=scale * (1.0 + np.sqrt(ratio)) ** 2,
-            )
-        )
-        notes.append(f"K={K} omega={ratio:g}: KS={ks:.4f} (threshold 0.03)")
-    return rows, notes
+    K = int(K)
+    N = _antennas_for(cfg.num_antennas / cfg.num_sensors, K)
+    ratio = N / K  # the simulated ratio, which the row and note report
+    scen = build_scenario(dataclasses.replace(cfg, num_sensors=K, num_antennas=N))
+    zeta = _per_draw(scaled_min_alignment, N, K, _draw_streams(spec, point, draws))
+    ks = ks_statistic(zeta, scaled_alignment_cdf(ratio))
+    scale = 2.0 * K * transmit_snr(scen) / scen.nu_sq
+    row = SweepRow(
+        sweep_value=K,
+        pipeline="aircomp",
+        mean_effective_snr=scale * zeta.mean(),
+        asymptotic_prediction=scale * (1.0 + np.sqrt(ratio)) ** 2,
+    )
+    return [row], [f"K={K} omega={ratio:g}: KS={ks:.4f} (threshold 0.03)"]
 
 
-def _run_bnorm_dist(spec, workers, paper_scale):
-    del workers
+def _bnorm_dist_point(spec, point, N, draws, workers):
+    """Zero-forcing beam norms and orthogonal-access SNR at N antennas."""
     cfg = spec.scenario
     K = cfg.num_sensors
-    values = _paper_grid(spec.sweep_values) if paper_scale else spec.sweep_values
-    draws = cfg.mc_trials
-    rows, notes = [], []
-    for point, N in enumerate(values):
-        N = int(N)
-        if N < K:
-            rows.append(SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE))
-            notes.append(f"N={N}: infeasible (K={K})")
+    N = int(N)
+    if N < K:
+        row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
+        return [row], [f"N={N}: infeasible (K={K})"]
+    scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
+    norms = _per_draw(_zf_norm_pair, N, K, _draw_streams(spec, point, draws))
+    ks = ks_statistic(norms[:, 0], zf_norm_cdf(N, K))
+    snrs = transmit_snr(scen) * K**2 / (scen.nu_sq * norms[:, 1])
+    prediction = None
+    if N > K:
+        prediction = transmit_snr(scen) * K * (N - K) / scen.nu_sq
+    row = SweepRow(
+        sweep_value=N,
+        pipeline="orthogonal",
+        mean_effective_snr=float(snrs.mean()),
+        asymptotic_prediction=prediction,
+    )
+    return [row], [f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {norms[:, 0].mean():.6g}"]
+
+
+def _crossing_point(spec, point, omega, draws, workers):
+    """How often over-the-air access beats orthogonal access at N = round(omega K)."""
+    cfg = spec.scenario
+    K = cfg.num_sensors
+    N = _antennas_for(omega, K)
+    omega = N / K  # the simulated ratio, which the rows and notes report
+    scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
+    streams = _draw_streams(spec, point, draws)
+    air, aoa = _per_draw(lambda ch: access_snrs(ch, scen), N, K, streams).T
+    wins = (air >= aoa).astype(float)
+    prob, prob_se = float(wins.mean()), _stderr(wins)
+    predicted = crossing_probability(K, omega)
+    mean_snrs = (air.mean(), aoa.mean() if N >= K else None, np.maximum(air, aoa).mean())
+    rows = []
+    for pipeline, mean_snr in zip(("aircomp", "orthogonal", "adaptive"), mean_snrs):
+        if mean_snr is None:
+            rows.append(SweepRow(sweep_value=omega, pipeline=pipeline, feasible=INFEASIBLE))
             continue
-        scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
-        ks, norms = _zf_norm_law_fit(N, K, _trial_streams(cfg, "bnorm-dist", point, draws))
-        snrs = transmit_snr(scen) * K**2 / (scen.nu_sq * norms[:, 1])
-        prediction = None
-        if N > K:
-            prediction = transmit_snr(scen) * K * (N - K) / scen.nu_sq
         rows.append(
             SweepRow(
-                sweep_value=N,
-                pipeline="orthogonal",
-                mean_effective_snr=float(snrs.mean()),
-                asymptotic_prediction=prediction,
+                sweep_value=omega,
+                pipeline=pipeline,
+                accuracy=prob,
+                accuracy_stderr=prob_se,
+                mean_effective_snr=float(mean_snr),
+                asymptotic_prediction=predicted,
             )
         )
-        notes.append(
-            f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {norms[:, 0].mean():.6g}"
-        )
-    return rows, notes
+    return rows, [f"omega={omega:g}: P(air wins)={prob:.4f}, asymptotic {predicted:.4f}"]
 
 
-def _run_crossing(spec, workers, paper_scale):
-    del workers
+def _aloss_point(spec, point, gamma_lin, draws, workers):
+    """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
     cfg = spec.scenario
-    K = cfg.num_sensors
-    draws = _trials_for(spec, paper_scale)
-    values = spec.sweep_values
-    antennas = [_antennas_for(omega, K) for omega in values]
-    for a, b, N, next_N in zip(values, values[1:], antennas, antennas[1:]):
-        if N == next_N:
-            raise ConfigError(
-                f"omega={a:g} and omega={b:g} at K={K} both give round(omega K) = {N} antennas"
-            )
-    rows, notes = [], []
-    for point, N in enumerate(antennas):
-        omega = N / K  # the simulated ratio, which the rows and notes report
-        scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
-        streams = _trial_streams(cfg, "crossing", point, draws)
-        air, aoa = _per_draw(lambda ch: access_snrs(ch, scen), N, K, streams).T
-        wins = (air >= aoa).astype(float)
-        prob, prob_se = float(wins.mean()), _stderr(wins)
-        predicted = crossing_probability(K, omega)
-        mean_snrs = (air.mean(), aoa.mean() if N >= K else None, np.maximum(air, aoa).mean())
-        for pipeline, mean_snr in zip(("aircomp", "orthogonal", "adaptive"), mean_snrs):
-            if mean_snr is None:
-                rows.append(SweepRow(sweep_value=omega, pipeline=pipeline, feasible=INFEASIBLE))
-                continue
-            rows.append(
-                SweepRow(
-                    sweep_value=omega,
-                    pipeline=pipeline,
-                    accuracy=prob,
-                    accuracy_stderr=prob_se,
-                    mean_effective_snr=float(mean_snr),
-                    asymptotic_prediction=predicted,
-                )
-            )
-        notes.append(
-            f"omega={omega:g}: P(air wins)={prob:.4f}, asymptotic {predicted:.4f}"
-        )
-    return rows, notes
-
-
-def _run_aloss(spec, workers, paper_scale):
-    del workers
-    cfg = spec.scenario
+    scen = build_scenario(dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin)))
+    snrs = _per_draw(
+        lambda ch: aircomp_effective_snr(ch, scen).gamma_air,
+        cfg.num_antennas, cfg.num_sensors, _draw_streams(spec, point, draws),
+    )
+    # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
+    samples = np.zeros(draws)
+    usable = snrs > 0
+    samples[usable] = channel_loss_factor(scen, snrs[usable])
     omega = cfg.num_antennas / cfg.num_sensors
-    draws = _trials_for(spec, paper_scale)
-    rows, notes = [], []
-    for point, gamma_lin in enumerate(spec.sweep_values):
-        if gamma_lin <= 0:
-            raise ConfigError("aloss sweep values are linear SNRs and must be positive")
-        scen = build_scenario(
-            dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
-        )
-        streams = _trial_streams(cfg, "aloss", point, draws)
-        snrs = _per_draw(
-            lambda ch: aircomp_effective_snr(ch, scen).gamma_air,
-            scen.num_antennas,
-            scen.num_sensors,
-            streams,
-        )
-        # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
-        samples = np.zeros(draws)
-        usable = snrs > 0
-        samples[usable] = channel_loss_factor(scen, snrs[usable])
-        e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, omega))
-        rows.append(
-            SweepRow(
-                sweep_value=gamma_lin,
-                pipeline="aircomp",
-                accuracy=float(samples.mean()),
-                accuracy_stderr=_stderr(samples),
-                mean_effective_snr=float(snrs.mean()),
-                surrogate_lower=log_form,
-                surrogate_upper=e1_form,
-                asymptotic_prediction=e1_form,
-            )
-        )
-        notes.append(
-            f"gamma={gamma_lin:g}: mean loss {samples.mean():.4f}, "
-            f"E1-form bound {e1_form:.4f}"
-        )
-    return rows, notes
+    e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, omega))
+    row = SweepRow(
+        sweep_value=gamma_lin,
+        pipeline="aircomp",
+        accuracy=float(samples.mean()),
+        accuracy_stderr=_stderr(samples),
+        mean_effective_snr=float(snrs.mean()),
+        surrogate_lower=log_form,
+        surrogate_upper=e1_form,
+        asymptotic_prediction=e1_form,
+    )
+    return [row], [
+        f"gamma={gamma_lin:g}: mean loss {samples.mean():.4f}, E1-form bound {e1_form:.4f}"
+    ]
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """What the harness knows about one experiment."""
+
+    # keys its random streams; all pipelines at one (point, trial) share a
+    # stream, so their comparisons are paired
+    stream_id: int
+    run: Callable  # one sweep point: run(spec, point, value, draws, workers) -> (rows, notes)
+    pipelines: tuple  # the default pipelines
+    count_field: str | None = None  # the config count a sweep value replaces
+    grid: tuple | None = None  # the default sweep; None sweeps the config's count_field
+    fixed_pipelines: bool = False  # rows come from channel draws alone and cover `pipelines`
+
+
+_ALL_ACCESS = ("aircomp", "orthogonal", "adaptive")
+_K_GRID = tuple(range(1, 13))
+_EXPERIMENTS = {
+    "sweep-k": _Experiment(11, _simulation_point, ("noiseless", "aircomp"), "num_sensors", _K_GRID),
+    "sweep-n": _Experiment(12, _simulation_point, _ALL_ACCESS, "num_antennas", tuple(range(2, 21))),
+    "snr-dist": _Experiment(13, _snr_dist_point, ("aircomp",), "num_sensors", None, True),
+    "bnorm-dist": _Experiment(14, _bnorm_dist_point, ("orthogonal",), "num_antennas", None, True),
+    "bounds": _Experiment(15, _simulation_point, ("noiseless",), "num_sensors", _K_GRID),
+    "crossing": _Experiment(
+        16, _crossing_point, _ALL_ACCESS, None, (0.25, 0.5, 0.75, 1.0, 1.21, 1.44, 1.96, 4.0), True
+    ),
+    "aloss": _Experiment(
+        17, _aloss_point, ("aircomp",), None, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0), True
+    ),
+}
+EXPERIMENTS = tuple(sorted(_EXPERIMENTS))

@@ -64,6 +64,13 @@ class ScenarioConfig:
             raise ConfigError("sensing_covariance_scale must be positive")
         if not self.centroid_scale > 0:
             raise ConfigError("centroid_scale must be positive")
+        with np.errstate(over="ignore"):
+            noise_power = np.float64(10.0) ** (-self.transmit_snr_db / 10.0)
+        if not np.isfinite(noise_power):
+            raise ConfigError(
+                f"transmit_snr_db = {self.transmit_snr_db:g} gives a channel noise power "
+                "10**(-dB/10) that is not finite"
+            )
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("master_seed must fit in an unsigned 64-bit value")
         if self.mc_trials < 1:
@@ -259,24 +266,24 @@ def build_scenario(config, centroids=None, covariance=None):
 def validate_scenario(scenario):
     """Check the structural invariants of a built scenario.
 
-    Raises :class:`ConfigError` on violation.  Covers projection symmetry,
-    idempotency and trace, the averaged projection, the covariance inverse,
-    and positivity of the transmit variance.
+    Raises :class:`ConfigError` on violation, a NaN included.  Covers
+    projection symmetry, idempotency and trace, the averaged projection,
+    the covariance inverse, and positivity of the transmit variance.
     """
     P = scenario.P
     r = scenario.config.observation_rank
     M = scenario.config.feature_dim
     for k in range(P.shape[0]):
         Pk = P[k]
-        if np.max(np.abs(Pk - Pk.T)) >= 1e-12:
+        if not np.max(np.abs(Pk - Pk.T)) < 1e-12:
             raise ConfigError(f"projection {k} is not symmetric")
-        if np.max(np.abs(Pk @ Pk - Pk)) >= 1e-9:
+        if not np.max(np.abs(Pk @ Pk - Pk)) < 1e-9:
             raise ConfigError(f"projection {k} is not idempotent")
-        if abs(np.trace(Pk) - r) >= 1e-9:
+        if not abs(np.trace(Pk) - r) < 1e-9:
             raise ConfigError(f"projection {k} does not have trace {r}")
-    if np.max(np.abs(P.mean(axis=0) - scenario.P_bar)) >= 1e-12:
+    if not np.max(np.abs(P.mean(axis=0) - scenario.P_bar)) < 1e-12:
         raise ConfigError("P_bar is not the mean of the sensor projections")
-    if np.max(np.abs(scenario.C_inv @ scenario.C - np.eye(M))) >= 1e-9:
+    if not np.max(np.abs(scenario.C_inv @ scenario.C - np.eye(M))) < 1e-9:
         raise ConfigError("cached covariance inverse fails the identity check")
     if not scenario.nu_sq > 0:
         raise ConfigError("transmit symbol variance must be positive")

@@ -14,22 +14,11 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Stream identifiers.  Scenario synthesis and estimator trials must never
-# share a Philox key, so the id spaces are kept apart.
+# share a Philox key, so the id spaces are kept apart; the harness keys its
+# experiments with ids 11-17.
 STREAM_TRIALS = 0
 STREAM_CENTROIDS = 1001
 STREAM_OBSERVATION = 1002
-
-# Harness experiments get one stream id each; all pipelines at a given
-# (experiment, point, trial) share the stream so comparisons are paired.
-EXPERIMENT_STREAMS = {
-    "sweep-k": 11,
-    "sweep-n": 12,
-    "snr-dist": 13,
-    "bnorm-dist": 14,
-    "bounds": 15,
-    "crossing": 16,
-    "aloss": 17,
-}
 
 
 def _counter(point_index, trial_index):

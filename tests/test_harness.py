@@ -6,6 +6,7 @@ they are exact across runs and platforms.
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -280,9 +281,25 @@ def test_aloss_experiment_orders_bounds(tmp_path):
 
 
 def test_experiments_raise_on_nonpositive_aloss_snr(tmp_path):
-    spec = default_spec("aloss", _cfg(), output_path="", sweep_values=(-1.0, 1.0))
-    with pytest.raises(ConfigError):
-        run_experiment(spec)
+    with pytest.raises(ConfigError, match="linear SNRs and must be positive"):
+        default_spec("aloss", _cfg(), output_path="", sweep_values=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep, overrides, message",
+    [
+        ("crossing", (0.2, 0.25), {}, "omega=0.2 and omega=0.25 at K=10 both give"),
+        ("crossing", (0, 1), {}, "omega=0 at K=10 gives round(omega K) = 0 antennas"),
+        ("snr-dist", (2,), {"num_antennas": 2}, "omega=0.2 at K=2 gives round(omega K) = 0"),
+        ("aloss", (-1, 1), {}, "aloss sweep values are linear SNRs and must be positive"),
+        ("snr-dist", None, {"mc_trials": 50}, "needs at least 100 draws, got 50"),
+        ("bnorm-dist", None, {"mc_trials": 50}, "needs at least 100 draws, got 50"),
+    ],
+)
+def test_spec_rejects_sweeps_the_experiment_cannot_run(experiment, sweep, overrides, message):
+    # rejected when the spec is built, before any channel or trial is drawn
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        default_spec(experiment, _cfg(**overrides), sweep_values=sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -413,10 +430,21 @@ def test_cli_rejects_empty_sweep(tmp_path, capsys):
         (["sweep-n", "--sweep", "2,12.5"], "", "must be integers"),
         (["aloss", "--sweep", "1", "--workers", "-3"], "", "workers must be at least 1"),
         (["aloss", "--sweep", "1"], "num_sensors = 8\n", "duplicate configuration key"),
+        # a tuple swaps a line of CONFIG_TEXT instead of appending one
+        (["sweep-k", "--sweep", "1"], ("transmit_snr_db = 10.0", "transmit_snr_db = -4000"),
+         "noise power 10**(-dB/10) that is not finite"),
+        (["aloss", "--sweep", "1e-320,1"], "", "noise power 10**(-dB/10) that is not finite"),
+        (["sweep-k", "--sweep", "1"],
+         ("sensing_covariance_scale = 0.1", "sensing_covariance_scale = 1e-320"),
+         "covariance inverse fails the identity check"),
     ],
 )
 def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message):
-    config = _write_config(tmp_path, CONFIG_TEXT + config_extra)
+    if isinstance(config_extra, tuple):
+        text = CONFIG_TEXT.replace(*config_extra)
+    else:
+        text = CONFIG_TEXT + config_extra
+    config = _write_config(tmp_path, text)
     out = tmp_path / "never.csv"
     code = cli.main([args[0], "--config", str(config), "--out", str(out), *args[1:]])
     assert code == 2
@@ -635,3 +663,18 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     assert sum(receive_tags.values()) == 60
     assert counts["channel.air_snr"] == 60
     assert counts["channel.orth_snr"] == 30
+    # one substream per channel draw, plus the scenario builds' own streams
+    counts, _ = _traced_span_counts(
+        tmp_path, "aloss", ["aloss", "--config", str(config), "--sweep", "1,10"]
+    )
+    assert counts["channel.sample"] == 60
+    assert counts["channel.air_snr"] == 60
+    assert counts["streams.substream"] == 64
+    for experiment, sweep in (("snr-dist", "8,10"), ("bnorm-dist", "8,12,16")):
+        counts, _ = _traced_span_counts(
+            tmp_path,
+            experiment,
+            [experiment, "--config", str(config), "--sweep", sweep, "--trials", "100"],
+        )
+        assert counts["channel.sample"] == 200, experiment
+        assert counts["streams.substream"] == 204, experiment

@@ -111,6 +111,14 @@ def test_validator_rejects_a_scaled_projection():
         iz.validate_scenario(stretched)
 
 
+def test_validator_rejects_a_nan_covariance_inverse():
+    # a NaN fails no ">= tol" comparison, so every check must be "not < tol"
+    scen = iz.build_scenario(_config())
+    broken = dataclasses.replace(scen, C_inv=np.full_like(scen.C_inv, np.nan))
+    with pytest.raises(iz.ConfigError, match="identity check"):
+        iz.validate_scenario(broken)
+
+
 def test_symbol_variance_matches_monte_carlo():
     cfg = _config(num_sensors=5, mc_trials=1000)
     scen = iz.build_scenario(cfg)
@@ -209,6 +217,14 @@ def test_malformed_config_value_rejected():
 def test_non_finite_config_value_rejected():
     with pytest.raises(iz.ConfigError):
         iz.parse_config_text("transmit_snr_db = inf\n")
+
+
+def test_transmit_snr_with_overflowing_noise_power_rejected():
+    # sigma^2 = 10**(-dB/10) overflows below about -3083 dB; a very high
+    # dB still gives sigma^2 = 0, which is infinite SNR
+    with pytest.raises(iz.ConfigError, match="noise power"):
+        _config(transmit_snr_db=-4000.0)
+    assert iz.build_scenario(_config(transmit_snr_db=4000.0)).sigma_sq == 0.0
 
 
 def test_load_config_from_file(tmp_path):

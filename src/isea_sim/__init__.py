@@ -29,7 +29,6 @@ from .inference import (
     TrialBatch,
     TrialRecord,
     ml_classify,
-    pairwise_separation_matrix,
     posterior_probabilities,
     run_trials,
     simulate_trial,
@@ -40,14 +39,12 @@ from .scenario import (
     build_scenario,
     generate_centroids,
     generate_observation_matrix,
-    isotropic_observation_mean,
     load_config,
     parse_config_text,
     validate_scenario,
 )
 from .theory import (
     KAPPA_LOWER,
-    SeparationSummary,
     asymptotic_separation,
     bound_offset,
     channel_loss_factor,
@@ -56,10 +53,13 @@ from .theory import (
     exp_integral_e1_scaled,
     expected_loss_factor_bounds,
     expected_loss_r,
+    isotropic_observation_mean,
     kappa_upper,
     ks_statistic,
+    mean_separation,
+    pairwise_separation_matrix,
     scaled_alignment_cdf,
-    separation_summary,
+    separation_matrix,
     surrogate_uncertainty_full,
     surrogate_uncertainty_simplified,
     uncertainty_bounds,

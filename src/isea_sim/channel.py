@@ -138,13 +138,6 @@ def scaled_min_alignment(channel):
     return channel.num_sensors * min_beam_alignment(channel)
 
 
-def transmit_snr(scenario):
-    """Linear transmit SNR; infinite when the channel noise power is zero."""
-    if scenario.sigma_sq == 0:
-        return np.inf
-    return 1.0 / scenario.sigma_sq
-
-
 def aircomp_effective_snr(channel, scenario):
     """Effective SNR of over-the-air aggregation.
 
@@ -156,7 +149,7 @@ def aircomp_effective_snr(channel, scenario):
     if min_align <= 0:
         return AircompSnr(gamma_air=0.0, degenerate=True)
     K = channel.num_sensors
-    gamma_air = 2.0 * K**2 * transmit_snr(scenario) / scenario.nu_sq * min_align
+    gamma_air = 2.0 * K**2 * scenario.transmit_snr / scenario.nu_sq * min_align
     return AircompSnr(gamma_air=float(gamma_air))
 
 
@@ -204,7 +197,7 @@ def orthogonal_effective_snr(channel, scenario):
     norms grow as antennas shrink toward the sensor count.
     """
     total_norm = float(zf_norms_sq(channel).sum())
-    gamma = transmit_snr(scenario)
+    gamma = scenario.transmit_snr
     if gamma == np.inf:
         return np.inf
     K = channel.num_sensors

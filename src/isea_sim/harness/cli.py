@@ -65,7 +65,7 @@ def _parse_sweep(text):
             raise ConfigError(f"--sweep value {token!r} is not a number") from None
         if not np.isfinite(number):
             raise ConfigError(f"--sweep value {token!r} is not finite")
-        values.append(int(number) if number.is_integer() else number)
+        values.append(number)
     if not values:
         raise ConfigError("--sweep produced an empty grid")
     return tuple(values)

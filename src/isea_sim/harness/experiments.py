@@ -23,7 +23,6 @@ from ..channel import (
     aircomp_effective_snr,
     sample_channel,
     scaled_min_alignment,
-    transmit_snr,
     zf_norms_sq,
 )
 from ..errors import ConfigError
@@ -66,12 +65,15 @@ class ExperimentSpec:
         record = _EXPERIMENTS.get(self.experiment)
         if record is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
-        values = tuple(self.sweep_values)
+        try:
+            values = tuple(float(v) for v in self.sweep_values)
+        except OverflowError as exc:
+            raise ConfigError(f"sweep value too large: {exc}") from None
         if not values:
             raise ConfigError("sweep_values must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep_values must be strictly increasing")
-        if record.count_field and not all(float(v).is_integer() for v in values):
+        if record.count_field and not all(v.is_integer() for v in values):
             raise ConfigError(f"{self.experiment} sweeps a count; sweep_values must be integers")
         object.__setattr__(self, "sweep_values", values)
         pipelines = tuple(self.pipelines)
@@ -141,7 +143,10 @@ class SweepReport:
 
     def write_csv(self, path):
         path = Path(path)
-        path.write_text(self.to_csv_text(), encoding="utf-8", newline="\n")
+        try:
+            path.write_text(self.to_csv_text(), encoding="utf-8", newline="\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
         return path
 
 
@@ -307,7 +312,7 @@ def _snr_dist_point(spec, point, K, draws, workers):
     scen = build_scenario(dataclasses.replace(cfg, num_sensors=K, num_antennas=N))
     zeta = _per_draw(scaled_min_alignment, N, K, _draw_streams(spec, point, draws))
     ks = ks_statistic(zeta, scaled_alignment_cdf(ratio))
-    scale = 2.0 * K * transmit_snr(scen) / scen.nu_sq
+    scale = 2.0 * K * scen.transmit_snr / scen.nu_sq
     row = SweepRow(
         sweep_value=K,
         pipeline="aircomp",
@@ -328,10 +333,10 @@ def _bnorm_dist_point(spec, point, N, draws, workers):
     scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
     norms = _per_draw(_zf_norm_pair, N, K, _draw_streams(spec, point, draws))
     ks = ks_statistic(norms[:, 0], zf_norm_cdf(N, K))
-    snrs = transmit_snr(scen) * K**2 / (scen.nu_sq * norms[:, 1])
+    snrs = scen.transmit_snr * K**2 / (scen.nu_sq * norms[:, 1])
     prediction = None
     if N > K:
-        prediction = transmit_snr(scen) * K * (N - K) / scen.nu_sq
+        prediction = scen.transmit_snr * K * (N - K) / scen.nu_sq
     row = SweepRow(
         sweep_value=N,
         pipeline="orthogonal",

@@ -5,11 +5,11 @@ model implied by averaging: class means P_bar mu_l and effective
 covariance C/K, plus an isotropic term 1/gamma for the channel noise of
 the access mode in use.  The class log-likelihoods are evaluated in the
 eigenbasis of C, so the M x M inverse is never formed; this one route
-gives the posteriors, the decisions and the per-trial entropies.  Pairwise
-class separations live here too, and :func:`run_trials` runs a batch of
-trials whose summaries are the Monte Carlo estimates of sensing
-uncertainty and accuracy.  :func:`simulate_trial` replays any single
-trial from its (seed, stream, point, trial) coordinates.
+gives the posteriors, the decisions and the per-trial entropies.
+:func:`run_trials` runs a batch of trials whose summaries are the Monte
+Carlo estimates of sensing uncertainty and accuracy, and
+:func:`simulate_trial` replays any single trial from its (seed, stream,
+point, trial) coordinates.
 """
 
 from __future__ import annotations
@@ -86,32 +86,6 @@ def _entropies(logits):
     total = np.add.reduce(weights, axis=-1)
     entropy = np.log(total) - (weights[..., None, :] @ shifted[..., None])[..., 0, 0] / total
     return np.where(entropy < 0.0, 0.0, entropy)
-
-
-def _separation_weight(scenario, snr):
-    """Inverse of the per-pair covariance C + (K/snr) I, in factored form."""
-    noise = 0.0 if snr is None or snr == np.inf else scenario.num_sensors / snr
-    evals = scenario.C_evals + noise
-    V = scenario.C_evecs
-    return V @ ((1.0 / evals)[:, None] * V.T)
-
-
-def pairwise_separation_matrix(scenario, snr=None):
-    """All pairwise class separations after fusion, as a symmetric (L, L)
-    matrix with zero diagonal.
-
-    Noiseless: (mu_a - mu_b)^T P_bar C^-1 P_bar (mu_a - mu_b), which is K
-    times smaller than the separation under the effective covariance C/K.
-    With a finite ``snr`` the weighting becomes (C + (K/snr) I)^-1.
-    """
-    W = _separation_weight(scenario, snr)
-    proj = scenario.proj_centroids
-    G = proj @ W @ proj.T
-    d = np.diag(G)
-    # group the symmetric terms so the result is symmetric bit-for-bit
-    pw = (d[:, None] + d[None, :]) - (G + G.T)
-    np.fill_diagonal(pw, 0.0)
-    return pw
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,7 +114,7 @@ def load_config(path):
     """Read a config file and return the parsed :class:`ScenarioConfig`."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text)
 
@@ -166,6 +166,7 @@ class Scenario:
     proj_centroids: np.ndarray       # (L, M) rows P_bar mu_l
     proj_centroids_eig: np.ndarray   # (L, M) proj_centroids in C's eigenbasis
     sensor_centroids: np.ndarray     # (K, L, M) rows P_k mu_l
+    centroid_cov: np.ndarray     # (M, M) spread of the centroids about their mean
     nu_sq: float                 # per-symbol transmit variance
     sigma_sq: float              # channel noise power
 
@@ -184,6 +185,11 @@ class Scenario:
     @property
     def num_antennas(self):
         return self.config.num_antennas
+
+    @property
+    def transmit_snr(self):
+        """Linear transmit SNR gamma; infinite when the channel noise power is zero."""
+        return np.inf if self.sigma_sq == 0 else 1.0 / self.sigma_sq
 
 
 def build_scenario(config, centroids=None, covariance=None):
@@ -234,11 +240,10 @@ def build_scenario(config, centroids=None, covariance=None):
         P[k] = generate_observation_matrix(M, config.observation_rank, rng)
     P_bar = P.mean(axis=0)
 
-    mu_mean = centroids.mean(axis=0)
-    centered = centroids - mu_mean
-    Sigma_mu = centered.T @ centered / L
+    centered = centroids - centroids.mean(axis=0)
+    centroid_cov = centered.T @ centered / L
     # trace(P_k Sigma P_k) = trace(P_k Sigma) for idempotent P_k
-    sensor_power = np.einsum("kij,ji->k", P, Sigma_mu)
+    sensor_power = np.einsum("kij,ji->k", P, centroid_cov)
     nu_sq = float((np.trace(C) * K + sensor_power.sum()) / (K * M))
 
     sigma_sq = float(10.0 ** (-config.transmit_snr_db / 10.0))
@@ -256,6 +261,7 @@ def build_scenario(config, centroids=None, covariance=None):
         proj_centroids=centroids @ P_bar.T,
         proj_centroids_eig=(centroids @ P_bar.T) @ C_evecs,
         sensor_centroids=np.einsum("kij,lj->kli", P, centroids),
+        centroid_cov=centroid_cov,
         nu_sq=nu_sq,
         sigma_sq=sigma_sq,
     )
@@ -287,8 +293,3 @@ def validate_scenario(scenario):
         raise ConfigError("cached covariance inverse fails the identity check")
     if not scenario.nu_sq > 0:
         raise ConfigError("transmit symbol variance must be positive")
-
-
-def isotropic_observation_mean(feature_dim, rank):
-    """Closed form of E[P_k] for uniformly random rank-r projections."""
-    return (rank / feature_dim) * np.eye(feature_dim)

@@ -1,24 +1,23 @@
 """Closed-form surrogates, bounds, and asymptotic reference laws.
 
 The Monte Carlo estimators in :mod:`isea_sim.inference` measure sensing
-uncertainty directly; this module provides the analytical side: softmax
-surrogates of the expected posterior entropy, the two-sided bounds that
-sandwich it, the loss factor induced by finite channel SNR, and the
-limiting distributions used to validate channel-derived statistics.
-All entropies use natural logarithms.
+uncertainty directly; this module provides the analytical side: the
+pairwise class separations and the discriminant gain they average to,
+softmax surrogates of the expected posterior entropy, the two-sided bounds
+that sandwich it, the loss factor induced by finite channel SNR, and the
+limiting distributions used to validate channel-derived statistics.  It
+reads what it needs off a built :class:`~isea_sim.scenario.Scenario` and
+imports no other layer.  All entropies use natural logarithms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
 from .errors import NumericalError
-from .inference import pairwise_separation_matrix
-from .scenario import isotropic_observation_mean
 
 KAPPA_LOWER = 0.5
 
@@ -64,37 +63,46 @@ def surrogate_uncertainty_simplified(mean_separation, kappa, num_sensors, num_cl
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SeparationSummary:
-    """Pairwise class-separation statistics of a scenario.
+def pairwise_separation_matrix(scenario, snr=None):
+    """All pairwise class separations after fusion, as a symmetric (L, L)
+    matrix with zero diagonal.
 
-    ``separation_matrix`` is the feature-space average of the outer
-    products of centroid differences over ordered pairs; its trace against
-    P_bar W P_bar reproduces ``mean_separation`` exactly.
+    Noiseless: (mu_a - mu_b)^T P_bar C^-1 P_bar (mu_a - mu_b), which is K
+    times smaller than the separation under the effective covariance C/K.
+    With a finite ``snr`` the weighting becomes (C + (K/snr) I)^-1, formed
+    in C's eigenbasis.
     """
+    noise = 0.0 if snr is None or snr == np.inf else scenario.num_sensors / snr
+    evals = scenario.C_evals + noise
+    V = scenario.C_evecs
+    W = V @ ((1.0 / evals)[:, None] * V.T)
+    proj = scenario.proj_centroids
+    G = proj @ W @ proj.T
+    d = np.diag(G)
+    # group the symmetric terms so the result is symmetric bit-for-bit
+    pw = (d[:, None] + d[None, :]) - (G + G.T)
+    np.fill_diagonal(pw, 0.0)
+    return pw
 
-    pairwise: np.ndarray          # (L, L)
-    mean_separation: float
-    separation_matrix: np.ndarray  # (M, M)
 
-
-def separation_summary(scenario, snr=None):
-    """Compute pairwise separations and their summary statistics.
-
-    ``snr`` selects the noiseless weighting C^-1 (None) or the
-    channel-degraded weighting (C + (K/snr) I)^-1.
-    """
+def mean_separation(scenario, snr=None):
+    """Mean of the off-diagonal pairwise separations, D_bar; ``snr`` selects
+    the noiseless weighting C^-1 (None) or (C + (K/snr) I)^-1."""
     pw = pairwise_separation_matrix(scenario, snr=snr)
-    L = pw.shape[0]
-    off_diag = pw[~np.eye(L, dtype=bool)]
-    centered = scenario.centroids - scenario.centroids.mean(axis=0)
-    pop_cov = centered.T @ centered / L
-    separation_matrix = (2.0 * L / (L - 1.0)) * pop_cov
-    return SeparationSummary(
-        pairwise=pw,
-        mean_separation=float(off_diag.mean()),
-        separation_matrix=separation_matrix,
-    )
+    return float(pw[~np.eye(pw.shape[0], dtype=bool)].mean())
+
+
+def separation_matrix(scenario):
+    """Average over ordered class pairs of the outer products of centroid
+    differences, (2L/(L-1)) times the centroid spread; its trace against
+    P_bar C^-1 P_bar is the noiseless :func:`mean_separation`."""
+    L = scenario.num_classes
+    return (2.0 * L / (L - 1.0)) * scenario.centroid_cov
+
+
+def isotropic_observation_mean(feature_dim, rank):
+    """Closed form of E[P_k] for uniformly random rank-r projections."""
+    return (rank / feature_dim) * np.eye(feature_dim)
 
 
 def uncertainty_bounds(pairwise, c, num_sensors, feature_dim):
@@ -114,8 +122,7 @@ def asymptotic_separation(scenario):
     """Large-K limit of the mean separation: Tr(EP C^-1 EP D), with EP the
     closed-form mean projection (r/M) I of the uniform rank-r synthesis."""
     EP = isotropic_observation_mean(scenario.feature_dim, scenario.config.observation_rank)
-    D = separation_summary(scenario).separation_matrix
-    return float(np.trace(EP @ scenario.C_inv @ EP @ D))
+    return float(np.trace(EP @ scenario.C_inv @ EP @ separation_matrix(scenario)))
 
 
 def channel_loss_factor(scenario, snr):
@@ -135,12 +142,11 @@ def channel_loss_factor(scenario, snr):
     snr = np.asarray(snr, dtype=float)
     if not np.all(snr > 0):
         raise ValueError("snr must be positive")
-    summary = separation_summary(scenario)
-    d_bar = summary.mean_separation
+    d_bar = mean_separation(scenario)
     if d_bar <= 0:
         raise NumericalError("mean separation is zero; loss factor undefined")
     V = scenario.C_evecs
-    core = V.T @ scenario.C_inv @ scenario.P_bar @ summary.separation_matrix
+    core = V.T @ scenario.C_inv @ scenario.P_bar @ separation_matrix(scenario)
     weights = np.diag(core @ scenario.P_bar @ scenario.C_inv @ V)
     inner = 1.0 / scenario.C_evals + snr[..., None] / scenario.num_sensors
     correction = np.sum(weights / inner, axis=-1)
@@ -172,11 +178,8 @@ def expected_loss_r(scenario, omega):
     r = 2 gamma (1 + sqrt(omega))^2 lambda_min(C) / nu^2."""
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    if scenario.sigma_sq == 0:
-        return np.inf
-    gamma = 1.0 / scenario.sigma_sq
-    lam_min = float(scenario.C_evals[0])
-    return 2.0 * gamma * (1.0 + np.sqrt(omega)) ** 2 * lam_min / scenario.nu_sq
+    lam_min = float(scenario.C_evals[0])  # C is positive definite, so r is inf at gamma = inf
+    return 2.0 * scenario.transmit_snr * (1.0 + np.sqrt(omega)) ** 2 * lam_min / scenario.nu_sq
 
 
 def exp_integral_e1(x):

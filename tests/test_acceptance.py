@@ -111,13 +111,13 @@ def test_03_exponential_uncertainty_decay():
         base = _config(num_sensors=20, num_antennas=24, observation_rank=5)
         centroids = np.sqrt(0.045) * np.eye(5)
         sc = iz.build_scenario(base, centroids=centroids)
-        summary = iz.separation_summary(sc)
-        off = summary.pairwise[~np.eye(5, dtype=bool)]
+        off = iz.pairwise_separation_matrix(sc)[~np.eye(5, dtype=bool)]
         assert off.max() - off.min() < 1e-12  # distances really are equal
         xi = iz.asymptotic_separation(sc)
+        d_bar = iz.mean_separation(sc)
         ks_grid = np.arange(20, 61)
         ys = [
-            np.log(iz.surrogate_uncertainty_simplified(summary.mean_separation, 0.5, int(k), 5))
+            np.log(iz.surrogate_uncertainty_simplified(d_bar, 0.5, int(k), 5))
             for k in ks_grid
         ]
         slope, intercept = np.polyfit(ks_grid, ys, 1)

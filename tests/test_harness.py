@@ -302,6 +302,16 @@ def test_spec_rejects_sweeps_the_experiment_cannot_run(experiment, sweep, overri
         default_spec(experiment, _cfg(**overrides), sweep_values=sweep)
 
 
+def test_sweep_values_reach_the_points_as_floats(tmp_path):
+    # np.log10 of a 301-digit Python int raises TypeError
+    out = tmp_path / "aloss.csv"
+    spec = default_spec("aloss", _cfg(mc_trials=50), output_path=out, sweep_values=(1, 10**300))
+    assert spec.sweep_values == (1.0, 1e300)
+    assert run_experiment(spec).rows[-1].accuracy == 1.0
+    with pytest.raises(ConfigError, match="too large"):
+        default_spec("aloss", _cfg(), sweep_values=(10**400,))
+
+
 # ---------------------------------------------------------------------------
 # plot emission
 
@@ -412,6 +422,33 @@ def test_cli_reports_unknown_config_key(tmp_path, capsys):
     code = cli.main(["aloss", "--config", str(config)])
     assert code == 2
     assert "warp_factor" in capsys.readouterr().err
+
+
+def test_cli_runs_an_aloss_sweep_up_to_1e300(tmp_path):
+    config = _write_config(tmp_path)
+    out = tmp_path / "aloss.csv"
+    assert cli.main(["aloss", "--config", str(config), "--out", str(out), "--sweep", "1,1e300"]) == 0
+    row = dict(zip(CSV_COLUMNS, out.read_text(encoding="utf-8").splitlines()[2].split(",")))
+    assert row["sweep_value"] == "1e+300"
+    assert row["accuracy"] == "1"
+
+
+def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes(CONFIG_TEXT.encode("utf-8") + b"# caf\xff\n")
+    out = tmp_path / "never.csv"
+    code = cli.main(["aloss", "--config", str(config), "--out", str(out), "--sweep", "1"])
+    assert code == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reports_an_unwritable_out_path(tmp_path, capsys):
+    config = _write_config(tmp_path)
+    out = tmp_path / "missing" / "x.csv"
+    code = cli.main(["aloss", "--config", str(config), "--out", str(out), "--sweep", "1"])
+    assert code == 2
+    assert f"cannot write CSV to {out}" in capsys.readouterr().err
 
 
 def test_cli_rejects_empty_sweep(tmp_path, capsys):
@@ -617,6 +654,23 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
     assert tags["adaptive_receive"](None, None, adaptive) in ("aircomp", "orthogonal")
     batch = iz.run_trials(scen, "noiseless", 3)
     assert tags["run_trials"]((scen, "noiseless", 3), {}, batch) == ("noiseless", 3)
+
+
+def test_theory_binds_no_function_of_another_layer():
+    # bench/trace_layers.py books every isea_sim function bound in theory as
+    # a theory span, in every module that binds it; a per-trial function
+    # imported into theory would make each trial's call count as theory.
+    from isea_sim import theory
+
+    foreign = {
+        name: value.__module__
+        for name, value in vars(theory).items()
+        if callable(value)
+        and not isinstance(value, type)
+        and value.__module__.startswith("isea_sim")
+        and value.__module__ != "isea_sim.theory"
+    }
+    assert foreign == {}
 
 
 def _traced_span_counts(tmp_path, name, cli_args):

@@ -169,14 +169,13 @@ def test_bounds_collapse_at_zero_distance():
 
 
 # ---------------------------------------------------------------------------
-# separation summaries and the large-K limit
+# pairwise separations and the large-K limit
 
 
-def test_separation_summary_trace_identity():
+def test_separation_matrix_trace_identity():
     sc = _scenario()
-    summary = iz.separation_summary(sc)
-    traced = float(np.trace(sc.P_bar @ sc.C_inv @ sc.P_bar @ summary.separation_matrix))
-    assert traced == pytest.approx(summary.mean_separation, rel=1e-10)
+    traced = float(np.trace(sc.P_bar @ sc.C_inv @ sc.P_bar @ iz.separation_matrix(sc)))
+    assert traced == pytest.approx(iz.mean_separation(sc), rel=1e-10)
 
 
 def test_asymptotic_separation_identity_projection_traces_separation():
@@ -188,7 +187,7 @@ def test_asymptotic_separation_identity_projection_traces_separation():
         sensing_covariance_scale=1.0,
         master_seed=7,
     )
-    D = iz.separation_summary(sc).separation_matrix
+    D = iz.separation_matrix(sc)
     assert iz.asymptotic_separation(sc) == pytest.approx(np.trace(D), rel=1e-12)
 
 
@@ -209,7 +208,7 @@ def test_asymptotic_separation_matches_sampled_projection_mean():
     for _ in range(n):
         ep += iz.generate_observation_matrix(6, 3, rng)
     ep /= n
-    D = iz.separation_summary(sc).separation_matrix
+    D = iz.separation_matrix(sc)
     empirical = float(np.trace(ep @ sc.C_inv @ ep @ D))
     closed = iz.asymptotic_separation(sc)
     assert empirical == pytest.approx(closed, rel=0.01)  # observed 0.08% off
@@ -236,9 +235,9 @@ def test_loss_factor_accepts_an_array_of_snrs():
     snrs = np.array([0.1, 1.0, 10.0, 100.0, np.inf])
     vals = iz.channel_loss_factor(sc, snrs)
     assert vals.shape == snrs.shape
-    d_bar = iz.separation_summary(sc).mean_separation
+    d_bar = iz.mean_separation(sc)
     for snr, val in zip(snrs[:-1], vals):
-        direct = iz.separation_summary(sc, snr=snr).mean_separation / d_bar
+        direct = iz.mean_separation(sc, snr=snr) / d_bar
         assert val == pytest.approx(direct, rel=1e-10)
         assert val == pytest.approx(iz.channel_loss_factor(sc, snr), rel=1e-14)
     assert vals[-1] == 1.0
@@ -276,10 +275,7 @@ def test_loss_factor_expanded_form_matches_direct_weighting():
             master_seed=int(rng.integers(1, 2**32)),
         )
         snr = float(rng.uniform(0.1, 100.0))
-        direct = (
-            iz.separation_summary(sc, snr=snr).mean_separation
-            / iz.separation_summary(sc).mean_separation
-        )
+        direct = iz.mean_separation(sc, snr=snr) / iz.mean_separation(sc)
         worst = max(worst, abs(direct - iz.channel_loss_factor(sc, snr)))
     assert worst < 1e-8  # observed 4e-16
 
@@ -291,7 +287,7 @@ def test_noisy_surrogate_decay_rate_under_proportional_power():
     sc = _scenario()
     eta = 2.0
     snr = eta * sc.num_sensors
-    dbar = iz.separation_summary(sc).mean_separation
+    dbar = iz.mean_separation(sc)
     loss = iz.channel_loss_factor(sc, snr)
     kappa = 0.5
     ks = np.arange(20, 61, 4)

@@ -23,7 +23,11 @@ from .feature_model import aggregate_noiseless
 
 # Random square Gram matrices have a tight spectral gap at the edge, so
 # iterative methods converge slowly; LAPACK is faster at every size we hit.
-# The subset driver wins over the full decomposition above ~64 rows.
+# At one OpenBLAS thread the subset eigensolver (in scipy's OpenBLAS) beats the
+# full one (in numpy's) from 13 rows on.  The switch stays at 64 rows for
+# callers that draw channels in their own loop at the default thread count:
+# there the idle threads of the two builds fight for the cores, and a K = 50
+# draw that switches builds takes 10 ms instead of 1 ms.
 _FULL_EIG_MAX = 64
 
 

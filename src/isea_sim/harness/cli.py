@@ -33,7 +33,7 @@ def _build_parser():
     parser.add_argument("--config", required=True, help="flat key = value scenario file")
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
     parser.add_argument("--trials", type=int, default=None, help="override mc_trials")
-    parser.add_argument("--out", default=None, help="CSV output path")
+    parser.add_argument("--out", default="", help="CSV output path (default <experiment>.csv)")
     parser.add_argument("--workers", type=int, default=1, help="parallel worker count")
     parser.add_argument(
         "--paper-scale",

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._blas import one_blas_thread
 from ..channel import (
     access_snrs,
     aircomp_effective_snr,
@@ -46,20 +47,24 @@ from ..theory import (
 FEASIBLE = "ok"
 INFEASIBLE = "INFEASIBLE"
 
+# A point whose scenario arrays and channel matrix need more memory than
+# this is rejected up front; a desk-scale point needs a few kilobytes.
+_MAX_POINT_BYTES = 2 * 2**30
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A fully resolved experiment request.
 
     Every sweep the experiment cannot run is rejected here, before any
-    channel or trial is drawn.
+    channel or trial is drawn.  ``output_path`` None writes no CSV.
     """
 
     scenario: ScenarioConfig
     experiment: str
     sweep_values: tuple
     pipelines: tuple = ("noiseless",)
-    output_path: str = ""
+    output_path: str | None = None
 
     def __post_init__(self):
         record = _EXPERIMENTS.get(self.experiment)
@@ -87,22 +92,43 @@ class ExperimentSpec:
         object.__setattr__(self, "pipelines", pipelines)
 
         cfg = self.scenario
+        # the largest point's counts, for the memory limit
+        sensors, antennas = cfg.num_sensors, cfg.num_antennas
+        if record.count_field == "num_sensors":
+            sensors = values[-1]  # values increase
+        elif record.count_field == "num_antennas":
+            antennas = values[-1]
         if self.experiment == "crossing":
-            antennas = [_antennas_for(omega, cfg.num_sensors) for omega in values]
-            for a, b, N, next_N in zip(values, values[1:], antennas, antennas[1:]):
+            counts = [_antennas_for(omega, cfg.num_sensors) for omega in values]
+            for a, b, N, next_N in zip(values, values[1:], counts, counts[1:]):
                 if N == next_N:
                     raise ConfigError(
                         f"omega={a:g} and omega={b:g} at K={cfg.num_sensors} "
                         f"both give round(omega K) = {N} antennas"
                     )
+            antennas = counts[-1]
         elif self.experiment == "snr-dist":
-            # doubling K for --paper-scale never brings round(omega K) to 0
             for K in values:
-                _antennas_for(cfg.num_antennas / cfg.num_sensors, int(K))
+                antennas = _antennas_for(cfg.num_antennas / cfg.num_sensors, int(K))
         elif self.experiment == "aloss" and values[0] <= 0:  # values increase
             raise ConfigError("aloss sweep values are linear SNRs and must be positive")
         if self.experiment in ("snr-dist", "bnorm-dist") and cfg.mc_trials < 100:
             raise ConfigError(f"a distribution check needs at least 100 draws, got {cfg.mc_trials}")
+        size = _point_bytes(cfg, sensors, antennas)
+        if size > _MAX_POINT_BYTES:
+            raise ConfigError(
+                f"{self.experiment} at K={sensors:g}, N={antennas:g} needs {size / 2**30:.3g} GiB "
+                f"of scenario and channel arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
+            )
+
+
+def _point_bytes(cfg, num_sensors, num_antennas):
+    """Bytes of a point's per-sensor scenario arrays (K M^2 + K L M floats)
+    and of one complex N x K channel matrix, counted in floats so that no
+    count overflows."""
+    K, N = float(num_sensors), float(num_antennas)
+    M, L = cfg.feature_dim, cfg.num_classes
+    return 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
 
 
 @dataclass(frozen=True)
@@ -150,6 +176,20 @@ class SweepReport:
         return path
 
 
+def _probe_writable(path):
+    """Fail now, not after the sweep, if the CSV cannot be written to
+    ``path``: open it for append, and remove it again if that created it."""
+    path = Path(path)
+    try:
+        created = not path.exists()
+        with path.open("a", encoding="utf-8"):
+            pass
+        if created:
+            path.unlink()
+    except OSError as exc:
+        raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -160,7 +200,10 @@ def _fmt(value):
 
 
 def default_spec(experiment, config, output_path="", sweep_values=None, pipelines=None):
-    """Build an :class:`ExperimentSpec` with per-experiment default grids."""
+    """Build an :class:`ExperimentSpec` with per-experiment default grids.
+
+    An empty ``output_path`` writes ``<experiment>.csv``; None writes no CSV.
+    """
     record = _EXPERIMENTS.get(experiment)
     if record is not None:  # an unknown name is ExperimentSpec's error to raise
         if sweep_values is None:
@@ -172,7 +215,7 @@ def default_spec(experiment, config, output_path="", sweep_values=None, pipeline
         experiment=experiment,
         sweep_values=sweep_values,
         pipelines=pipelines,
-        output_path=str(output_path) if output_path else f"{experiment}.csv",
+        output_path=None if output_path is None else str(output_path) or f"{experiment}.csv",
     )
 
 
@@ -183,21 +226,30 @@ def run_experiment(spec, workers=1, paper_scale=False):
     for every worker count.  ``paper_scale`` enlarges grids or trial
     counts toward publication scale instead of desk scale: an experiment
     whose default grid is the config's own count also sweeps the doubles
-    of its values, every other one runs ten times the draws.
+    of its values, every other one runs ten times the draws.  A grid or
+    output path that cannot be used raises :class:`ConfigError` before the
+    first point runs.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     record = _EXPERIMENTS[spec.experiment]
-    values, draws = spec.sweep_values, spec.scenario.mc_trials
+    draws = spec.scenario.mc_trials
     if paper_scale and record.grid is None:
-        values = tuple(sorted(set(values) | {2 * v for v in values}))
+        # the enlarged grid goes through every check of a requested one
+        values = spec.sweep_values
+        spec = dataclasses.replace(spec, sweep_values=sorted(set(values) | {2 * v for v in values}))
     elif paper_scale:
         draws *= 10
+    if spec.output_path:
+        _probe_writable(spec.output_path)
     rows, notes = [], []
-    for point, value in enumerate(values):
-        point_rows, point_notes = record.run(spec, point, value, draws, workers)
-        rows += point_rows
-        notes += point_notes
+    # one block for the whole sweep: run_trials and _per_draw open their own,
+    # but a block per pool would restart the threads each pool's fork stops
+    with one_blas_thread():
+        for point, value in enumerate(spec.sweep_values):
+            point_rows, point_notes = record.run(spec, point, value, draws, workers)
+            rows += point_rows
+            notes += point_notes
     report = SweepReport(experiment=spec.experiment, rows=tuple(rows), notes=tuple(notes))
     if spec.output_path:
         report.write_csv(spec.output_path)
@@ -264,9 +316,9 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
     benchmark's tracer rebinds ``sample_channel`` and ``substream`` in this
     module, so both are called through their module-level names.
     """
-    return np.array(
-        [stat(sample_channel(num_antennas, num_sensors, rng)) for rng in rngs], dtype=float
-    )
+    with one_blas_thread():
+        draws = [stat(sample_channel(num_antennas, num_sensors, rng)) for rng in rngs]
+    return np.array(draws, dtype=float)
 
 
 def _antennas_for(omega, num_sensors):

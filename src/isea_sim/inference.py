@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .channel import (
     adaptive_receive,
     aircomp_receive,
@@ -236,14 +237,15 @@ def run_trials(
     )
     starts = range(0, trials, _CHUNK_TRIALS)
     stops = [min(start + _CHUNK_TRIALS, trials) for start in starts]
-    if workers <= 1 or len(starts) == 1:
-        parts = list(map(chunk, starts, stops))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
+    with one_blas_thread():  # forked workers inherit the one thread
+        if workers <= 1 or len(starts) == 1:
+            parts = list(map(chunk, starts, stops))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
 
-        # a fork pool starts all its workers at once; more than one per
-        # chunk would sit idle
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-            parts = list(pool.map(chunk, starts, stops))
+            # a fork pool starts all its workers at once; more than one per
+            # chunk would sit idle
+            with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+                parts = list(pool.map(chunk, starts, stops))
     # each part is a chunk's (entropies, labels, predictions, effective_snrs)
     return TrialBatch(*map(np.concatenate, zip(*parts)))

@@ -1,11 +1,10 @@
-"""Experiment drivers, CSV schema, plot emission, and the CLI.
+"""Experiments, CSV schema, and the CLI.
 
 Monte Carlo rows quoted in comments come from the frozen default seed, so
 they are exact across runs and platforms.
 """
 
 import importlib
-import os
 import re
 import subprocess
 import sys
@@ -16,8 +15,9 @@ import numpy as np
 import pytest
 
 import isea_sim as iz
+from isea_sim import _blas
 from isea_sim.errors import ConfigError, NumericalError
-from isea_sim.harness import cli
+from isea_sim.harness import cli, experiments
 from isea_sim.harness.experiments import (
     CSV_COLUMNS,
     EXPERIMENTS,
@@ -29,7 +29,6 @@ from isea_sim.harness.experiments import (
     run_snr_distribution_check,
     run_zf_norm_distribution_check,
 )
-from isea_sim.harness.plots import emit_plot_script
 from isea_sim.streams import substream
 
 CONFIG_TEXT = """\
@@ -302,6 +301,45 @@ def test_spec_rejects_sweeps_the_experiment_cannot_run(experiment, sweep, overri
         default_spec(experiment, _cfg(**overrides), sweep_values=sweep)
 
 
+def _largest_counts(cfg):
+    """The largest K at the config's N, and N at its K, whose scenario
+    arrays (K M^2 + K L M floats) and complex N x K channel fit in 2 GiB."""
+    M, L, N, K = cfg.feature_dim, cfg.num_classes, cfg.num_antennas, cfg.num_sensors
+    limit = 2 * 2**30
+    return limit // (8 * (M * M + L * M) + 16 * N), (limit - 8 * K * (M * M + L * M)) // (16 * K)
+
+
+def test_spec_rejects_a_point_above_the_memory_limit():
+    # checked on the computed size; nothing of that size is allocated
+    cfg = _cfg()
+    largest_k, largest_n = _largest_counts(cfg)
+    assert default_spec("sweep-k", cfg, sweep_values=(1, largest_k)).sweep_values[-1] == largest_k
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        default_spec("sweep-k", cfg, sweep_values=(1, largest_k + 1))
+    assert default_spec("bnorm-dist", cfg, sweep_values=(largest_n,)).sweep_values[-1] == largest_n
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        default_spec("bnorm-dist", cfg, sweep_values=(largest_n + 1,))
+
+
+def _no_point_may_run(monkeypatch):
+    """Make every sweep point fail the test: each one builds a scenario first."""
+
+    def build_scenario(config):
+        raise AssertionError("a sweep point ran")
+
+    monkeypatch.setattr(experiments, "build_scenario", build_scenario)
+
+
+def test_paper_scale_checks_the_doubled_grid_before_the_first_point(monkeypatch):
+    # N = 2 largest_n would need more than 2 GiB per channel draw
+    _no_point_may_run(monkeypatch)
+    cfg = _cfg()
+    _, largest_n = _largest_counts(cfg)
+    spec = default_spec("bnorm-dist", cfg, output_path=None, sweep_values=(largest_n,))
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        run_experiment(spec, paper_scale=True)
+
+
 def test_sweep_values_reach_the_points_as_floats(tmp_path):
     # np.log10 of a 301-digit Python int raises TypeError
     out = tmp_path / "aloss.csv"
@@ -310,47 +348,6 @@ def test_sweep_values_reach_the_points_as_floats(tmp_path):
     assert run_experiment(spec).rows[-1].accuracy == 1.0
     with pytest.raises(ConfigError, match="too large"):
         default_spec("aloss", _cfg(), sweep_values=(10**400,))
-
-
-# ---------------------------------------------------------------------------
-# plot emission
-
-
-def test_emit_plot_script_validates_inputs(tmp_path, sweep_k_report):
-    report, _ = sweep_k_report
-    with pytest.raises(ValueError, match="style"):
-        emit_plot_script(report, "sparkline", tmp_path / "p.py")
-    empty = SweepReport(experiment="sweep-k", rows=())
-    with pytest.raises(ValueError, match="empty"):
-        emit_plot_script(empty, "uncertainty", tmp_path / "p.py")
-
-
-def test_emit_plot_script_contents(tmp_path, sweep_k_report):
-    report, _ = sweep_k_report
-    path = emit_plot_script(report, "uncertainty", tmp_path / "sweep-k.py")
-    script = path.read_text(encoding="utf-8")
-    assert "mean_uncertainty" in script
-    assert "'log'" in script or '"log"' in script
-    assert "sweep-k.png" in script
-    accuracy = emit_plot_script(report, "accuracy", tmp_path / "acc.py")
-    assert "'linear'" in accuracy.read_text(encoding="utf-8")
-
-
-def test_emitted_script_draws_from_csv(tmp_path, sweep_k_report):
-    report, _ = sweep_k_report
-    report.write_csv(tmp_path / "sweep-k.csv")
-    emit_plot_script(report, "uncertainty", tmp_path / "sweep-k.py")
-    env = {**os.environ, "MPLBACKEND": "Agg"}
-    proc = subprocess.run(
-        [sys.executable, "sweep-k.py"],
-        cwd=tmp_path,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "sweep-k.png").stat().st_size > 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +448,37 @@ def test_cli_reports_an_unwritable_out_path(tmp_path, capsys):
     assert f"cannot write CSV to {out}" in capsys.readouterr().err
 
 
+def test_unwritable_out_path_is_found_before_the_first_point(tmp_path, monkeypatch):
+    _no_point_may_run(monkeypatch)
+    out = tmp_path / "missing" / "x.csv"
+    spec = default_spec("aloss", _cfg(), output_path=out, sweep_values=(1.0,))
+    with pytest.raises(ConfigError, match="cannot write CSV to"):
+        run_experiment(spec)
+    assert not out.parent.exists()
+
+
+def test_out_path_probe_leaves_the_path_as_it_found_it(tmp_path, monkeypatch):
+    # the probe passes, then the first point fails
+    _no_point_may_run(monkeypatch)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_text("kept\n", encoding="utf-8")
+    for out in (new, old):
+        spec = default_spec("aloss", _cfg(), output_path=out, sweep_values=(1.0,))
+        with pytest.raises(AssertionError, match="a sweep point ran"):
+            run_experiment(spec)
+    assert not new.exists()
+    assert old.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_output_path_none_writes_no_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    spec = default_spec("aloss", _cfg(mc_trials=20), output_path=None, sweep_values=(1.0,))
+    assert spec.output_path is None
+    report = run_experiment(spec)
+    assert len(report.rows) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_rejects_empty_sweep(tmp_path, capsys):
     config = _write_config(tmp_path)
     code = cli.main(["aloss", "--config", str(config), "--sweep", " , "])
@@ -474,6 +502,8 @@ def test_cli_rejects_empty_sweep(tmp_path, capsys):
         (["sweep-k", "--sweep", "1"],
          ("sensing_covariance_scale = 0.1", "sensing_covariance_scale = 1e-320"),
          "covariance inverse fails the identity check"),
+        (["sweep-k", "--sweep", "2,1e12"], "", "above the 2 GiB limit"),
+        (["sweep-n", "--sweep", "1e12"], "", "above the 2 GiB limit"),
     ],
 )
 def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message):
@@ -592,33 +622,36 @@ def test_cli_help_mentions_usage(capsys):
 # determinism across BLAS thread counts
 
 
-def test_blas_thread_count_does_not_change_csv_bytes(tmp_path):
+def test_blas_thread_count_does_not_change_csv_bytes(monkeypatch):
     # K = 70 puts every channel Gram above _FULL_EIG_MAX, so crossing runs
-    # the subset eigensolver; the thread count is set in the children only.
-    src = str(Path(iz.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    # the subset eigensolver.  The library runs its loops at one OpenBLAS
+    # thread; with that policy made a no-op they run at two.
+    controls = _blas._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy and scipy ship no OpenBLAS build here")
     runs = {
-        "sweep-n": (CONFIG_TEXT, "8,12"),
-        "crossing": (CONFIG_TEXT.replace("num_sensors = 10", "num_sensors = 70"), "1,1.5"),
+        "sweep-n": (CONFIG_TEXT, (8, 12)),
+        "crossing": (CONFIG_TEXT.replace("num_sensors = 10", "num_sensors = 70"), (1, 1.5)),
     }
-    for experiment, (text, sweep) in runs.items():
-        config = tmp_path / f"{experiment}.cfg"
-        config.write_text(text.replace("mc_trials = 200", "mc_trials = 100"), encoding="utf-8")
-        outputs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"{experiment}-{threads}.csv"
-            env = {**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads}
-            proc = subprocess.run(
-                [sys.executable, "-m", "isea_sim.harness.cli", experiment, "--config",
-                 str(config), "--out", str(out), "--sweep", sweep],
-                env=env,
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1], experiment
+
+    def csv_text(experiment):
+        text, sweep = runs[experiment]
+        cfg = iz.parse_config_text(text.replace("mc_trials = 200", "mc_trials = 100"))
+        spec = default_spec(experiment, cfg, output_path=None, sweep_values=sweep)
+        return run_experiment(spec).to_csv_text()
+
+    at_one = {experiment: csv_text(experiment) for experiment in runs}
+    previous = [get() for get, _ in controls]
+    try:
+        for _, set_ in controls:
+            set_(2)
+        monkeypatch.setattr(_blas, "_openblas_thread_controls", lambda: ())
+        at_two = {experiment: csv_text(experiment) for experiment in runs}
+        assert [get() for get, _ in controls] == [2] * len(controls)
+    finally:
+        for (_, set_), count in zip(controls, previous):
+            set_(count)
+    assert at_one == at_two
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import ConfigError, InfeasibleAccessError, NumericalError
 from ..inference import PIPELINES
 from ..scenario import load_config
-from .experiments import EXPERIMENTS, default_spec, run_experiment
+from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,12 +80,12 @@ def main(argv=None):
             config = dataclasses.replace(config, master_seed=args.seed)
         if args.trials is not None:
             config = dataclasses.replace(config, mc_trials=args.trials)
-        spec = default_spec(
+        spec = ExperimentSpec(
             args.experiment,
             config,
-            output_path=args.out,
             sweep_values=_parse_sweep(args.sweep) if args.sweep else None,
             pipelines=tuple(args.pipelines.split(",")) if args.pipelines else None,
+            output_path=args.out or f"{args.experiment}.csv",
         )
         report = run_experiment(spec, workers=args.workers, paper_scale=args.paper_scale)
     except ConfigError as exc:

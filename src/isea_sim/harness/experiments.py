@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -26,7 +26,7 @@ from ..channel import (
     scaled_min_alignment,
     zf_norms_sq,
 )
-from ..errors import ConfigError
+from ..errors import ConfigError, NumericalError
 from ..inference import PIPELINES, _stderr, run_trials
 from ..scenario import ScenarioConfig, build_scenario
 from ..streams import substream
@@ -56,22 +56,27 @@ _MAX_POINT_BYTES = 2 * 2**30
 class ExperimentSpec:
     """A fully resolved experiment request.
 
-    Every sweep the experiment cannot run is rejected here, before any
-    channel or trial is drawn.  ``output_path`` None writes no CSV.
+    None ``sweep_values`` or ``pipelines`` take the experiment's defaults,
+    and None ``output_path`` writes no CSV.  Every point the experiment
+    cannot run is rejected here, before any channel or trial is drawn.
     """
 
-    scenario: ScenarioConfig
     experiment: str
-    sweep_values: tuple
-    pipelines: tuple = ("noiseless",)
+    scenario: ScenarioConfig
+    sweep_values: tuple | None = None
+    pipelines: tuple | None = None
     output_path: str | None = None
 
     def __post_init__(self):
         record = _EXPERIMENTS.get(self.experiment)
         if record is None:
             raise ConfigError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        cfg = self.scenario
+        values = self.sweep_values
+        if values is None:
+            values = record.grid or (getattr(cfg, record.count_field),)
         try:
-            values = tuple(float(v) for v in self.sweep_values)
+            values = tuple(float(v) for v in values)
         except OverflowError as exc:
             raise ConfigError(f"sweep value too large: {exc}") from None
         if not values:
@@ -81,7 +86,7 @@ class ExperimentSpec:
         if record.count_field and not all(v.is_integer() for v in values):
             raise ConfigError(f"{self.experiment} sweeps a count; sweep_values must be integers")
         object.__setattr__(self, "sweep_values", values)
-        pipelines = tuple(self.pipelines)
+        pipelines = tuple(record.pipelines if self.pipelines is None else self.pipelines)
         if not pipelines or any(p not in PIPELINES for p in pipelines):
             raise ConfigError(f"pipelines must be a nonempty subset of {PIPELINES}")
         if len(set(pipelines)) != len(pipelines):
@@ -90,43 +95,33 @@ class ExperimentSpec:
             fixed = ",".join(record.pipelines)
             raise ConfigError(f"{self.experiment} always runs pipelines {fixed}")
         object.__setattr__(self, "pipelines", pipelines)
-
-        cfg = self.scenario
-        # the largest point's counts, for the memory limit
-        sensors, antennas = cfg.num_sensors, cfg.num_antennas
-        if record.count_field == "num_sensors":
-            sensors = values[-1]  # values increase
-        elif record.count_field == "num_antennas":
-            antennas = values[-1]
-        if self.experiment == "crossing":
-            counts = [_antennas_for(omega, cfg.num_sensors) for omega in values]
-            for a, b, N, next_N in zip(values, values[1:], counts, counts[1:]):
-                if N == next_N:
-                    raise ConfigError(
-                        f"omega={a:g} and omega={b:g} at K={cfg.num_sensors} "
-                        f"both give round(omega K) = {N} antennas"
-                    )
-            antennas = counts[-1]
-        elif self.experiment == "snr-dist":
-            for K in values:
-                antennas = _antennas_for(cfg.num_antennas / cfg.num_sensors, int(K))
-        elif self.experiment == "aloss" and values[0] <= 0:  # values increase
-            raise ConfigError("aloss sweep values are linear SNRs and must be positive")
-        if self.experiment in ("snr-dist", "bnorm-dist") and cfg.mc_trials < 100:
-            raise ConfigError(f"a distribution check needs at least 100 draws, got {cfg.mc_trials}")
-        size = _point_bytes(cfg, sensors, antennas)
-        if size > _MAX_POINT_BYTES:
+        if cfg.mc_trials < record.min_draws:
             raise ConfigError(
-                f"{self.experiment} at K={sensors:g}, N={antennas:g} needs {size / 2**30:.3g} GiB "
-                f"of scenario and channel arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
+                f"a distribution check needs at least {record.min_draws} draws, got {cfg.mc_trials}"
             )
+        simulated = {}
+        for value in values:
+            point = record.config_at(cfg, value)
+            K, N = point.num_sensors, point.num_antennas
+            if point in simulated:
+                raise ConfigError(
+                    f"{self.experiment} sweep values {simulated[point]!r} and {value!r} both "
+                    f"simulate K={K}, N={N}, transmit_snr_db={point.transmit_snr_db:g}"
+                )
+            simulated[point] = value
+            size = _point_bytes(point)
+            if size > _MAX_POINT_BYTES:
+                raise ConfigError(
+                    f"{self.experiment} at K={K:g}, N={N:g} needs {size / 2**30:.3g} GiB of "
+                    f"scenario and channel arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
+                )
 
 
-def _point_bytes(cfg, num_sensors, num_antennas):
+def _point_bytes(cfg):
     """Bytes of a point's per-sensor scenario arrays (K M^2 + K L M floats)
     and of one complex N x K channel matrix, counted in floats so that no
     count overflows."""
-    K, N = float(num_sensors), float(num_antennas)
+    K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
     return 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
 
@@ -173,7 +168,6 @@ class SweepReport:
             path.write_text(self.to_csv_text(), encoding="utf-8", newline="\n")
         except OSError as exc:
             raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
-        return path
 
 
 def _probe_writable(path):
@@ -199,26 +193,6 @@ def _fmt(value):
     return f"{value:.9g}"
 
 
-def default_spec(experiment, config, output_path="", sweep_values=None, pipelines=None):
-    """Build an :class:`ExperimentSpec` with per-experiment default grids.
-
-    An empty ``output_path`` writes ``<experiment>.csv``; None writes no CSV.
-    """
-    record = _EXPERIMENTS.get(experiment)
-    if record is not None:  # an unknown name is ExperimentSpec's error to raise
-        if sweep_values is None:
-            sweep_values = record.grid or (getattr(config, record.count_field),)
-        if pipelines is None:
-            pipelines = record.pipelines
-    return ExperimentSpec(
-        scenario=config,
-        experiment=experiment,
-        sweep_values=sweep_values,
-        pipelines=pipelines,
-        output_path=None if output_path is None else str(output_path) or f"{experiment}.csv",
-    )
-
-
 def run_experiment(spec, workers=1, paper_scale=False):
     """Execute an experiment spec, write its CSV, and return the report.
 
@@ -240,26 +214,30 @@ def run_experiment(spec, workers=1, paper_scale=False):
         spec = dataclasses.replace(spec, sweep_values=sorted(set(values) | {2 * v for v in values}))
     elif paper_scale:
         draws *= 10
-    if spec.output_path:
+    if spec.output_path is not None:
         _probe_writable(spec.output_path)
     rows, notes = [], []
     # one block for the whole sweep: run_trials and _per_draw open their own,
     # but a block per pool would restart the threads each pool's fork stops
     with one_blas_thread():
         for point, value in enumerate(spec.sweep_values):
-            point_rows, point_notes = record.run(spec, point, value, draws, workers)
+            scen = build_scenario(record.config_at(spec.scenario, value))
+            point_rows, point_notes = record.run(spec, point, value, scen, draws, workers)
+            for row, column in product(point_rows, CSV_COLUMNS):
+                cell = getattr(row, column)  # a NaN is a failure, an infinity an empty cell
+                if isinstance(cell, float) and np.isnan(cell):
+                    where = f"{spec.experiment} at {row.sweep_value:g}, pipeline {row.pipeline}"
+                    raise NumericalError(f"{where}: {column} is NaN")
             rows += point_rows
             notes += point_notes
     report = SweepReport(experiment=spec.experiment, rows=tuple(rows), notes=tuple(notes))
-    if spec.output_path:
+    if spec.output_path is not None:
         report.write_csv(spec.output_path)
     return report
 
 
-def _simulation_point(spec, point, value, trials, workers):
+def _simulation_point(spec, point, value, scen, trials, workers):
     """Monte Carlo trials of each pipeline at one sensor or antenna count."""
-    record = _EXPERIMENTS[spec.experiment]
-    scen = build_scenario(dataclasses.replace(spec.scenario, **{record.count_field: int(value)}))
     L = scen.num_classes
     K = scen.num_sensors
     xi = asymptotic_separation(scen)
@@ -272,7 +250,7 @@ def _simulation_point(spec, point, value, trials, workers):
             scen,
             pipeline,
             trials,
-            stream_id=record.stream_id,
+            stream_id=_EXPERIMENTS[spec.experiment].stream_id,
             point_index=point,
             workers=workers,
         )
@@ -330,6 +308,24 @@ def _antennas_for(omega, num_sensors):
     return num_antennas
 
 
+def _crossing_config(cfg, omega):
+    """crossing: N = round(omega K) antennas at the config's K."""
+    return dataclasses.replace(cfg, num_antennas=_antennas_for(omega, cfg.num_sensors))
+
+
+def _snr_dist_config(cfg, K):
+    """snr-dist: K sensors and N = round(omega K), omega the config's N/K."""
+    N = _antennas_for(cfg.num_antennas / cfg.num_sensors, int(K))
+    return dataclasses.replace(cfg, num_sensors=int(K), num_antennas=N)
+
+
+def _aloss_config(cfg, gamma_lin):
+    """aloss: the linear transmit SNR ``gamma_lin``."""
+    if gamma_lin <= 0:
+        raise ConfigError("aloss sweep values are linear SNRs and must be positive")
+    return dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
+
+
 def _zf_norm_pair(channel):
     """``(||b_1||^2, sum_k ||b_k||^2)`` of one channel."""
     norms = zf_norms_sq(channel)
@@ -355,13 +351,10 @@ def run_zf_norm_distribution_check(num_antennas, num_sensors, draws, rng, thresh
     return ks, float(norms[:, 0].mean()), ks < threshold
 
 
-def _snr_dist_point(spec, point, K, draws, workers):
+def _snr_dist_point(spec, point, value, scen, draws, workers):
     """K-scaled weakest alignment at N = round(omega K), omega the config's N/K."""
-    cfg = spec.scenario
-    K = int(K)
-    N = _antennas_for(cfg.num_antennas / cfg.num_sensors, K)
+    K, N = scen.num_sensors, scen.num_antennas
     ratio = N / K  # the simulated ratio, which the row and note report
-    scen = build_scenario(dataclasses.replace(cfg, num_sensors=K, num_antennas=N))
     zeta = _per_draw(scaled_min_alignment, N, K, _draw_streams(spec, point, draws))
     ks = ks_statistic(zeta, scaled_alignment_cdf(ratio))
     scale = 2.0 * K * scen.transmit_snr / scen.nu_sq
@@ -374,15 +367,12 @@ def _snr_dist_point(spec, point, K, draws, workers):
     return [row], [f"K={K} omega={ratio:g}: KS={ks:.4f} (threshold 0.03)"]
 
 
-def _bnorm_dist_point(spec, point, N, draws, workers):
+def _bnorm_dist_point(spec, point, value, scen, draws, workers):
     """Zero-forcing beam norms and orthogonal-access SNR at N antennas."""
-    cfg = spec.scenario
-    K = cfg.num_sensors
-    N = int(N)
+    K, N = scen.num_sensors, scen.num_antennas
     if N < K:
         row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
         return [row], [f"N={N}: infeasible (K={K})"]
-    scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
     norms = _per_draw(_zf_norm_pair, N, K, _draw_streams(spec, point, draws))
     ks = ks_statistic(norms[:, 0], zf_norm_cdf(N, K))
     snrs = scen.transmit_snr * K**2 / (scen.nu_sq * norms[:, 1])
@@ -398,13 +388,10 @@ def _bnorm_dist_point(spec, point, N, draws, workers):
     return [row], [f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {norms[:, 0].mean():.6g}"]
 
 
-def _crossing_point(spec, point, omega, draws, workers):
+def _crossing_point(spec, point, value, scen, draws, workers):
     """How often over-the-air access beats orthogonal access at N = round(omega K)."""
-    cfg = spec.scenario
-    K = cfg.num_sensors
-    N = _antennas_for(omega, K)
+    K, N = scen.num_sensors, scen.num_antennas
     omega = N / K  # the simulated ratio, which the rows and notes report
-    scen = build_scenario(dataclasses.replace(cfg, num_antennas=N))
     streams = _draw_streams(spec, point, draws)
     air, aoa = _per_draw(lambda ch: access_snrs(ch, scen), N, K, streams).T
     wins = (air >= aoa).astype(float)
@@ -429,20 +416,16 @@ def _crossing_point(spec, point, omega, draws, workers):
     return rows, [f"omega={omega:g}: P(air wins)={prob:.4f}, asymptotic {predicted:.4f}"]
 
 
-def _aloss_point(spec, point, gamma_lin, draws, workers):
+def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
     """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
-    cfg = spec.scenario
-    scen = build_scenario(dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin)))
-    snrs = _per_draw(
-        lambda ch: aircomp_effective_snr(ch, scen).gamma_air,
-        cfg.num_antennas, cfg.num_sensors, _draw_streams(spec, point, draws),
-    )
+    K, N = scen.num_sensors, scen.num_antennas
+    streams = _draw_streams(spec, point, draws)
+    snrs = _per_draw(lambda ch: aircomp_effective_snr(ch, scen).gamma_air, N, K, streams)
     # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
     samples = np.zeros(draws)
     usable = snrs > 0
     samples[usable] = channel_loss_factor(scen, snrs[usable])
-    omega = cfg.num_antennas / cfg.num_sensors
-    e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, omega))
+    e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, N / K))
     row = SweepRow(
         sweep_value=gamma_lin,
         pipeline="aircomp",
@@ -465,11 +448,19 @@ class _Experiment:
     # keys its random streams; all pipelines at one (point, trial) share a
     # stream, so their comparisons are paired
     stream_id: int
-    run: Callable  # one sweep point: run(spec, point, value, draws, workers) -> (rows, notes)
+    run: Callable  # one sweep point: run(spec, point, value, scen, draws, workers) -> (rows, notes)
     pipelines: tuple  # the default pipelines
-    count_field: str | None = None  # the config count a sweep value replaces
+    count_field: str | None = None  # the config count a sweep value sets
     grid: tuple | None = None  # the default sweep; None sweeps the config's count_field
     fixed_pipelines: bool = False  # rows come from channel draws alone and cover `pipelines`
+    min_draws: int = 1  # a KS distance needs at least 100 draws
+    simulates: Callable | None = None  # a point's config, if not the count sweep's
+
+    def config_at(self, cfg, value):
+        """The scenario config that the point at sweep value ``value`` simulates."""
+        if self.simulates is None:
+            return dataclasses.replace(cfg, **{self.count_field: int(value)})
+        return self.simulates(cfg, value)
 
 
 _ALL_ACCESS = ("aircomp", "orthogonal", "adaptive")
@@ -477,14 +468,20 @@ _K_GRID = tuple(range(1, 13))
 _EXPERIMENTS = {
     "sweep-k": _Experiment(11, _simulation_point, ("noiseless", "aircomp"), "num_sensors", _K_GRID),
     "sweep-n": _Experiment(12, _simulation_point, _ALL_ACCESS, "num_antennas", tuple(range(2, 21))),
-    "snr-dist": _Experiment(13, _snr_dist_point, ("aircomp",), "num_sensors", None, True),
-    "bnorm-dist": _Experiment(14, _bnorm_dist_point, ("orthogonal",), "num_antennas", None, True),
+    "snr-dist": _Experiment(
+        13, _snr_dist_point, ("aircomp",), "num_sensors", None, True, 100, _snr_dist_config
+    ),
+    "bnorm-dist": _Experiment(
+        14, _bnorm_dist_point, ("orthogonal",), "num_antennas", None, True, 100
+    ),
     "bounds": _Experiment(15, _simulation_point, ("noiseless",), "num_sensors", _K_GRID),
     "crossing": _Experiment(
-        16, _crossing_point, _ALL_ACCESS, None, (0.25, 0.5, 0.75, 1.0, 1.21, 1.44, 1.96, 4.0), True
+        16, _crossing_point, _ALL_ACCESS, None, (0.25, 0.5, 0.75, 1.0, 1.21, 1.44, 1.96, 4.0), True,
+        simulates=_crossing_config,
     ),
     "aloss": _Experiment(
-        17, _aloss_point, ("aircomp",), None, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0), True
+        17, _aloss_point, ("aircomp",), None, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0), True,
+        simulates=_aloss_config,
     ),
 }
 EXPERIMENTS = tuple(sorted(_EXPERIMENTS))

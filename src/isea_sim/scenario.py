@@ -274,7 +274,7 @@ def validate_scenario(scenario):
 
     Raises :class:`ConfigError` on violation, a NaN included.  Covers
     projection symmetry, idempotency and trace, the averaged projection,
-    the covariance inverse, and positivity of the transmit variance.
+    the covariance inverse, and a finite, positive transmit variance.
     """
     P = scenario.P
     r = scenario.config.observation_rank
@@ -291,5 +291,7 @@ def validate_scenario(scenario):
         raise ConfigError("P_bar is not the mean of the sensor projections")
     if not np.max(np.abs(scenario.C_inv @ scenario.C - np.eye(M))) < 1e-9:
         raise ConfigError("cached covariance inverse fails the identity check")
+    if not np.isfinite(scenario.nu_sq):
+        raise ConfigError(f"transmit symbol variance {scenario.nu_sq} is not finite")
     if not scenario.nu_sq > 0:
         raise ConfigError("transmit symbol variance must be positive")

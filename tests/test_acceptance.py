@@ -10,6 +10,7 @@ import dataclasses
 import os
 import time
 from contextlib import contextmanager
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from scipy import integrate, special, stats
 
 import isea_sim as iz
 from isea_sim import feature_model, theory
-from isea_sim.channel import aircomp_effective_snr, orthogonal_effective_snr
 from isea_sim.harness.experiments import (
-    default_spec,
+    ExperimentSpec,
+    _per_draw,
     run_experiment,
     run_snr_distribution_check,
     run_zf_norm_distribution_check,
@@ -191,7 +192,7 @@ def access_mode_sweep(tmp_path_factory):
         mc_trials=1000,
     )
     start = time.perf_counter()
-    report = run_experiment(default_spec("sweep-n", cfg, output_path=out))
+    report = run_experiment(ExperimentSpec("sweep-n", cfg, output_path=out))
     elapsed = time.perf_counter() - start
     rows = {}
     for row in report.rows:
@@ -252,14 +253,8 @@ def test_08_crossing_probability_formula():
         N = round(omega * K)
         sc = iz.build_scenario(_config(num_sensors=K, num_antennas=N))
         rng = substream(MASTER_SEED, 16)
-        draws = 10000
-        wins = 0
-        for _ in range(draws):
-            ch = iz.sample_channel(N, K, rng)
-            gamma_air = aircomp_effective_snr(ch, sc).gamma_air
-            gamma_aoa = orthogonal_effective_snr(ch, sc)
-            wins += gamma_air >= gamma_aoa
-        empirical = wins / draws
+        air, aoa = _per_draw(lambda ch: iz.access_snrs(ch, sc), N, K, repeat(rng, 10000)).T
+        empirical = np.mean(air >= aoa)
         predicted = theory.crossing_probability(K, omega)
         assert abs(empirical - predicted) < 0.05  # observed 0.0185
 
@@ -307,7 +302,7 @@ def test_11_worker_determinism(tmp_path):
             out = tmp_path / f"workers{workers}.csv"
             cfg = _config(num_sensors=10)
             cfg = dataclasses.replace(cfg, mc_trials=600)
-            spec = default_spec("sweep-k", cfg, output_path=out, sweep_values=(1, 2, 3))
+            spec = ExperimentSpec("sweep-k", cfg, output_path=out, sweep_values=(1, 2, 3))
             run_experiment(spec, workers=workers)
             contents.append(out.read_bytes())
         assert contents[0] == contents[1]

@@ -24,7 +24,6 @@ from isea_sim.harness.experiments import (
     ExperimentSpec,
     SweepReport,
     SweepRow,
-    default_spec,
     run_experiment,
     run_snr_distribution_check,
     run_zf_norm_distribution_check,
@@ -53,7 +52,7 @@ def _cfg(**overrides):
 @pytest.fixture(scope="module")
 def sweep_k_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweepk") / "sweep-k.csv"
-    spec = default_spec("sweep-k", iz.ScenarioConfig(mc_trials=2000), output_path=out)
+    spec = ExperimentSpec("sweep-k", iz.ScenarioConfig(mc_trials=2000), output_path=out)
     return run_experiment(spec), out
 
 
@@ -80,18 +79,18 @@ def test_spec_rejects_bad_sweeps_and_pipelines():
         )
 
 
-def test_default_spec_grids():
+def test_spec_fills_in_default_grids_and_pipelines():
     cfg = _cfg(num_sensors=7, num_antennas=9)
-    assert default_spec("snr-dist", cfg).sweep_values == (7,)
-    assert default_spec("bnorm-dist", cfg).sweep_values == (9,)
-    assert default_spec("sweep-k", cfg).sweep_values == tuple(range(1, 13))
-    assert default_spec("sweep-n", cfg).pipelines == ("aircomp", "orthogonal", "adaptive")
+    assert ExperimentSpec("snr-dist", cfg).sweep_values == (7,)
+    assert ExperimentSpec("bnorm-dist", cfg).sweep_values == (9,)
+    assert ExperimentSpec("sweep-k", cfg).sweep_values == tuple(range(1, 13))
+    assert ExperimentSpec("sweep-n", cfg).pipelines == ("aircomp", "orthogonal", "adaptive")
     # a fixed-pipeline experiment accepts its own set spelled out
     crossing = ("aircomp", "orthogonal", "adaptive")
-    assert default_spec("crossing", cfg, pipelines=crossing).pipelines == crossing
-    assert default_spec("bounds", cfg).output_path == "bounds.csv"
+    assert ExperimentSpec("crossing", cfg, pipelines=crossing).pipelines == crossing
+    assert ExperimentSpec("bounds", cfg).output_path is None
     with pytest.raises(ConfigError):
-        default_spec("nope", cfg)
+        ExperimentSpec("nope", cfg)
     assert set(EXPERIMENTS) == {
         "sweep-k",
         "sweep-n",
@@ -163,7 +162,7 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
     texts = []
     for workers in (1, 3):
         out = tmp_path / f"w{workers}.csv"
-        spec = default_spec(
+        spec = ExperimentSpec(
             "sweep-k", _cfg(mc_trials=600), output_path=out, sweep_values=(2, 3)
         )
         run_experiment(spec, workers=workers)
@@ -196,7 +195,7 @@ def test_zf_norm_check_runs_and_reports(tmp_path):
 
 def test_snr_dist_experiment_emits_single_default_row(tmp_path):
     out = tmp_path / "snr.csv"
-    spec = default_spec("snr-dist", _cfg(num_sensors=8, num_antennas=8), output_path=out)
+    spec = ExperimentSpec("snr-dist", _cfg(num_sensors=8, num_antennas=8), output_path=out)
     report = run_experiment(spec)
     assert len(report.rows) == 1
     row = report.rows[0]
@@ -210,7 +209,7 @@ def test_snr_dist_experiment_emits_single_default_row(tmp_path):
 def test_snr_dist_reports_the_simulated_ratio(tmp_path):
     # At K = 7 the config's omega = 12/10 gives N = round(8.4) = 8, so the
     # row and note must use 8/7, the ratio that was simulated, not 1.2.
-    spec = default_spec("snr-dist", _cfg(), output_path=tmp_path / "snr.csv", sweep_values=(7,))
+    spec = ExperimentSpec("snr-dist", _cfg(), output_path=tmp_path / "snr.csv", sweep_values=(7,))
     report = run_experiment(spec)
     scen = iz.build_scenario(_cfg(num_sensors=7, num_antennas=8))
     scale = 2.0 * 7 / (scen.sigma_sq * scen.nu_sq)
@@ -221,7 +220,7 @@ def test_snr_dist_reports_the_simulated_ratio(tmp_path):
 
 def test_bnorm_dist_marks_infeasible_points(tmp_path):
     out = tmp_path / "bn.csv"
-    spec = default_spec("bnorm-dist", _cfg(), output_path=out, sweep_values=(8, 16))
+    spec = ExperimentSpec("bnorm-dist", _cfg(), output_path=out, sweep_values=(8, 16))
     report = run_experiment(spec)
     infeasible, feasible = report.rows
     assert infeasible.feasible == "INFEASIBLE"
@@ -236,7 +235,7 @@ def test_bnorm_dist_marks_infeasible_points(tmp_path):
 
 def test_crossing_experiment_rows(tmp_path):
     out = tmp_path / "cross.csv"
-    spec = default_spec("crossing", _cfg(), output_path=out, sweep_values=(0.25, 1.0, 4.0))
+    spec = ExperimentSpec("crossing", _cfg(), output_path=out, sweep_values=(0.25, 1.0, 4.0))
     report = run_experiment(spec)
     assert len(report.rows) == 9
     by_omega = {}
@@ -265,7 +264,7 @@ def test_crossing_experiment_rows(tmp_path):
 
 def test_aloss_experiment_orders_bounds(tmp_path):
     out = tmp_path / "aloss.csv"
-    spec = default_spec("aloss", _cfg(), output_path=out, sweep_values=(0.5, 5.0, 50.0))
+    spec = ExperimentSpec("aloss", _cfg(), output_path=out, sweep_values=(0.5, 5.0, 50.0))
     report = run_experiment(spec)
     measured = [r.accuracy for r in report.rows]
     assert all(0.0 < m <= 1.0 for m in measured)
@@ -281,24 +280,39 @@ def test_aloss_experiment_orders_bounds(tmp_path):
 
 def test_experiments_raise_on_nonpositive_aloss_snr(tmp_path):
     with pytest.raises(ConfigError, match="linear SNRs and must be positive"):
-        default_spec("aloss", _cfg(), output_path="", sweep_values=(-1.0, 1.0))
+        ExperimentSpec("aloss", _cfg(), sweep_values=(-1.0, 1.0))
 
 
 @pytest.mark.parametrize(
     "experiment, sweep, overrides, message",
     [
-        ("crossing", (0.2, 0.25), {}, "omega=0.2 and omega=0.25 at K=10 both give"),
+        ("crossing", (0.2, 0.25), {}, "crossing sweep values 0.2 and 0.25 both simulate K=10, N=2"),
         ("crossing", (0, 1), {}, "omega=0 at K=10 gives round(omega K) = 0 antennas"),
         ("snr-dist", (2,), {"num_antennas": 2}, "omega=0.2 at K=2 gives round(omega K) = 0"),
         ("aloss", (-1, 1), {}, "aloss sweep values are linear SNRs and must be positive"),
         ("snr-dist", None, {"mc_trials": 50}, "needs at least 100 draws, got 50"),
         ("bnorm-dist", None, {"mc_trials": 50}, "needs at least 100 draws, got 50"),
+        # both give transmit_snr_db = 3000.0 exactly
+        ("aloss", (1e300, 1.0000000000000002e300), {}, "and 1.0000000000000002e+300 both simulate"),
     ],
 )
 def test_spec_rejects_sweeps_the_experiment_cannot_run(experiment, sweep, overrides, message):
     # rejected when the spec is built, before any channel or trial is drawn
     with pytest.raises(ConfigError, match=re.escape(message)):
-        default_spec(experiment, _cfg(**overrides), sweep_values=sweep)
+        ExperimentSpec(experiment, _cfg(**overrides), sweep_values=sweep)
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep, message",
+    [
+        ("sweep-k", (0, 1), "num_sensors must be at least 1"),
+        ("sweep-n", (0, 2), "num_antennas must be at least 1"),
+    ],
+)
+def test_spec_rejects_a_point_that_is_not_a_valid_scenario(experiment, sweep, message):
+    # each point's config is built with the spec, not when its point runs
+    with pytest.raises(ConfigError, match=message):
+        ExperimentSpec(experiment=experiment, scenario=_cfg(), sweep_values=sweep)
 
 
 def _largest_counts(cfg):
@@ -313,12 +327,13 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     # checked on the computed size; nothing of that size is allocated
     cfg = _cfg()
     largest_k, largest_n = _largest_counts(cfg)
-    assert default_spec("sweep-k", cfg, sweep_values=(1, largest_k)).sweep_values[-1] == largest_k
+    assert ExperimentSpec("sweep-k", cfg, sweep_values=(1, largest_k)).sweep_values[-1] == largest_k
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
-        default_spec("sweep-k", cfg, sweep_values=(1, largest_k + 1))
-    assert default_spec("bnorm-dist", cfg, sweep_values=(largest_n,)).sweep_values[-1] == largest_n
+        ExperimentSpec("sweep-k", cfg, sweep_values=(1, largest_k + 1))
+    spec = ExperimentSpec("bnorm-dist", cfg, sweep_values=(largest_n,))
+    assert spec.sweep_values[-1] == largest_n
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
-        default_spec("bnorm-dist", cfg, sweep_values=(largest_n + 1,))
+        ExperimentSpec("bnorm-dist", cfg, sweep_values=(largest_n + 1,))
 
 
 def _no_point_may_run(monkeypatch):
@@ -335,7 +350,7 @@ def test_paper_scale_checks_the_doubled_grid_before_the_first_point(monkeypatch)
     _no_point_may_run(monkeypatch)
     cfg = _cfg()
     _, largest_n = _largest_counts(cfg)
-    spec = default_spec("bnorm-dist", cfg, output_path=None, sweep_values=(largest_n,))
+    spec = ExperimentSpec("bnorm-dist", cfg, output_path=None, sweep_values=(largest_n,))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         run_experiment(spec, paper_scale=True)
 
@@ -343,11 +358,11 @@ def test_paper_scale_checks_the_doubled_grid_before_the_first_point(monkeypatch)
 def test_sweep_values_reach_the_points_as_floats(tmp_path):
     # np.log10 of a 301-digit Python int raises TypeError
     out = tmp_path / "aloss.csv"
-    spec = default_spec("aloss", _cfg(mc_trials=50), output_path=out, sweep_values=(1, 10**300))
+    spec = ExperimentSpec("aloss", _cfg(mc_trials=50), output_path=out, sweep_values=(1, 10**300))
     assert spec.sweep_values == (1.0, 1e300)
     assert run_experiment(spec).rows[-1].accuracy == 1.0
     with pytest.raises(ConfigError, match="too large"):
-        default_spec("aloss", _cfg(), sweep_values=(10**400,))
+        ExperimentSpec("aloss", _cfg(), sweep_values=(10**400,))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +466,7 @@ def test_cli_reports_an_unwritable_out_path(tmp_path, capsys):
 def test_unwritable_out_path_is_found_before_the_first_point(tmp_path, monkeypatch):
     _no_point_may_run(monkeypatch)
     out = tmp_path / "missing" / "x.csv"
-    spec = default_spec("aloss", _cfg(), output_path=out, sweep_values=(1.0,))
+    spec = ExperimentSpec("aloss", _cfg(), output_path=out, sweep_values=(1.0,))
     with pytest.raises(ConfigError, match="cannot write CSV to"):
         run_experiment(spec)
     assert not out.parent.exists()
@@ -463,7 +478,7 @@ def test_out_path_probe_leaves_the_path_as_it_found_it(tmp_path, monkeypatch):
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_text("kept\n", encoding="utf-8")
     for out in (new, old):
-        spec = default_spec("aloss", _cfg(), output_path=out, sweep_values=(1.0,))
+        spec = ExperimentSpec("aloss", _cfg(), output_path=out, sweep_values=(1.0,))
         with pytest.raises(AssertionError, match="a sweep point ran"):
             run_experiment(spec)
     assert not new.exists()
@@ -472,7 +487,7 @@ def test_out_path_probe_leaves_the_path_as_it_found_it(tmp_path, monkeypatch):
 
 def test_output_path_none_writes_no_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    spec = default_spec("aloss", _cfg(mc_trials=20), output_path=None, sweep_values=(1.0,))
+    spec = ExperimentSpec("aloss", _cfg(mc_trials=20), output_path=None, sweep_values=(1.0,))
     assert spec.output_path is None
     report = run_experiment(spec)
     assert len(report.rows) == 1
@@ -548,7 +563,7 @@ def test_cli_rejects_ignored_or_repeated_pipelines(tmp_path, capsys, experiment,
 )
 def test_paper_scale_grid_has_no_repeated_points(tmp_path, experiment, sweep, grid):
     cfg = _cfg(mc_trials=100)
-    spec = default_spec(experiment, cfg, output_path=tmp_path / "p.csv", sweep_values=sweep)
+    spec = ExperimentSpec(experiment, cfg, output_path=tmp_path / "p.csv", sweep_values=sweep)
     report = run_experiment(spec, paper_scale=True)
     assert tuple(row.sweep_value for row in report.rows) == grid
 
@@ -581,7 +596,7 @@ def test_cli_crossing_rejects_two_points_with_one_antenna_count(tmp_path, capsys
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "omega=0.2 and omega=0.25 at K=10 both give round(omega K) = 2 antennas" in err
+    assert "crossing sweep values 0.2 and 0.25 both simulate K=10, N=2," in err
     assert not out.exists()
 
 
@@ -595,6 +610,46 @@ def test_cli_snr_dist_rejects_a_point_without_antennas(tmp_path, capsys):
     assert code == 2
     assert "round(omega K) = 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, variance",
+    [
+        # the centroid spread overflows to inf at M = 4, L = 3, so every
+        # AirComp SNR would come out 0; at M = L = 10 it is NaN
+        ("feature_dim = 4\nnum_classes = 3\nnum_sensors = 4\nnum_antennas = 6\n"
+         "centroid_scale = 1e154\nmc_trials = 200\n", "inf"),
+        (CONFIG_TEXT.replace("centroid_scale = 1.0", "centroid_scale = 1e154"), "nan"),
+    ],
+    ids=["inf", "nan"],
+)
+def test_cli_rejects_a_symbol_variance_that_is_not_finite(tmp_path, capsys, text, variance):
+    config = _write_config(tmp_path, text)
+    out = tmp_path / "never.csv"
+    code = cli.main(["sweep-k", "--config", str(config), "--out", str(out), "--sweep", "1,2"])
+    assert code == 2
+    assert f"transmit symbol variance {variance} is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_reports_a_nan_cell_as_a_numerical_failure(tmp_path, capsys):
+    # centroids of scale 2e153 give the K = 1 noiseless entropy a 0 * (-inf)
+    # term and overflow the aircomp loss factor: NaN cells, not empty ones
+    config = _write_config(
+        tmp_path, CONFIG_TEXT.replace("centroid_scale = 1.0", "centroid_scale = 2e153")
+    )
+    out = tmp_path / "never.csv"
+    code = cli.main(["sweep-k", "--config", str(config), "--out", str(out), "--sweep", "1,2"])
+    assert code == 3
+    assert "sweep-k at 1, pipeline noiseless: mean_uncertainty is NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_infinite_result_is_an_empty_cell():
+    # a noise power of 10**-400 rounds to 0, so both SNR columns are infinite
+    report = run_experiment(ExperimentSpec("snr-dist", _cfg(transmit_snr_db=4000.0)))
+    assert report.rows[0].mean_effective_snr == np.inf
+    assert report.to_csv_text().splitlines()[1] == "10,aircomp,,,,,,,,,ok"
 
 
 def test_cli_maps_numerical_failures_to_exit_three(tmp_path, capsys, monkeypatch):
@@ -637,7 +692,7 @@ def test_blas_thread_count_does_not_change_csv_bytes(monkeypatch):
     def csv_text(experiment):
         text, sweep = runs[experiment]
         cfg = iz.parse_config_text(text.replace("mc_trials = 200", "mc_trials = 100"))
-        spec = default_spec(experiment, cfg, output_path=None, sweep_values=sweep)
+        spec = ExperimentSpec(experiment, cfg, output_path=None, sweep_values=sweep)
         return run_experiment(spec).to_csv_text()
 
     at_one = {experiment: csv_text(experiment) for experiment in runs}
@@ -750,7 +805,7 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     assert sum(receive_tags.values()) == 60
     assert counts["channel.air_snr"] == 60
     assert counts["channel.orth_snr"] == 30
-    # one substream per channel draw, plus the scenario builds' own streams
+    # one substream per channel draw, plus two for each point's scenario build
     counts, _ = _traced_span_counts(
         tmp_path, "aloss", ["aloss", "--config", str(config), "--sweep", "1,10"]
     )
@@ -764,4 +819,6 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
             [experiment, "--config", str(config), "--sweep", sweep, "--trials", "100"],
         )
         assert counts["channel.sample"] == 200, experiment
-        assert counts["streams.substream"] == 204, experiment
+        # bnorm-dist builds the scenario of its infeasible N = 8 point too
+        points = len(sweep.split(","))
+        assert counts["streams.substream"] == 200 + 2 * points, experiment

@@ -4,6 +4,8 @@ Everything here is deterministic or runs on frozen substreams, so observed
 values quoted in comments are stable across runs.
 """
 
+from itertools import repeat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from scipy import integrate, special
 
 import isea_sim as iz
 from isea_sim import theory
+from isea_sim.harness.experiments import _per_draw
 from isea_sim.streams import substream
 
 
@@ -438,10 +441,7 @@ def test_min_alignment_mean_near_asymptotic_scale():
     # is moderately large; omega = 4 keeps the hard-edge bias small.
     for point, (K, N), seen in ((0, (50, 200), 1.0033), (1, (200, 800), 0.9599)):
         rng = substream(20240, 21, point_index=point)
-        draws = np.empty(1000)
-        for i in range(1000):
-            ch = iz.sample_channel(N, K, rng)
-            draws[i] = K * iz.min_beam_alignment(ch)
+        draws = K * _per_draw(iz.min_beam_alignment, N, K, repeat(rng, 1000))
         ratio = draws.mean() / (1.0 + np.sqrt(N / K)) ** 2
         assert ratio == pytest.approx(seen, abs=2e-4)
         assert abs(ratio - 1.0) < 0.10

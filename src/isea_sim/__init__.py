@@ -53,13 +53,11 @@ from .theory import (
     exp_integral_e1_scaled,
     expected_loss_factor_bounds,
     expected_loss_r,
-    isotropic_observation_mean,
     kappa_upper,
     ks_statistic,
     mean_separation,
     pairwise_separation_matrix,
     scaled_alignment_cdf,
-    separation_matrix,
     surrogate_uncertainty_full,
     surrogate_uncertainty_simplified,
     uncertainty_bounds,

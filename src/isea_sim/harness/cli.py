@@ -63,8 +63,6 @@ def _parse_sweep(text):
             number = float(token)
         except ValueError:
             raise ConfigError(f"--sweep value {token!r} is not a number") from None
-        if not np.isfinite(number):
-            raise ConfigError(f"--sweep value {token!r} is not finite")
         values.append(number)
     if not values:
         raise ConfigError("--sweep produced an empty grid")

@@ -79,6 +79,9 @@ class ExperimentSpec:
             values = tuple(float(v) for v in values)
         except OverflowError as exc:
             raise ConfigError(f"sweep value too large: {exc}") from None
+        for value in values:
+            if not np.isfinite(value):
+                raise ConfigError(f"sweep value {value:g} is not finite")
         if not values:
             raise ConfigError("sweep_values must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -254,13 +257,9 @@ def _simulation_point(spec, point, value, scen, trials, workers):
             point_index=point,
             workers=workers,
         )
-        mean_snr = batch.mean_effective_snr
-        if pipeline == "noiseless" or not np.isfinite(mean_snr):
-            snr_arg, mean_snr_col, loss = None, None, 1.0
-        else:
-            snr_arg, mean_snr_col = mean_snr, mean_snr
-            loss = channel_loss_factor(scen, mean_snr)
-        pw = pairwise_separation_matrix(scen, snr=snr_arg)
+        mean_snr = batch.mean_effective_snr  # inf for noiseless, where the loss is 1.0
+        loss = channel_loss_factor(scen, mean_snr)
+        pw = pairwise_separation_matrix(scen, snr=mean_snr)
         lower, upper = uncertainty_bounds(pw, 1.0, K, scen.feature_dim)
         rows.append(
             SweepRow(
@@ -270,7 +269,7 @@ def _simulation_point(spec, point, value, scen, trials, workers):
                 uncertainty_stderr=batch.entropy_stderr,
                 accuracy=batch.accuracy,
                 accuracy_stderr=batch.accuracy_stderr,
-                mean_effective_snr=mean_snr_col,
+                mean_effective_snr=mean_snr,
                 surrogate_lower=lower,
                 surrogate_upper=upper,
                 asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),

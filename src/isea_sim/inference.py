@@ -37,20 +37,18 @@ _CHUNK_TRIALS = 512
 
 
 def _noise_power_from_snr(snr):
-    if snr is None or snr == np.inf:
-        return 0.0
     if not snr > 0:
-        raise ValueError("snr must be positive, infinite, or None")
-    return 1.0 / snr
+        raise ValueError("snr must be positive or infinite")
+    return 1.0 / snr  # 0.0 at infinite SNR
 
 
-def ml_classify(scenario, f_tilde, snr=None):
+def ml_classify(scenario, f_tilde, snr=np.inf):
     """Maximum-likelihood class decision at effective channel SNR ``snr``
-    (None or inf for the noiseless model); ties resolve to the lowest index."""
+    (inf for the noiseless model); ties resolve to the lowest index."""
     return int(np.argmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr))))
 
 
-def posterior_probabilities(scenario, f_tilde, snr=None):
+def posterior_probabilities(scenario, f_tilde, snr=np.inf):
     """Class posterior under the uniform prior, via max-shifted softmax."""
     return _softmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))
 
@@ -81,11 +79,13 @@ def _posterior_logits(scenario, f_tilde, noise_power):
 
 
 def _entropies(logits):
-    """Posterior entropy of each row of ``logits``, clamped at 0."""
+    """Posterior entropy of each row of ``logits``, clamped at 0.  A class
+    of weight 0 adds 0 log 0 = 0, also when its logit is -inf."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     total = np.add.reduce(weights, axis=-1)
-    entropy = np.log(total) - (weights[..., None, :] @ shifted[..., None])[..., 0, 0] / total
+    log_weights = np.where(weights > 0, shifted, 0.0)
+    entropy = np.log(total) - (weights[..., None, :] @ log_weights[..., None])[..., 0, 0] / total
     return np.where(entropy < 0.0, 0.0, entropy)
 
 

@@ -157,14 +157,12 @@ class Scenario:
     config: ScenarioConfig
     centroids: np.ndarray        # (L, M)
     C: np.ndarray                # (M, M) sensing-noise covariance
-    C_inv: np.ndarray            # (M, M)
     C_factor: np.ndarray         # (M, M) lower Cholesky factor of C
     C_evals: np.ndarray          # (M,) eigenvalues of C, ascending
     C_evecs: np.ndarray          # (M, M) matching orthonormal eigenvectors
     P: np.ndarray                # (K, M, M) per-sensor observation projections
     P_bar: np.ndarray            # (M, M) average projection
-    proj_centroids: np.ndarray       # (L, M) rows P_bar mu_l
-    proj_centroids_eig: np.ndarray   # (L, M) proj_centroids in C's eigenbasis
+    proj_centroids_eig: np.ndarray   # (L, M) rows P_bar mu_l in C's eigenbasis
     sensor_centroids: np.ndarray     # (K, L, M) rows P_k mu_l
     centroid_cov: np.ndarray     # (M, M) spread of the centroids about their mean
     nu_sq: float                 # per-symbol transmit variance
@@ -231,8 +229,6 @@ def build_scenario(config, centroids=None, covariance=None):
     except np.linalg.LinAlgError:
         raise ConfigError("sensing covariance is not positive definite") from None
     C_evals, C_evecs = np.linalg.eigh(C)
-    C_inv = C_evecs @ ((1.0 / C_evals)[:, None] * C_evecs.T)
-    C_inv = 0.5 * (C_inv + C_inv.T)
 
     rng = substream(config.master_seed, STREAM_OBSERVATION)
     P = np.empty((K, M, M))
@@ -252,13 +248,11 @@ def build_scenario(config, centroids=None, covariance=None):
         config=config,
         centroids=centroids,
         C=C,
-        C_inv=C_inv,
         C_factor=C_factor,
         C_evals=C_evals,
         C_evecs=C_evecs,
         P=P,
         P_bar=P_bar,
-        proj_centroids=centroids @ P_bar.T,
         proj_centroids_eig=(centroids @ P_bar.T) @ C_evecs,
         sensor_centroids=np.einsum("kij,lj->kli", P, centroids),
         centroid_cov=centroid_cov,
@@ -289,7 +283,9 @@ def validate_scenario(scenario):
             raise ConfigError(f"projection {k} does not have trace {r}")
     if not np.max(np.abs(P.mean(axis=0) - scenario.P_bar)) < 1e-12:
         raise ConfigError("P_bar is not the mean of the sensor projections")
-    if not np.max(np.abs(scenario.C_inv @ scenario.C - np.eye(M))) < 1e-9:
+    V = scenario.C_evecs
+    C_inv = V @ ((1.0 / scenario.C_evals)[:, None] * V.T)
+    if not np.max(np.abs(C_inv @ scenario.C - np.eye(M))) < 1e-9:
         raise ConfigError("cached covariance inverse fails the identity check")
     if not np.isfinite(scenario.nu_sq):
         raise ConfigError(f"transmit symbol variance {scenario.nu_sq} is not finite")

@@ -63,21 +63,35 @@ def surrogate_uncertainty_simplified(mean_separation, kappa, num_sensors, num_cl
     )
 
 
-def pairwise_separation_matrix(scenario, snr=None):
+def _noise_weights(scenario, snr):
+    """1/(lambda_i + K/snr) for C's eigenvalues lambda_i, with a trailing
+    axis over them: the weighting (C + (K/snr) I)^-1 in C's eigenbasis."""
+    snr = np.asarray(snr, dtype=float)
+    if not np.all(snr > 0):
+        raise ValueError("snr must be positive or infinite")
+    # K/inf is 0.0, so infinite SNR is the noiseless weighting 1/lambda_i
+    return 1.0 / (scenario.C_evals + scenario.num_sensors / snr[..., None])
+
+
+def _pair_spread(rows):
+    """Mean over ordered pairs of rows of their squared difference, per
+    column: (2/(L-1)) sum_l (rows_l - mean)^2 for L rows."""
+    centered = rows - rows.mean(axis=0)
+    return (2.0 / (rows.shape[0] - 1.0)) * np.sum(centered * centered, axis=0)
+
+
+def pairwise_separation_matrix(scenario, snr=np.inf):
     """All pairwise class separations after fusion, as a symmetric (L, L)
     matrix with zero diagonal.
 
-    Noiseless: (mu_a - mu_b)^T P_bar C^-1 P_bar (mu_a - mu_b), which is K
-    times smaller than the separation under the effective covariance C/K.
-    With a finite ``snr`` the weighting becomes (C + (K/snr) I)^-1, formed
-    in C's eigenbasis.
+    Entry (a, b) is (y_a - y_b)^T diag(1/(lambda + K/snr)) (y_a - y_b) for
+    the fused centroids y_l = V^T P_bar mu_l in C's eigenbasis.  At the
+    default infinite ``snr`` this is the noiseless separation under C^-1,
+    which is K times smaller than the separation under the effective
+    covariance C/K.
     """
-    noise = 0.0 if snr is None or snr == np.inf else scenario.num_sensors / snr
-    evals = scenario.C_evals + noise
-    V = scenario.C_evecs
-    W = V @ ((1.0 / evals)[:, None] * V.T)
-    proj = scenario.proj_centroids
-    G = proj @ W @ proj.T
+    Y = scenario.proj_centroids_eig
+    G = (Y * _noise_weights(scenario, snr)) @ Y.T
     d = np.diag(G)
     # group the symmetric terms so the result is symmetric bit-for-bit
     pw = (d[:, None] + d[None, :]) - (G + G.T)
@@ -85,24 +99,17 @@ def pairwise_separation_matrix(scenario, snr=None):
     return pw
 
 
-def mean_separation(scenario, snr=None):
-    """Mean of the off-diagonal pairwise separations, D_bar; ``snr`` selects
-    the noiseless weighting C^-1 (None) or (C + (K/snr) I)^-1."""
-    pw = pairwise_separation_matrix(scenario, snr=snr)
-    return float(pw[~np.eye(pw.shape[0], dtype=bool)].mean())
+def mean_separation(scenario, snr=np.inf):
+    """Mean of the off-diagonal pairwise separations, the discriminant gain
+    D_bar(snr) = sum_i s_i / (lambda_i + K/snr), where s_i is the pair
+    spread of the fused centroids along C's eigenvector i.
 
-
-def separation_matrix(scenario):
-    """Average over ordered class pairs of the outer products of centroid
-    differences, (2L/(L-1)) times the centroid spread; its trace against
-    P_bar C^-1 P_bar is the noiseless :func:`mean_separation`."""
-    L = scenario.num_classes
-    return (2.0 * L / (L - 1.0)) * scenario.centroid_cov
-
-
-def isotropic_observation_mean(feature_dim, rank):
-    """Closed form of E[P_k] for uniformly random rank-r projections."""
-    return (rank / feature_dim) * np.eye(feature_dim)
+    ``snr`` may be an array of SNRs; the result then has its shape, and
+    each entry equals the call at that SNR alone bit for bit.
+    """
+    spread = _pair_spread(scenario.proj_centroids_eig)
+    gain = np.sum(spread * _noise_weights(scenario, snr), axis=-1)
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def uncertainty_bounds(pairwise, c, num_sensors, feature_dim):
@@ -119,39 +126,32 @@ def uncertainty_bounds(pairwise, c, num_sensors, feature_dim):
 
 
 def asymptotic_separation(scenario):
-    """Large-K limit of the mean separation: Tr(EP C^-1 EP D), with EP the
-    closed-form mean projection (r/M) I of the uniform rank-r synthesis."""
-    EP = isotropic_observation_mean(scenario.feature_dim, scenario.config.observation_rank)
-    return float(np.trace(EP @ scenario.C_inv @ EP @ separation_matrix(scenario)))
+    """Large-K limit xi of the mean separation: (r/M)^2 sum_i t_i / lambda_i,
+    with t_i the pair spread of the centroids along C's eigenvector i and
+    (r/M) I the mean projection of the uniform rank-r synthesis.  (r/M)^2
+    scales each term before the sum, so that a spread near the largest
+    float does not overflow it."""
+    ratio = scenario.config.observation_rank / scenario.feature_dim
+    spread = _pair_spread(scenario.centroids @ scenario.C_evecs)
+    return float(np.sum(ratio**2 * spread / scenario.C_evals))
 
 
 def channel_loss_factor(scenario, snr):
-    """Multiplicative separation loss from finite effective SNR.
+    """Multiplicative separation loss from finite effective SNR,
+    D_bar(snr) / D_bar(inf).
 
-    Evaluates D_tilde(snr) / D_bar where the degraded mean separation is
-    computed in expanded form:
-
-        D_tilde = D_bar - Tr(P_bar C^-1 (C^-1 + (snr/K) I)^-1 C^-1 P_bar D)
-
-    which agrees with the direct weighting (C + (K/snr) I)^-1 and shows
-    the loss explicitly as a subtraction.  In C's eigenbasis the trace is
-    a weighted sum over eigenvalues, so the scenario part is computed once
-    and ``snr`` may be an array of SNRs; the result then has its shape.
+    ``snr`` may be an array of SNRs; the result then has its shape.
     Infinite SNR gives exactly 1.0.
+
+    Raises:
+        ValueError: if an SNR is not positive.
+        NumericalError: if the noiseless mean separation is zero.
     """
-    snr = np.asarray(snr, dtype=float)
-    if not np.all(snr > 0):
-        raise ValueError("snr must be positive")
+    degraded = mean_separation(scenario, snr)
     d_bar = mean_separation(scenario)
     if d_bar <= 0:
         raise NumericalError("mean separation is zero; loss factor undefined")
-    V = scenario.C_evecs
-    core = V.T @ scenario.C_inv @ scenario.P_bar @ separation_matrix(scenario)
-    weights = np.diag(core @ scenario.P_bar @ scenario.C_inv @ V)
-    inner = 1.0 / scenario.C_evals + snr[..., None] / scenario.num_sensors
-    correction = np.sum(weights / inner, axis=-1)
-    loss = (d_bar - correction) / d_bar
-    return float(loss) if loss.ndim == 0 else loss
+    return degraded / d_bar
 
 
 def expected_loss_factor_bounds(r):

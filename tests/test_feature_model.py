@@ -123,6 +123,6 @@ def test_aggregate_moments_shrink_with_sensor_count():
         agg[i] = iz.aggregate_noiseless(iz.sample_local_features(scen, 3, rng))
     ref = scen.C / 10
     se = agg.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(np.abs(agg.mean(axis=0) - scen.proj_centroids[3]) < 3 * se)
+    assert np.all(np.abs(agg.mean(axis=0) - scen.P_bar @ scen.centroids[3]) < 3 * se)
     S = np.cov(agg, rowvar=False)
     assert np.linalg.norm(S - ref) / np.linalg.norm(ref) < 0.05

@@ -303,6 +303,14 @@ def test_spec_rejects_sweeps_the_experiment_cannot_run(experiment, sweep, overri
 
 
 @pytest.mark.parametrize(
+    "experiment, value", [("crossing", np.inf), ("crossing", np.nan), ("aloss", np.inf)]
+)
+def test_spec_rejects_a_sweep_value_that_is_not_finite(experiment, value):
+    with pytest.raises(ConfigError, match=f"sweep value {value:g} is not finite"):
+        ExperimentSpec(experiment, _cfg(), sweep_values=(value,))
+
+
+@pytest.mark.parametrize(
     "experiment, sweep, message",
     [
         ("sweep-k", (0, 1), "num_sensors must be at least 1"),
@@ -632,17 +640,38 @@ def test_cli_rejects_a_symbol_variance_that_is_not_finite(tmp_path, capsys, text
     assert not out.exists()
 
 
-def test_cli_reports_a_nan_cell_as_a_numerical_failure(tmp_path, capsys):
-    # centroids of scale 2e153 give the K = 1 noiseless entropy a 0 * (-inf)
-    # term and overflow the aircomp loss factor: NaN cells, not empty ones
-    config = _write_config(
-        tmp_path, CONFIG_TEXT.replace("centroid_scale = 1.0", "centroid_scale = 2e153")
-    )
+def test_cli_reports_a_nan_cell_as_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    # one NaN entropy makes the point's mean uncertainty a NaN cell, not an empty one
+    real_run_trials = experiments.run_trials
+
+    def one_nan_entropy(*args, **kwargs):
+        batch = real_run_trials(*args, **kwargs)
+        batch.entropies[0] = np.nan
+        return batch
+
+    monkeypatch.setattr(experiments, "run_trials", one_nan_entropy)
+    config = _write_config(tmp_path)
     out = tmp_path / "never.csv"
     code = cli.main(["sweep-k", "--config", str(config), "--out", str(out), "--sweep", "1,2"])
     assert code == 3
     assert "sweep-k at 1, pipeline noiseless: mean_uncertainty is NaN" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_runs_centroids_of_scale_2e153(tmp_path):
+    # the K = 1 noiseless logits reach -inf, and the centroid spread is
+    # near the largest float; every uncertainty and prediction is finite
+    config = _write_config(
+        tmp_path, CONFIG_TEXT.replace("centroid_scale = 1.0", "centroid_scale = 2e153")
+    )
+    out = tmp_path / "sweep.csv"
+    code = cli.main(["sweep-k", "--config", str(config), "--out", str(out), "--sweep", "1,2"])
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert len(rows) == 4
+    for column in ("mean_uncertainty", "asymptotic_prediction"):
+        cells = [row[header.index(column)] for row in rows]
+        assert all(np.isfinite(float(cell)) for cell in cells), (column, cells)
 
 
 def test_an_infinite_result_is_an_empty_cell():

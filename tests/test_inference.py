@@ -86,7 +86,7 @@ def test_gain_matches_symmetric_kl_quadrature():
 
 def test_gain_symmetry():
     scen = iz.build_scenario(_config(observation_rank=3))
-    for snr in (None, 3.7):
+    for snr in (np.inf, 3.7):
         mat = iz.pairwise_separation_matrix(scen, snr=snr)
         assert np.array_equal(mat, mat.T)
         assert np.all(np.diag(mat) == 0)
@@ -123,13 +123,12 @@ def test_noisy_separation_direct_inverse_route():
 # ----------------------------------------------------------------- classifier
 
 
-def _oracle_posterior(scen, f, snr=None):
+def _oracle_posterior(scen, f, snr=np.inf):
     """Posterior from the Mahalanobis distances under the explicitly
     inverted M x M effective covariance C/K + (1/snr) I; an independent
     check on the library's eigenbasis route."""
-    noise = 0.0 if snr is None or snr == np.inf else 1.0 / snr
-    cov = scen.C / scen.num_sensors + noise * np.eye(scen.feature_dim)
-    diff = scen.proj_centroids - np.asarray(f, dtype=float)[None, :]
+    cov = scen.C / scen.num_sensors + (1.0 / snr) * np.eye(scen.feature_dim)
+    diff = scen.centroids @ scen.P_bar.T - np.asarray(f, dtype=float)[None, :]
     maha = np.einsum("li,ij,lj->l", diff, np.linalg.inv(cov), diff)
     weights = np.exp(-0.5 * (maha - maha.min()))
     return weights / weights.sum()
@@ -144,9 +143,9 @@ def test_posterior_matches_explicit_inverse_oracle():
     )
     rng = substream(31, 0)
     for scen in scenarios:
-        for snr in (None, np.inf, 0.7, 5.0):
+        for snr in (np.inf, 0.7, 5.0):
             for _ in range(200):
-                f = scen.proj_centroids[rng.integers(8)] + rng.standard_normal(5) * 0.3
+                f = scen.P_bar @ scen.centroids[rng.integers(8)] + rng.standard_normal(5) * 0.3
                 probs = iz.posterior_probabilities(scen, f, snr=snr)
                 np.testing.assert_allclose(probs, _oracle_posterior(scen, f, snr), atol=1e-9)
                 assert iz.ml_classify(scen, f, snr=snr) == int(np.argmax(probs))
@@ -157,12 +156,14 @@ def test_classifier_rejects_nonpositive_snr():
     for snr in (0.0, -1.0):
         with pytest.raises(ValueError):
             iz.posterior_probabilities(scen, np.zeros(5), snr=snr)
+    with pytest.raises(TypeError):  # noiseless is snr=np.inf, not None
+        iz.posterior_probabilities(scen, np.zeros(5), snr=None)
 
 
 def test_classifier_recovers_exact_centroid():
     scen = iz.build_scenario(_config())
     for label in range(5):
-        assert iz.ml_classify(scen, scen.proj_centroids[label]) == label
+        assert iz.ml_classify(scen, scen.P_bar @ scen.centroids[label]) == label
 
 
 def test_classifier_nearest_centroid_on_line():
@@ -245,7 +246,7 @@ def test_identical_centroids_give_maximal_uncertainty():
 
 def test_uncertainty_matches_quadrature_oracle():
     scen = _line_scenario()
-    mus = scen.proj_centroids[:, 0]
+    mus = (scen.centroids @ scen.P_bar.T)[:, 0]
 
     def integrand(f):
         lik = np.exp(-0.5 * (f - mus) ** 2 / 0.1) / np.sqrt(2 * np.pi * 0.1)
@@ -258,6 +259,14 @@ def test_uncertainty_matches_quadrature_oracle():
     assert quad_err < 1e-8
     batch = iz.run_trials(scen, "noiseless", 20000)
     assert abs(batch.mean_entropy - exact) < 3 * batch.entropy_stderr
+
+
+def test_a_class_with_a_minus_inf_logit_adds_no_entropy():
+    # its weight exp(-inf) is 0, and 0 log 0 is 0, not 0 * (-inf) = NaN
+    logits = np.array([[0.3, 1.2, -0.4, 2.0]])
+    with_minus_inf = np.insert(logits, 1, -np.inf, axis=1)
+    expected = inference._entropies(logits)[0]
+    assert inference._entropies(with_minus_inf)[0] == pytest.approx(expected, abs=1e-15)
 
 
 def test_uncertainty_not_monotone_in_sensor_count():

@@ -114,7 +114,7 @@ def test_validator_rejects_a_scaled_projection():
 def test_validator_rejects_a_nan_covariance_inverse():
     # a NaN fails no ">= tol" comparison, so every check must be "not < tol"
     scen = iz.build_scenario(_config())
-    broken = dataclasses.replace(scen, C_inv=np.full_like(scen.C_inv, np.nan))
+    broken = dataclasses.replace(scen, C_evals=np.full_like(scen.C_evals, np.nan))
     with pytest.raises(iz.ConfigError, match="identity check"):
         iz.validate_scenario(broken)
 
@@ -150,7 +150,8 @@ def test_build_is_pure():
 
 def test_covariance_inverse_identity():
     scen = iz.build_scenario(_config(feature_dim=8, observation_rank=3))
-    assert np.max(np.abs(scen.C_inv @ scen.C - np.eye(8))) < 1e-9
+    C_inv = scen.C_evecs @ np.diag(1.0 / scen.C_evals) @ scen.C_evecs.T
+    assert np.max(np.abs(C_inv @ scen.C - np.eye(8))) < 1e-9
 
 
 def test_non_positive_definite_covariance_rejected():
@@ -265,11 +266,5 @@ def test_expected_observation_converges_to_isotropic():
     est /= n
     # Per-entry standard errors at this sample size are below 4e-4 (the
     # largest single-draw entry variance is about 0.014 on the diagonal).
-    dev = np.abs(est - iz.isotropic_observation_mean(10, 2))
+    dev = np.abs(est - (2 / 10) * np.eye(10))
     assert np.max(dev) < 3 * 4e-4
-
-
-def test_isotropic_observation_mean_closed_form():
-    np.testing.assert_allclose(
-        iz.isotropic_observation_mean(8, 2), 0.25 * np.eye(8), atol=1e-15
-    )

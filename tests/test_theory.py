@@ -34,6 +34,33 @@ def _scenario(**overrides):
     return iz.build_scenario(iz.ScenarioConfig(**defaults))
 
 
+def _pair_outer_mean(centroids):
+    """D: mean over ordered class pairs of the outer products of the
+    centroid differences."""
+    L = centroids.shape[0]
+    diffs = centroids[:, None, :] - centroids[None, :, :]
+    return np.einsum("abi,abj->ij", diffs, diffs) / (L * (L - 1))
+
+
+def _oracle_mean_separation(sc, snr):
+    """D_bar(snr) from the explicitly inverted (C + (K/snr) I), pair by pair."""
+    L = sc.num_classes
+    W = np.linalg.inv(sc.C + (sc.num_sensors / snr) * np.eye(sc.feature_dim))
+    fused = sc.centroids @ sc.P_bar.T
+    diffs = fused[:, None, :] - fused[None, :, :]
+    return np.einsum("abi,ij,abj->", diffs, W, diffs) / (L * (L - 1))
+
+
+def _structured_scenario():
+    """A non-isotropic sensing covariance, so each eigenmode has its own weight."""
+    A = substream(31, 2).standard_normal((5, 5))
+    covariance = A @ A.T / 5 + 0.05 * np.eye(5)
+    cfg = iz.ScenarioConfig(
+        feature_dim=5, num_classes=6, num_sensors=10, observation_rank=2, master_seed=9
+    )
+    return iz.build_scenario(cfg, covariance=covariance)
+
+
 def _equal_distance_matrix(num_classes, distance):
     pw = np.full((num_classes, num_classes), float(distance))
     np.fill_diagonal(pw, 0.0)
@@ -177,7 +204,8 @@ def test_bounds_collapse_at_zero_distance():
 
 def test_separation_matrix_trace_identity():
     sc = _scenario()
-    traced = float(np.trace(sc.P_bar @ sc.C_inv @ sc.P_bar @ iz.separation_matrix(sc)))
+    D = _pair_outer_mean(sc.centroids)
+    traced = float(np.trace(sc.P_bar @ np.linalg.inv(sc.C) @ sc.P_bar @ D))
     assert traced == pytest.approx(iz.mean_separation(sc), rel=1e-10)
 
 
@@ -190,7 +218,7 @@ def test_asymptotic_separation_identity_projection_traces_separation():
         sensing_covariance_scale=1.0,
         master_seed=7,
     )
-    D = iz.separation_matrix(sc)
+    D = _pair_outer_mean(sc.centroids)
     assert iz.asymptotic_separation(sc) == pytest.approx(np.trace(D), rel=1e-12)
 
 
@@ -211,8 +239,8 @@ def test_asymptotic_separation_matches_sampled_projection_mean():
     for _ in range(n):
         ep += iz.generate_observation_matrix(6, 3, rng)
     ep /= n
-    D = iz.separation_matrix(sc)
-    empirical = float(np.trace(ep @ sc.C_inv @ ep @ D))
+    D = _pair_outer_mean(sc.centroids)
+    empirical = float(np.trace(ep @ np.linalg.inv(sc.C) @ ep @ D))
     closed = iz.asymptotic_separation(sc)
     assert empirical == pytest.approx(closed, rel=0.01)  # observed 0.08% off
 
@@ -242,11 +270,46 @@ def test_loss_factor_accepts_an_array_of_snrs():
     for snr, val in zip(snrs[:-1], vals):
         direct = iz.mean_separation(sc, snr=snr) / d_bar
         assert val == pytest.approx(direct, rel=1e-10)
-        assert val == pytest.approx(iz.channel_loss_factor(sc, snr), rel=1e-14)
+        assert val == iz.channel_loss_factor(sc, snr)  # bit for bit
     assert vals[-1] == 1.0
     assert iz.channel_loss_factor(sc, snrs.reshape(5, 1)).shape == (5, 1)
     with pytest.raises(ValueError):
         iz.channel_loss_factor(sc, np.array([1.0, 0.0]))
+
+
+def test_loss_factor_matches_an_inverse_oracle_down_to_tiny_snr():
+    sc = _structured_scenario()
+    d_bar = _oracle_mean_separation(sc, np.inf)
+    snrs = (1e-9, 1e-3, 50.0, np.inf)
+    for snr in snrs[:-1]:
+        expected = _oracle_mean_separation(sc, snr) / d_bar
+        assert iz.channel_loss_factor(sc, snr) == pytest.approx(expected, rel=1e-12, abs=0)
+    assert iz.channel_loss_factor(sc, np.inf) == 1.0
+    scalars = [iz.channel_loss_factor(sc, snr) for snr in snrs]
+    assert np.array_equal(iz.channel_loss_factor(sc, np.array(snrs)), scalars)
+
+
+def test_asymptotic_separation_traces_the_pair_outer_mean_against_c_inverse():
+    sc = _structured_scenario()
+    ratio = sc.config.observation_rank / sc.feature_dim
+    D = _pair_outer_mean(sc.centroids)
+    expected = ratio**2 * np.trace(np.linalg.inv(sc.C) @ D)
+    assert iz.asymptotic_separation(sc) == pytest.approx(expected, rel=1e-12)
+
+
+def test_separations_stay_finite_for_centroids_near_overflow():
+    # centroids of scale 2e153 put the centroid spread near the largest float
+    sc = iz.build_scenario(iz.ScenarioConfig(centroid_scale=2e153))
+    assert np.isfinite(iz.asymptotic_separation(sc))
+    # C = 0.1 I at K = 10, so the loss is 0.1 / (0.1 + 10/50)
+    assert iz.channel_loss_factor(sc, 50.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+def test_none_is_not_an_snr():
+    sc = _scenario()
+    for separation in (iz.mean_separation, iz.pairwise_separation_matrix):
+        with pytest.raises(ValueError):
+            separation(sc, snr=None)
 
 
 def test_loss_factor_isotropic_closed_form():
@@ -259,9 +322,10 @@ def test_loss_factor_isotropic_closed_form():
 
 
 def test_loss_factor_expanded_form_matches_direct_weighting():
-    # The subtraction form is algebraically equal to re-deriving the mean
-    # separation under (C + (K/snr) I)^-1; keep both routes honest against
-    # each other over random scenarios.
+    # The subtraction form D_bar - Tr(P_bar C^-1 (C^-1 + (snr/K) I)^-1 C^-1 P_bar D),
+    # formed here with explicit inverses, is algebraically equal to the mean
+    # separation under (C + (K/snr) I)^-1 that the library takes in C's
+    # eigenbasis; compare the two over random scenarios.
     rng = substream(20240, 23)
     worst = 0.0
     for _ in range(100):
@@ -278,8 +342,13 @@ def test_loss_factor_expanded_form_matches_direct_weighting():
             master_seed=int(rng.integers(1, 2**32)),
         )
         snr = float(rng.uniform(0.1, 100.0))
-        direct = iz.mean_separation(sc, snr=snr) / iz.mean_separation(sc)
-        worst = max(worst, abs(direct - iz.channel_loss_factor(sc, snr)))
+        C_inv = np.linalg.inv(sc.C)
+        inner = np.linalg.inv(C_inv + (snr / sc.num_sensors) * np.eye(M))
+        D = _pair_outer_mean(sc.centroids)
+        d_bar = np.trace(sc.P_bar @ C_inv @ sc.P_bar @ D)
+        correction = np.trace(sc.P_bar @ C_inv @ inner @ C_inv @ sc.P_bar @ D)
+        expanded = (d_bar - correction) / d_bar
+        worst = max(worst, abs(expanded - iz.channel_loss_factor(sc, snr)))
     assert worst < 1e-8  # observed 4e-16
 
 

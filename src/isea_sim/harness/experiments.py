@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
@@ -331,31 +331,28 @@ def _zf_norm_pair(channel):
     return norms[0], norms.sum()
 
 
-def run_snr_distribution_check(num_sensors, omega, draws, rng, threshold=0.03):
-    """Sample the K-scaled weakest alignment at N = round(omega K), drawing
-    every channel from ``rng`` in turn, and test it against its limiting
-    exponential law.  Returns ``(ks, passed)``."""
-    num_antennas = _antennas_for(omega, num_sensors)
-    zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, repeat(rng, draws))
-    ks = ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors))
-    return ks, ks < threshold
+def _alignment_ks(num_antennas, num_sensors, rngs):
+    """K-scaled weakest alignments of one channel per generator in ``rngs``
+    and their KS distance to the limiting exponential law at omega = N/K.
+    Returns ``(ks, zeta)``."""
+    zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, rngs)
+    return ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
 
 
-def run_zf_norm_distribution_check(num_antennas, num_sensors, draws, rng, threshold=0.02):
-    """Sample one zero-forcing beam norm per draw, every channel from
-    ``rng`` in turn, and test it against the scaled inverse chi-square
-    law.  Returns ``(ks, mean_norm, passed)``."""
-    norms = _per_draw(_zf_norm_pair, num_antennas, num_sensors, repeat(rng, draws))
-    ks = ks_statistic(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors))
-    return ks, float(norms[:, 0].mean()), ks < threshold
+def _zf_norm_ks(num_antennas, num_sensors, rngs):
+    """Zero-forcing beam norms ``(||b_1||^2, sum_k ||b_k||^2)`` of one
+    channel per generator in ``rngs``, one row each, and the KS distance of
+    the first column to the scaled inverse chi-square law.  Returns
+    ``(ks, norms)``."""
+    norms = _per_draw(_zf_norm_pair, num_antennas, num_sensors, rngs)
+    return ks_statistic(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors)), norms
 
 
 def _snr_dist_point(spec, point, value, scen, draws, workers):
     """K-scaled weakest alignment at N = round(omega K), omega the config's N/K."""
     K, N = scen.num_sensors, scen.num_antennas
     ratio = N / K  # the simulated ratio, which the row and note report
-    zeta = _per_draw(scaled_min_alignment, N, K, _draw_streams(spec, point, draws))
-    ks = ks_statistic(zeta, scaled_alignment_cdf(ratio))
+    ks, zeta = _alignment_ks(N, K, _draw_streams(spec, point, draws))
     scale = 2.0 * K * scen.transmit_snr / scen.nu_sq
     row = SweepRow(
         sweep_value=K,
@@ -372,8 +369,7 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
     if N < K:
         row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
         return [row], [f"N={N}: infeasible (K={K})"]
-    norms = _per_draw(_zf_norm_pair, N, K, _draw_streams(spec, point, draws))
-    ks = ks_statistic(norms[:, 0], zf_norm_cdf(N, K))
+    ks, norms = _zf_norm_ks(N, K, _draw_streams(spec, point, draws))
     snrs = scen.transmit_snr * K**2 / (scen.nu_sq * norms[:, 1])
     prediction = None
     if N > K:

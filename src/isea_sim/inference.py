@@ -50,12 +50,7 @@ def ml_classify(scenario, f_tilde, snr=np.inf):
 
 def posterior_probabilities(scenario, f_tilde, snr=np.inf):
     """Class posterior under the uniform prior, via max-shifted softmax."""
-    return _softmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))
-
-
-def _softmax(logits):
-    weights = np.exp(logits - logits.max())
-    return weights / weights.sum()
+    return _entropies(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))[1]
 
 
 def _posterior_logits(scenario, f_tilde, noise_power):
@@ -79,14 +74,15 @@ def _posterior_logits(scenario, f_tilde, noise_power):
 
 
 def _entropies(logits):
-    """Posterior entropy of each row of ``logits``, clamped at 0.  A class
-    of weight 0 adds 0 log 0 = 0, also when its logit is -inf."""
+    """Posterior entropy of each row of ``logits``, clamped at 0, and the
+    posterior itself, from one max-shifted softmax.  A class of weight 0
+    adds 0 log 0 = 0, also when its logit is -inf."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     total = np.add.reduce(weights, axis=-1)
     log_weights = np.where(weights > 0, shifted, 0.0)
     entropy = np.log(total) - (weights[..., None, :] @ log_weights[..., None])[..., 0, 0] / total
-    return np.where(entropy < 0.0, 0.0, entropy)
+    return np.where(entropy < 0.0, 0.0, entropy), weights / total[..., None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +157,7 @@ def _draw_trial(scenario, pipeline, rng):
 
 
 def _classify(scenario, f_tilde, snrs):
-    """Logits, entropies and decisions for received vectors (n, M) at
+    """Entropies, posteriors and decisions for received vectors (n, M) at
     effective SNRs (n,).  A trial with SNR <= 0 had no usable channel: its
     posterior carries no information, so its logits are zero."""
     logits = np.zeros((snrs.shape[0], scenario.num_classes))
@@ -169,7 +165,7 @@ def _classify(scenario, f_tilde, snrs):
     if usable.any():
         # 1/snr is 0.0 at infinite SNR
         logits[usable] = _posterior_logits(scenario, f_tilde[usable], 1.0 / snrs[usable, None])
-    return logits, _entropies(logits), logits.argmax(axis=1)
+    return *_entropies(logits), logits.argmax(axis=1)
 
 
 def simulate_trial(scenario, pipeline, rng):
@@ -179,11 +175,11 @@ def simulate_trial(scenario, pipeline, rng):
     replays trial ``trial_index`` of the matching :func:`run_trials` call.
     """
     label, f_tilde, snr_value, resolved = _draw_trial(scenario, pipeline, rng)
-    logits, entropies, predictions = _classify(scenario, f_tilde[None, :], np.array([snr_value]))
+    entropies, posteriors, predictions = _classify(scenario, f_tilde[None], np.array([snr_value]))
     return TrialRecord(
         label=label,
         predicted=int(predictions[0]),
-        posterior=_softmax(logits[0]),
+        posterior=posteriors[0],
         entropy=float(entropies[0]),
         effective_snr=snr_value,
         resolved_mode=resolved,
@@ -200,7 +196,7 @@ def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, s
     rngs = trial_streams(master_seed, stream_id, point_index, start, stop)
     for i, rng in enumerate(rngs):
         labels[i], f_tilde[i], snrs[i], _ = _draw_trial(scenario, pipeline, rng)
-    _, entropies, predictions = _classify(scenario, f_tilde, snrs)
+    entropies, _, predictions = _classify(scenario, f_tilde, snrs)
     return entropies, labels, predictions, snrs
 
 

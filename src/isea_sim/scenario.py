@@ -164,7 +164,6 @@ class Scenario:
     P_bar: np.ndarray            # (M, M) average projection
     proj_centroids_eig: np.ndarray   # (L, M) rows P_bar mu_l in C's eigenbasis
     sensor_centroids: np.ndarray     # (K, L, M) rows P_k mu_l
-    centroid_cov: np.ndarray     # (M, M) spread of the centroids about their mean
     nu_sq: float                 # per-symbol transmit variance
     sigma_sq: float              # channel noise power
 
@@ -255,7 +254,6 @@ def build_scenario(config, centroids=None, covariance=None):
         P_bar=P_bar,
         proj_centroids_eig=(centroids @ P_bar.T) @ C_evecs,
         sensor_centroids=np.einsum("kij,lj->kli", P, centroids),
-        centroid_cov=centroid_cov,
         nu_sq=nu_sq,
         sigma_sq=sigma_sq,
     )
@@ -286,7 +284,7 @@ def validate_scenario(scenario):
     V = scenario.C_evecs
     C_inv = V @ ((1.0 / scenario.C_evals)[:, None] * V.T)
     if not np.max(np.abs(C_inv @ scenario.C - np.eye(M))) < 1e-9:
-        raise ConfigError("cached covariance inverse fails the identity check")
+        raise ConfigError("covariance inverse fails the identity check")
     if not np.isfinite(scenario.nu_sq):
         raise ConfigError(f"transmit symbol variance {scenario.nu_sq} is not finite")
     if not scenario.nu_sq > 0:

@@ -47,11 +47,10 @@ def surrogate_uncertainty_full(pairwise, kappa, num_sensors):
     L = pw.shape[0]
     if pw.shape != (L, L):
         raise ValueError("pairwise must be a square matrix")
-    total = 0.0
-    for l in range(L):
-        exponents = np.delete(-kappa * num_sensors * pw[l], l)
-        total += float(np.logaddexp.reduce(np.concatenate(([0.0], exponents))))
-    return total / L
+    exponents = -kappa * num_sensors * pw
+    # the diagonal term exp(0) = 1 is the "1 +" of each row's sum
+    np.fill_diagonal(exponents, 0.0)
+    return float(np.logaddexp.reduce(exponents, axis=1).mean())
 
 
 def surrogate_uncertainty_simplified(mean_separation, kappa, num_sensors, num_classes):
@@ -91,12 +90,10 @@ def pairwise_separation_matrix(scenario, snr=np.inf):
     covariance C/K.
     """
     Y = scenario.proj_centroids_eig
-    G = (Y * _noise_weights(scenario, snr)) @ Y.T
-    d = np.diag(G)
-    # group the symmetric terms so the result is symmetric bit-for-bit
-    pw = (d[:, None] + d[None, :]) - (G + G.T)
-    np.fill_diagonal(pw, 0.0)
-    return pw
+    w = _noise_weights(scenario, snr)
+    # one row at a time: (Y - y)^2 is the same array as (y - Y)^2, so
+    # entries (a, b) and (b, a) are the same sum, and the diagonal is 0
+    return np.stack([np.sum((Y - y) ** 2 * w, axis=1) for y in Y])
 
 
 def mean_separation(scenario, snr=np.inf):
@@ -194,15 +191,17 @@ def exp_integral_e1_scaled(x):
     """Overflow-safe e^x E1(x).
 
     From x = 700 on, where E1 falls into subnormals, this is the asymptotic
-    series sum_{n=0}^{6} (-1)^n n! / x^(n+1), whose truncation error is
-    below 7!/x^8, a relative 1e-16.
+    series sum_{n=0}^{6} (-1)^n n! y^(n+1) in y = 1/x, whose truncation
+    error is below 7! y^8, a relative 1e-16.  Powers of y underflow to 0
+    where powers of x would overflow.
     """
     x = float(x)
     if not x > 0:
         raise ValueError("E1 requires x > 0")
     if x < 700.0:
         return float(np.exp(x) * scipy.special.exp1(x))
-    return sum((-1) ** n * math.factorial(n) / x ** (n + 1) for n in range(7))
+    y = 1.0 / x
+    return sum((-1) ** n * math.factorial(n) * y ** (n + 1) for n in range(7))
 
 
 def scaled_alignment_cdf(omega):

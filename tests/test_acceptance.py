@@ -20,10 +20,10 @@ import isea_sim as iz
 from isea_sim import feature_model, theory
 from isea_sim.harness.experiments import (
     ExperimentSpec,
+    _alignment_ks,
     _per_draw,
+    _zf_norm_ks,
     run_experiment,
-    run_snr_distribution_check,
-    run_zf_norm_distribution_check,
 )
 from isea_sim.streams import substream
 
@@ -142,12 +142,9 @@ def test_03_exponential_uncertainty_decay():
 def test_04_scaled_snr_limit_law():
     # the K-scaled weakest alignment follows its limiting exponential law
     with criterion(4, "weakest-alignment limit law", budget_s=180):
-        ks, passed = run_snr_distribution_check(
-            100, 1.0, 10000, substream(MASTER_SEED, 13)
-        )
+        ks, _ = _alignment_ks(100, 100, repeat(substream(MASTER_SEED, 13), 10000))
         assert ks == pytest.approx(0.0271, abs=2e-4)
         assert ks < 0.03
-        assert passed
 
 
 @pytest.mark.skipif(
@@ -157,24 +154,19 @@ def test_04_scaled_snr_limit_law():
 def test_04_scaled_snr_limit_law_paper_scale():
     # doubling K tightens the fit to the limit law
     with criterion(4, "weakest-alignment limit law at K=200"):
-        ks, passed = run_snr_distribution_check(
-            200, 1.0, 20000, substream(MASTER_SEED, 13, point_index=1), threshold=0.02
-        )
+        rng = substream(MASTER_SEED, 13, point_index=1)
+        ks, _ = _alignment_ks(200, 200, repeat(rng, 20000))
         assert ks < 0.02
         assert ks < 0.0271  # tighter than the K=100 distance above
-        assert passed
 
 
 def test_05_zf_beam_norm_law():
     # zero-forcing beam norms follow the scaled inverse chi-square law
     with criterion(5, "zero-forcing norm law", budget_s=30):
-        ks, mean_norm, passed = run_zf_norm_distribution_check(
-            16, 10, 10000, substream(MASTER_SEED, 14)
-        )
+        ks, norms = _zf_norm_ks(16, 10, repeat(substream(MASTER_SEED, 14), 10000))
         assert ks == pytest.approx(0.0089, abs=2e-4)
         assert ks < 0.02
-        assert passed
-        assert mean_norm == pytest.approx(1.0 / 6.0, rel=0.05)  # observed 0.40% off
+        assert norms[:, 0].mean() == pytest.approx(1.0 / 6.0, rel=0.05)  # observed 0.40% off
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +25,9 @@ from isea_sim.harness.experiments import (
     ExperimentSpec,
     SweepReport,
     SweepRow,
+    _alignment_ks,
+    _zf_norm_ks,
     run_experiment,
-    run_snr_distribution_check,
-    run_zf_norm_distribution_check,
 )
 from isea_sim.streams import substream
 
@@ -177,20 +178,18 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
 def test_snr_distribution_check_rejects_small_sensor_count():
     # K = 5 is far from the large-system limit; the check must say so
     # rather than quietly passing.
-    ks, passed = run_snr_distribution_check(5, 1.0, 1000, substream(20240, 25))
+    ks, _ = _alignment_ks(5, 5, repeat(substream(20240, 25), 1000))
     assert ks == pytest.approx(0.1478, abs=2e-4)
-    assert passed is False
+    assert not ks < 0.03
     with pytest.raises(ValueError):
-        run_snr_distribution_check(5, 1.0, 5, substream(20240, 25))
+        _alignment_ks(5, 5, repeat(substream(20240, 25), 5))
 
 
 def test_zf_norm_check_runs_and_reports(tmp_path):
-    ks, mean_norm, passed = run_zf_norm_distribution_check(
-        16, 10, 1000, substream(20240, 26)
-    )
+    ks, norms = _zf_norm_ks(16, 10, repeat(substream(20240, 26), 1000))
     assert 0.0 < ks < 0.1
-    assert mean_norm == pytest.approx(1.0 / 6.0, rel=0.15)
-    assert passed == (ks < 0.02)
+    assert norms.shape == (1000, 2)
+    assert norms[:, 0].mean() == pytest.approx(1.0 / 6.0, rel=0.15)
 
 
 def test_snr_dist_experiment_emits_single_default_row(tmp_path):
@@ -451,6 +450,16 @@ def test_cli_runs_an_aloss_sweep_up_to_1e300(tmp_path):
     row = dict(zip(CSV_COLUMNS, out.read_text(encoding="utf-8").splitlines()[2].split(",")))
     assert row["sweep_value"] == "1e+300"
     assert row["accuracy"] == "1"
+
+
+def test_cli_runs_an_aloss_point_at_1e_minus_50(tmp_path):
+    # r ~ 1e-50 puts the averaged-loss series at x = 1/r ~ 1e50
+    config = _write_config(tmp_path)
+    out = tmp_path / "aloss.csv"
+    assert cli.main(["aloss", "--config", str(config), "--out", str(out), "--sweep", "1e-50"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2
+    assert dict(zip(CSV_COLUMNS, lines[1].split(",")))["sweep_value"] == "1e-50"
 
 
 def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):

@@ -233,11 +233,6 @@ def test_transmit_snr_is_the_inverse_noise_power():
     assert iz.build_scenario(_config(transmit_snr_db=4000.0)).transmit_snr == np.inf
 
 
-def test_centroid_cov_is_the_population_covariance_of_the_centroids():
-    sc = iz.build_scenario(_config())
-    assert np.allclose(sc.centroid_cov, np.cov(sc.centroids.T, bias=True), rtol=0, atol=1e-14)
-
-
 def test_load_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(VALID_TEXT, encoding="utf-8")

@@ -4,6 +4,7 @@ Everything here is deterministic or runs on frozen substreams, so observed
 values quoted in comments are stable across runs.
 """
 
+import math
 from itertools import repeat
 
 import numpy as np
@@ -139,6 +140,28 @@ def test_full_minus_simplified_residual_tracks_separation_variance():
     assert abs(intercept) < 0.02 * ys.max()
 
 
+def _per_row_surrogate(pairwise, kappa, num_sensors):
+    """The surrogate's defining form, one class at a time: drop entry l of
+    row l and put the "1 +" term in front of the log-sum-exp."""
+    L = pairwise.shape[0]
+    total = 0.0
+    for l in range(L):
+        exponents = np.delete(-kappa * num_sensors * pairwise[l], l)
+        total += float(np.logaddexp.reduce(np.concatenate(([0.0], exponents))))
+    return total / L
+
+
+def test_full_surrogate_matches_the_per_row_form_and_ignores_the_diagonal():
+    rng = substream(55, 1)
+    for L in (2, 3, 6, 11):
+        pw = rng.exponential(2.0, (L, L))
+        pw = pw + pw.T
+        pw[np.diag_indices(L)] = rng.normal(0.0, 50.0, L)  # must not count
+        for kappa, K in ((0.5, 1), (0.5, 40), (1.0 / 12.0, 7)):
+            got = iz.surrogate_uncertainty_full(pw, kappa, K)
+            assert got == pytest.approx(_per_row_surrogate(pw, kappa, K), rel=1e-14, abs=1e-300)
+
+
 @given(
     distances=st.lists(st.floats(0.0, 1e6), min_size=3, max_size=15),
     kappa=st.floats(1e-3, 1.0),
@@ -207,6 +230,38 @@ def test_separation_matrix_trace_identity():
     D = _pair_outer_mean(sc.centroids)
     traced = float(np.trace(sc.P_bar @ np.linalg.inv(sc.C) @ sc.P_bar @ D))
     assert traced == pytest.approx(iz.mean_separation(sc), rel=1e-10)
+
+
+def test_separation_matrix_survives_a_large_common_offset():
+    # centroids sharing an offset of 1e8 leave the differences O(1); a
+    # Gram expansion d_a + d_b - 2 G_ab cancels them away
+    cfg = iz.ScenarioConfig(
+        feature_dim=5, num_classes=4, num_sensors=6, num_antennas=8,
+        observation_rank=5, sensing_covariance_scale=1.0,
+    )
+    sc = iz.build_scenario(cfg, centroids=iz.build_scenario(cfg).centroids + 1e8)
+    Y = sc.proj_centroids_eig
+    off = ~np.eye(4, dtype=bool)
+    for snr in (np.inf, 2.0):
+        w = 1.0 / (sc.C_evals + sc.num_sensors / snr)
+        pw = iz.pairwise_separation_matrix(sc, snr)
+        oracle = np.array([[math.fsum((Y[a] - Y[b]) ** 2 * w) for b in range(4)] for a in range(4)])
+        assert pw[off] == pytest.approx(oracle[off], rel=1e-12)
+        assert pw[off].mean() == pytest.approx(iz.mean_separation(sc, snr), rel=1e-12)
+
+
+def test_separation_matrix_is_symmetric_bit_for_bit_with_zero_diagonal():
+    for M, L, r in ((1, 2, 1), (3, 5, 2), (7, 11, 3), (10, 10, 1), (10, 6, 10), (13, 8, 5)):
+        cfg = iz.ScenarioConfig(
+            feature_dim=M, num_classes=L, num_sensors=4, observation_rank=r, master_seed=M + L
+        )
+        A = substream(M, L).standard_normal((M, M))
+        for covariance in (None, A @ A.T / M + 0.05 * np.eye(M)):
+            sc = iz.build_scenario(cfg, covariance=covariance)
+            for snr in (np.inf, 0.3, 10.0, 1e6):
+                pw = iz.pairwise_separation_matrix(sc, snr)
+                assert np.array_equal(pw, pw.T)
+                assert np.all(np.diag(pw) == 0.0)
 
 
 def test_asymptotic_separation_identity_projection_traces_separation():
@@ -453,6 +508,11 @@ def test_scaled_exponential_integral_survives_large_arguments():
     assert iz.exp_integral_e1_scaled(1e8) == pytest.approx(1e-8, rel=1e-6)
     assert iz.exp_integral_e1(800.0) == pytest.approx(0.0, abs=1e-300)
     assert iz.exp_integral_e1_scaled(800.0) > 0.0
+
+
+def test_scaled_exponential_integral_near_the_largest_float():
+    # the series in powers of 1/x underflows where powers of x would overflow
+    assert iz.exp_integral_e1_scaled(1e300) == pytest.approx(1e-300, rel=1e-12)
 
 
 def test_scaled_exponential_integral_continuous_at_series_switch():

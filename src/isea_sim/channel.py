@@ -9,6 +9,9 @@ slot with a zero-forcing receive beam b_k, trading noise amplification for
 isolation; its SNR needs only ||b_k||^2, the diagonal of (H^H H)^-1.
 Both reduce to the noiseless average plus isotropic Gaussian noise whose
 power is the inverse effective SNR, which is how receivers simulate them.
+The statistics are computed on stacks of draws (n, N, K), each row equal
+bit for bit to its draw taken alone; the public one-draw functions are
+one-row calls of the same kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ _FULL_EIG_MAX = 64
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """One draw of the N x K channel with its principal singular structure.
+    """One draw of the N x K channel, or a stack of draws (..., N, K), with
+    its principal singular structure.
 
     ``q1`` is the principal right singular vector of H (unit norm,
     largest-magnitude entry made real positive) and ``lambda1`` the
@@ -41,17 +45,17 @@ class ChannelRealization:
     is never needed: v^H h_k = sqrt(lambda1) conj(q1_k).
     """
 
-    H: np.ndarray        # (N, K) complex
-    lambda1: float
-    q1: np.ndarray       # (K,) complex
+    H: np.ndarray        # (..., N, K) complex
+    lambda1: float       # (...) for a stack
+    q1: np.ndarray       # (..., K) complex
 
     @property
     def num_antennas(self):
-        return self.H.shape[0]
+        return self.H.shape[-2]
 
     @property
     def num_sensors(self):
-        return self.H.shape[1]
+        return self.H.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,50 +81,72 @@ class AggregationOutcome:
     resolved_mode: str | None = None
 
 
-def _fix_phase(x):
-    j = int(np.argmax(np.abs(x)))
-    mag = abs(x[j])
-    if mag == 0:
-        return x
-    return x * (x[j].conjugate() / mag)
+def _conj_t(H):
+    """Conjugate transpose of each matrix of a stack; a fresh copy each call,
+    so no copy outlives the product it feeds."""
+    return np.conj(H).swapaxes(-1, -2)
 
 
-def _top_eigenpair(G):
-    n = G.shape[0]
-    if n <= _FULL_EIG_MAX:
+def _top_eigenpairs(G):
+    """Largest eigenvalue and its eigenvector of each Hermitian matrix in a
+    stack G (n, m, m)."""
+    m = G.shape[-1]
+    if m <= _FULL_EIG_MAX:
         w, V = np.linalg.eigh(G)
-        return float(w[-1]), V[:, -1]
-    w, V = scipy.linalg.eigh(G, subset_by_index=[n - 1, n - 1])
-    return float(w[0]), V[:, 0]
+        return w[:, -1], V[:, :, -1]
+    pairs = [scipy.linalg.eigh(g, subset_by_index=[m - 1, m - 1]) for g in G]
+    return np.array([w[0] for w, _ in pairs]), np.array([V[:, 0] for _, V in pairs])
+
+
+def _principal_pairs(H):
+    """``(lambda1, q1)`` of each matrix in a stack H (n, N, K), each row
+    equal bit for bit to the same matrix taken on its own.
+
+    The eigendecomposition runs on the smaller Gram matrix.  q1 is scaled
+    to unit norm, each row's squared norm being two dot products of its
+    strided real and imaginary parts, and its largest-magnitude entry is
+    made real positive with that entry's scalar modulus (``np.hypot``).
+    """
+    wide = H.shape[1] <= H.shape[2]
+    lam, v = _top_eigenpairs(H @ _conj_t(H) if wide else _conj_t(H) @ H)
+    if np.any(lam <= 0):
+        raise NumericalError("channel matrix has no positive singular value")
+    q1 = (_conj_t(H) @ v[..., None])[..., 0] / np.sqrt(lam)[:, None] if wide else v
+    re, im = q1.real, q1.imag
+    norm = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])
+    q1 = q1 / norm[:, 0]
+    # q1 is a unit vector, so its largest entry is nonzero
+    top = q1[np.arange(q1.shape[0]), np.argmax(np.abs(q1), axis=1)]
+    return lam, q1 * (top.conj() / np.hypot(top.real, top.imag))[:, None]
 
 
 def realization_from_matrix(H):
-    """Attach the principal singular pair to an explicit channel matrix.
+    """Attach the principal singular pair to an explicit channel matrix, or
+    to each matrix of a stack (..., N, K).
 
-    The eigendecomposition runs on the smaller Gram matrix of H.
+    A stack gives ``lambda1`` of shape (...) and ``q1`` of shape (..., K),
+    each row equal to that matrix's own realization.
     """
     H = np.asarray(H, dtype=complex)
-    if H.ndim != 2:
-        raise ValueError("channel matrix must be two-dimensional")
-    num_antennas, num_sensors = H.shape
-    if num_antennas <= num_sensors:
-        lam, v = _top_eigenpair(H @ H.conj().T)
-        if lam <= 0:
-            raise NumericalError("channel matrix has no positive singular value")
-        q1 = H.conj().T @ v / np.sqrt(lam)
-    else:
-        lam, q1 = _top_eigenpair(H.conj().T @ H)
-        if lam <= 0:
-            raise NumericalError("channel matrix has no positive singular value")
-    q1 = _fix_phase(q1 / np.linalg.norm(q1))
-    return ChannelRealization(H=H, lambda1=lam, q1=q1)
+    if H.ndim < 2:
+        raise ValueError("channel matrix must be at least two-dimensional")
+    lam, q1 = _principal_pairs(H.reshape(-1, *H.shape[-2:]))
+    return ChannelRealization(
+        H=H, lambda1=lam.reshape(H.shape[:-2])[()], q1=q1.reshape(*H.shape[:-2], H.shape[-1])
+    )
 
 
 def sample_channel(num_antennas, num_sensors, rng):
-    """Draw H with i.i.d. CN(0, 1) entries and attach its principal pair."""
+    """Draw H (N x K) with i.i.d. CN(0, 1) entries."""
     shape = (num_antennas, num_sensors)
-    H = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    return realization_from_matrix(H)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def _min_alignments(channel):
+    """Weakest alignment of each draw of a (stacked) realization; exactly 0
+    where H has an all-zero column."""
+    align = channel.lambda1 * np.min(np.abs(channel.q1) ** 2, axis=-1)
+    return np.where(channel.H.any(axis=-2).all(axis=-1), align, 0.0)
 
 
 def min_beam_alignment(channel):
@@ -131,15 +157,24 @@ def min_beam_alignment(channel):
     eigensolver may still leave a rounding-level q1_k there, so such a
     column is answered with an exact zero.
     """
-    if not channel.H.any(axis=0).all():
-        return 0.0
-    return channel.lambda1 * float(np.min(np.abs(channel.q1) ** 2))
+    return float(_min_alignments(channel))
 
 
 def scaled_min_alignment(channel):
     """K-scaled weakest alignment; converges to Exp((1 + sqrt(w))^2) in law
     when the array grows proportionally, N = w K."""
     return channel.num_sensors * min_beam_alignment(channel)
+
+
+def _air_snrs(channel, scenario):
+    """``(gamma_air, degenerate)`` of each draw of a (stacked) realization."""
+    align = _min_alignments(channel)
+    degenerate = align <= 0
+    gamma_air = np.zeros_like(align)
+    K = channel.num_sensors
+    scale = 2.0 * K**2 * scenario.transmit_snr / scenario.nu_sq
+    np.multiply(scale, align, out=gamma_air, where=~degenerate)
+    return gamma_air, degenerate
 
 
 def aircomp_effective_snr(channel, scenario):
@@ -149,29 +184,44 @@ def aircomp_effective_snr(channel, scenario):
     min_k |v^H h_k|^2 / nu^2.  A channel whose weakest alignment vanishes
     is flagged degenerate with gamma_air = 0.
     """
-    min_align = min_beam_alignment(channel)
-    if min_align <= 0:
-        return AircompSnr(gamma_air=0.0, degenerate=True)
-    K = channel.num_sensors
-    gamma_air = 2.0 * K**2 * scenario.transmit_snr / scenario.nu_sq * min_align
-    return AircompSnr(gamma_air=float(gamma_air))
+    gamma_air, degenerate = _air_snrs(channel, scenario)
+    return AircompSnr(gamma_air=float(gamma_air), degenerate=bool(degenerate))
 
 
-def _receive(local_features, effective_snr, rng, resolved_mode=None):
+def _receive(f_bar, effective_snrs, noise):
     """The equivalent model every access mode reduces to: the noiseless
-    average plus N(0, (1/snr) I).  An SNR of 0 delivers an all-NaN vector
-    and draws nothing; an infinite one still consumes its draw."""
+    averages (..., M) plus ``noise`` scaled to power 1/snr.  An SNR <= 0
+    delivers an all-NaN vector; an infinite one delivers f_bar exactly."""
+    usable = effective_snrs > 0
+    scale = np.sqrt(1.0 / np.where(usable, effective_snrs, 1.0))
+    return np.where(usable[..., None], f_bar + scale[..., None] * noise, np.nan)
+
+
+def _receive_one(local_features, effective_snr, rng, resolved_mode=None):
+    """Receive one feature set at ``effective_snr``; the M noise samples are
+    drawn whatever the SNR, as the trial engine draws them."""
     f_bar = aggregate_noiseless(local_features)
-    if effective_snr <= 0:
-        f_tilde = np.full_like(f_bar, np.nan)
-    else:
-        f_tilde = f_bar + np.sqrt(1.0 / effective_snr) * rng.standard_normal(f_bar.shape[0])
+    f_tilde = _receive(f_bar, np.asarray(effective_snr), rng.standard_normal(f_bar.shape[0]))
     return AggregationOutcome(f_tilde, effective_snr, resolved_mode)
 
 
 def aircomp_receive(scenario, channel, local_features, rng):
     """Aggregate sensor features over the air at gamma_air."""
-    return _receive(local_features, aircomp_effective_snr(channel, scenario).gamma_air, rng)
+    return _receive_one(local_features, aircomp_effective_snr(channel, scenario).gamma_air, rng)
+
+
+def _zf_norms(H):
+    """Diagonal of (H^H H)^-1 for each matrix of a stack (..., N, K)."""
+    N, K = H.shape[-2:]
+    if N < K:
+        raise InfeasibleAccessError(
+            f"zero-forcing needs num_antennas >= num_sensors, got N={N} < K={K}"
+        )
+    try:
+        gram_inv = np.linalg.inv(_conj_t(H) @ H)
+    except np.linalg.LinAlgError:
+        raise NumericalError("channel Gram matrix is singular") from None
+    return np.diagonal(gram_inv, axis1=-2, axis2=-1).real.copy()
 
 
 def zf_norms_sq(channel):
@@ -182,16 +232,17 @@ def zf_norms_sq(channel):
     sensors; raises :class:`InfeasibleAccessError` otherwise and
     :class:`NumericalError` when the Gram matrix is singular.
     """
-    N, K = channel.H.shape
-    if N < K:
-        raise InfeasibleAccessError(
-            f"zero-forcing needs num_antennas >= num_sensors, got N={N} < K={K}"
-        )
-    try:
-        gram_inv = np.linalg.inv(channel.H.conj().T @ channel.H)
-    except np.linalg.LinAlgError:
-        raise NumericalError("channel Gram matrix is singular") from None
-    return np.diagonal(gram_inv).real.copy()
+    return _zf_norms(channel.H)
+
+
+def _orth_snrs(H, scenario):
+    """gamma_aoa of each matrix of a stack (..., N, K)."""
+    total_norm = _zf_norms(H).sum(axis=-1)
+    gamma = scenario.transmit_snr
+    if gamma == np.inf:
+        return np.full_like(total_norm, np.inf)
+    K = H.shape[-1]
+    return gamma * K**2 / (scenario.nu_sq * total_norm)
 
 
 def orthogonal_effective_snr(channel, scenario):
@@ -200,21 +251,22 @@ def orthogonal_effective_snr(channel, scenario):
     gamma_aoa = gamma K^2 / (nu^2 * sum_k ||b_k||^2); the zero-forcing
     norms grow as antennas shrink toward the sensor count.
     """
-    total_norm = float(zf_norms_sq(channel).sum())
-    gamma = scenario.transmit_snr
-    if gamma == np.inf:
-        return np.inf
-    K = channel.num_sensors
-    return float(gamma * K**2 / (scenario.nu_sq * total_norm))
+    return float(_orth_snrs(channel.H, scenario))
 
 
 def orthogonal_receive(scenario, channel, local_features, rng):
     """Aggregate via orthogonal access at gamma_aoa."""
-    return _receive(local_features, orthogonal_effective_snr(channel, scenario), rng)
+    return _receive_one(local_features, orthogonal_effective_snr(channel, scenario), rng)
+
+
+def _best_access(gamma_air, gamma_aoa):
+    """The adaptive SNR and whether over the air won: it wins ties."""
+    air_wins = gamma_air >= gamma_aoa
+    return np.where(air_wins, gamma_air, gamma_aoa), air_wins
 
 
 def access_snrs(channel, scenario):
-    """``(gamma_air, gamma_aoa)`` of one draw, the only access-mode rule.
+    """``(gamma_air, gamma_aoa)`` of one draw.
 
     gamma_aoa is -inf when orthogonal access is infeasible (N < K), so
     over the air wins exactly when ``gamma_air >= gamma_aoa``: ties and
@@ -229,7 +281,22 @@ def access_snrs(channel, scenario):
 def adaptive_receive(scenario, channel, local_features, rng):
     """Receive through the access mode with the larger effective SNR for
     this draw, by :func:`access_snrs`; ``resolved_mode`` names the winner."""
-    gamma_air, gamma_aoa = access_snrs(channel, scenario)
-    if gamma_air >= gamma_aoa:
-        return _receive(local_features, gamma_air, rng, "aircomp")
-    return _receive(local_features, gamma_aoa, rng, "orthogonal")
+    snr, air_wins = _best_access(*access_snrs(channel, scenario))
+    mode = "aircomp" if air_wins else "orthogonal"
+    return _receive_one(local_features, float(snr), rng, mode)
+
+
+def _pipeline_snrs(scenario, pipeline, H):
+    """Effective SNRs (n,) of a stack of channel draws H (n, N, K) under an
+    access ``pipeline``, and for ``adaptive`` whether over the air won each
+    draw (else None).  Row i equals the one-draw functions on H[i]."""
+    if pipeline == "orthogonal":
+        return _orth_snrs(H, scenario), None
+    if pipeline not in ("aircomp", "adaptive"):
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    gamma_air, _ = _air_snrs(realization_from_matrix(H), scenario)
+    if pipeline == "aircomp":
+        return gamma_air, None
+    num_antennas, num_sensors = H.shape[-2:]
+    gamma_aoa = -np.inf if num_antennas < num_sensors else _orth_snrs(H, scenario)
+    return _best_access(gamma_air, gamma_aoa)

@@ -22,6 +22,7 @@ from .._blas import one_blas_thread
 from ..channel import (
     access_snrs,
     aircomp_effective_snr,
+    realization_from_matrix,
     sample_channel,
     scaled_min_alignment,
     zf_norms_sq,
@@ -294,7 +295,10 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
     module, so both are called through their module-level names.
     """
     with one_blas_thread():
-        draws = [stat(sample_channel(num_antennas, num_sensors, rng)) for rng in rngs]
+        draws = [
+            stat(realization_from_matrix(sample_channel(num_antennas, num_sensors, rng)))
+            for rng in rngs
+        ]
     return np.array(draws, dtype=float)
 
 

@@ -20,12 +20,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import (
-    adaptive_receive,
-    aircomp_receive,
-    orthogonal_receive,
-    sample_channel,
-)
+from .channel import _pipeline_snrs, _receive, sample_channel
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless, sample_label, sample_local_features
 from .streams import STREAM_TRIALS, trial_streams
@@ -34,6 +29,10 @@ PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 
 _COND_LIMIT = 1e12
 _CHUNK_TRIALS = 512
+# The channel stage runs on stacks of at most this many bytes of channel
+# matrices, so its temporaries stay near the per-trial engine's footprint
+# at any N K (whole chunks at N K <= 32); stacking changes no value.
+_STACK_BYTES = 2**18
 
 
 def _noise_power_from_snr(snr):
@@ -70,7 +69,10 @@ def _posterior_logits(scenario, f_tilde, noise_power):
         raise NumericalError("effective covariance condition number exceeds 1e12")
     y = np.asarray(f_tilde, dtype=float)[..., None, :] @ scenario.C_evecs
     diff = scenario.proj_centroids_eig - y
-    return -0.5 * ((diff * diff) @ (1.0 / evals)[..., None])[..., 0]
+    # a distance beyond the largest float saturates to a logit of -inf,
+    # which _entropies handles
+    with np.errstate(over="ignore"):
+        return -0.5 * ((diff * diff) @ (1.0 / evals)[..., None])[..., 0]
 
 
 def _entropies(logits):
@@ -138,22 +140,32 @@ def _stderr(values):
     return float(values.std(ddof=1) / np.sqrt(n))
 
 
-def _draw_trial(scenario, pipeline, rng):
-    """One trial's label, received vector, effective SNR and resolved mode."""
-    label = sample_label(scenario.num_classes, rng)
-    features = sample_local_features(scenario, label, rng)
-    if pipeline == "noiseless":
-        return label, aggregate_noiseless(features), np.inf, None
-    ch = sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
-    if pipeline == "aircomp":
-        outcome = aircomp_receive(scenario, ch, features, rng)
-    elif pipeline == "orthogonal":
-        outcome = orthogonal_receive(scenario, ch, features, rng)
-    elif pipeline == "adaptive":
-        outcome = adaptive_receive(scenario, ch, features, rng)
-    else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    return label, outcome.f_tilde, outcome.effective_snr, outcome.resolved_mode
+def _draw_trials(scenario, pipeline, rngs, n):
+    """Labels, received vectors, effective SNRs and, for ``adaptive``,
+    whether over the air won (else None), of n trials: one generator each.
+
+    Each trial draws its label, sensor features, channel and M receive
+    noise samples from its own generator, in that order; the channel stage
+    then runs on the stack of draws.  A trial whose SNR is 0 discards its
+    noise, and since nothing is drawn after it, no other value changes.
+    """
+    M, N, K = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
+    with_channel = pipeline != "noiseless"
+    labels = np.empty(n, dtype=np.int64)
+    f_bar = np.empty((n, M))
+    if with_channel:
+        H = np.empty((n, N, K), dtype=complex)
+        noise = np.empty((n, M))
+    for i, rng in enumerate(rngs):
+        labels[i] = label = sample_label(scenario.num_classes, rng)
+        f_bar[i] = aggregate_noiseless(sample_local_features(scenario, label, rng))
+        if with_channel:
+            H[i] = sample_channel(N, K, rng)
+            noise[i] = rng.standard_normal(M)
+    if not with_channel:
+        return labels, f_bar, np.full(n, np.inf), None
+    snrs, air_wins = _pipeline_snrs(scenario, pipeline, H)
+    return labels, _receive(f_bar, snrs, noise), snrs, air_wins
 
 
 def _classify(scenario, f_tilde, snrs):
@@ -174,28 +186,37 @@ def simulate_trial(scenario, pipeline, rng):
     With ``rng = substream(seed, stream_id, point_index, trial_index)`` this
     replays trial ``trial_index`` of the matching :func:`run_trials` call.
     """
-    label, f_tilde, snr_value, resolved = _draw_trial(scenario, pipeline, rng)
-    entropies, posteriors, predictions = _classify(scenario, f_tilde[None], np.array([snr_value]))
+    labels, f_tilde, snrs, air_wins = _draw_trials(scenario, pipeline, [rng], 1)
+    entropies, posteriors, predictions = _classify(scenario, f_tilde, snrs)
+    resolved = None
+    if air_wins is not None:
+        resolved = "aircomp" if air_wins[0] else "orthogonal"
     return TrialRecord(
-        label=label,
+        label=int(labels[0]),
         predicted=int(predictions[0]),
         posterior=posteriors[0],
         entropy=float(entropies[0]),
-        effective_snr=snr_value,
+        effective_snr=float(snrs[0]),
         resolved_mode=resolved,
     )
 
 
+def _stack_trials(scenario):
+    """Trials per channel stack: a whole chunk, unless its channel matrices
+    would take more than _STACK_BYTES."""
+    return max(1, _STACK_BYTES // (16 * scenario.num_antennas * scenario.num_sensors))
+
+
 def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop):
-    """Draw trials [start, stop) one stream at a time, then classify them
-    as one batch."""
-    n = stop - start
-    labels = np.empty(n, dtype=np.int64)
-    f_tilde = np.empty((n, scenario.feature_dim))
-    snrs = np.empty(n)
-    rngs = trial_streams(master_seed, stream_id, point_index, start, stop)
-    for i, rng in enumerate(rngs):
-        labels[i], f_tilde[i], snrs[i], _ = _draw_trial(scenario, pipeline, rng)
+    """Draw trials [start, stop), one stream each, in stacks of at most
+    :func:`_stack_trials`, then classify them as one batch."""
+    step = _stack_trials(scenario)
+    parts = []
+    for a in range(start, stop, step):
+        b = min(a + step, stop)
+        rngs = trial_streams(master_seed, stream_id, point_index, a, b)
+        parts.append(_draw_trials(scenario, pipeline, rngs, b - a)[:3])
+    labels, f_tilde, snrs = map(np.concatenate, zip(*parts))
     entropies, _, predictions = _classify(scenario, f_tilde, snrs)
     return entropies, labels, predictions, snrs
 

@@ -236,7 +236,10 @@ def build_scenario(config, centroids=None, covariance=None):
     P_bar = P.mean(axis=0)
 
     centered = centroids - centroids.mean(axis=0)
-    centroid_cov = centered.T @ centered / L
+    # a spread beyond the largest float leaves nu_sq non-finite, which
+    # validate_scenario rejects
+    with np.errstate(over="ignore"):
+        centroid_cov = centered.T @ centered / L
     # trace(P_k Sigma P_k) = trace(P_k Sigma) for idempotent P_k
     sensor_power = np.einsum("kij,ji->k", P, centroid_cov)
     nu_sq = float((np.trace(C) * K + sensor_power.sum()) / (K * M))
@@ -282,7 +285,9 @@ def validate_scenario(scenario):
     if not np.max(np.abs(P.mean(axis=0) - scenario.P_bar)) < 1e-12:
         raise ConfigError("P_bar is not the mean of the sensor projections")
     V = scenario.C_evecs
-    C_inv = V @ ((1.0 / scenario.C_evals)[:, None] * V.T)
+    # an inverse that overflows fails the identity check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        C_inv = V @ ((1.0 / scenario.C_evals)[:, None] * V.T)
     if not np.max(np.abs(C_inv @ scenario.C - np.eye(M))) < 1e-9:
         raise ConfigError("covariance inverse fails the identity check")
     if not np.isfinite(scenario.nu_sq):

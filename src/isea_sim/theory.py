@@ -92,8 +92,10 @@ def pairwise_separation_matrix(scenario, snr=np.inf):
     Y = scenario.proj_centroids_eig
     w = _noise_weights(scenario, snr)
     # one row at a time: (Y - y)^2 is the same array as (y - Y)^2, so
-    # entries (a, b) and (b, a) are the same sum, and the diagonal is 0
-    return np.stack([np.sum((Y - y) ** 2 * w, axis=1) for y in Y])
+    # entries (a, b) and (b, a) are the same sum, and the diagonal is 0;
+    # a separation beyond the largest float saturates to inf
+    with np.errstate(over="ignore"):
+        return np.stack([np.sum((Y - y) ** 2 * w, axis=1) for y in Y])
 
 
 def mean_separation(scenario, snr=np.inf):

@@ -25,6 +25,11 @@ def _scenario(**overrides):
     return iz.build_scenario(iz.ScenarioConfig(**base))
 
 
+def _draw(num_antennas, num_sensors, rng):
+    """One channel draw with its principal pair."""
+    return iz.realization_from_matrix(iz.sample_channel(num_antennas, num_sensors, rng))
+
+
 def _align_phase(x, ref):
     """Rotate x by the global phase that best matches ref."""
     inner = np.vdot(ref, x)
@@ -67,7 +72,7 @@ _SHAPES = [(2, 5), (5, 5), (9, 4), (1, 3), (6, 1), (6, 4), (3, 5), (12, 10), (20
 
 
 def test_scalar_channel_eigenstructure():
-    ch = iz.sample_channel(1, 1, substream(0, 0))
+    ch = _draw(1, 1, substream(0, 0))
     h = ch.H[0, 0]
     assert abs(ch.lambda1 - abs(h) ** 2) < 1e-12
     # phase convention: the single entry of q1 is +1, so the receive beam
@@ -80,14 +85,14 @@ def test_entry_variance_is_unit():
     rng = substream(1, 0)
     acc = 0.0
     for _ in range(100):
-        ch = iz.sample_channel(100, 100, rng)
+        ch = _draw(100, 100, rng)
         acc += np.mean(np.abs(ch.H) ** 2)
     assert abs(acc / 100 - 1.0) < 0.01
 
 
 def test_principal_pair_identity_up_to_phase():
     for i, (N, K) in enumerate([(2, 5), (5, 5), (9, 4), (1, 3), (6, 1)]):
-        ch = iz.sample_channel(N, K, substream(2, 0, point_index=i))
+        ch = _draw(N, K, substream(2, 0, point_index=i))
         v = _receive_beam(ch)
         assert abs(np.linalg.norm(v) - 1) < 1e-9
         assert abs(np.linalg.norm(ch.q1) - 1) < 1e-9
@@ -101,7 +106,7 @@ def test_principal_pair_identity_up_to_phase():
 
 
 def test_top_eigenvalue_dominates():
-    ch = iz.sample_channel(6, 4, substream(3, 0))
+    ch = _draw(6, 4, substream(3, 0))
     evals = np.linalg.eigvalsh(ch.H.conj().T @ ch.H)
     assert ch.lambda1 >= evals[-1] - 1e-9 * evals[-1]
 
@@ -109,17 +114,27 @@ def test_top_eigenvalue_dominates():
 def test_large_matrix_eigenvalue_concentration():
     # lambda1 / K approaches (1 + sqrt(N/K))^2 = 4 for square matrices.
     rng = substream(20240, 31)
-    vals = np.array([iz.sample_channel(200, 200, rng).lambda1 / 200 for _ in range(100)])
+    vals = np.array([_draw(200, 200, rng).lambda1 / 200 for _ in range(100)])
     assert np.all(np.abs(vals / 4.0 - 1.0) < 0.10)
 
 
 def test_realization_from_matrix_matches_sampler():
-    ch = iz.sample_channel(6, 4, substream(4, 0))
-    rebuilt = iz.realization_from_matrix(ch.H)
-    assert np.array_equal(ch.H, rebuilt.H)
-    assert ch.lambda1 == rebuilt.lambda1
-    np.testing.assert_allclose(_receive_beam(ch), _receive_beam(rebuilt), atol=1e-12)
-    np.testing.assert_allclose(ch.q1, rebuilt.q1, atol=1e-12)
+    # the sampler returns H alone; a stack of draws, with any leading shape,
+    # gets each draw's own principal pair bit for bit, also above the
+    # full-eigensolver size
+    rng = substream(4, 0)
+    for N, K in _SHAPES + [(70, 66), (66, 70)]:
+        H = np.stack([iz.sample_channel(N, K, rng) for _ in range(3)])
+        assert H.shape == (3, N, K) and H.dtype == complex
+        stacked = iz.realization_from_matrix(H[:, None])
+        assert stacked.lambda1.shape == (3, 1) and stacked.q1.shape == (3, 1, K)
+        for i in range(3):
+            one = iz.realization_from_matrix(H[i])
+            assert isinstance(one.lambda1, float)
+            assert one.lambda1 == stacked.lambda1[i, 0]
+            np.testing.assert_array_equal(one.q1, stacked.q1[i, 0])
+    with pytest.raises(ValueError):
+        iz.realization_from_matrix(np.ones(3))
 
 
 def test_min_alignment_equals_projection_onto_receive_beam():
@@ -127,7 +142,7 @@ def test_min_alignment_equals_projection_onto_receive_beam():
     rng = substream(24, 0)
     for N, K in _SHAPES:
         for _ in range(5):
-            ch = iz.sample_channel(N, K, rng)
+            ch = _draw(N, K, rng)
             oracle = np.min(np.abs(_receive_beam(ch).conj() @ ch.H) ** 2)
             assert iz.min_beam_alignment(ch) == pytest.approx(oracle, rel=1e-9)
 
@@ -137,7 +152,7 @@ def test_min_alignment_equals_projection_onto_receive_beam():
 
 def test_scalar_link_effective_snr():
     scen = _scenario(num_sensors=1, num_antennas=1)
-    ch = iz.sample_channel(1, 1, substream(5, 0))
+    ch = _draw(1, 1, substream(5, 0))
     snr = iz.aircomp_effective_snr(ch, scen)
     gamma = 10.0
     expected = 2 * gamma * abs(ch.H[0, 0]) ** 2 / scen.nu_sq
@@ -146,7 +161,7 @@ def test_scalar_link_effective_snr():
 
 def test_effective_snr_quadratic_homogeneity():
     scen = _scenario(num_sensors=4, num_antennas=6)
-    ch = iz.sample_channel(6, 4, substream(6, 0))
+    ch = _draw(6, 4, substream(6, 0))
     base = iz.aircomp_effective_snr(ch, scen).gamma_air
     for c in (0.5, 2.0, 7.0):
         scaled = iz.aircomp_effective_snr(iz.realization_from_matrix(c * ch.H), scen)
@@ -162,7 +177,7 @@ def test_effective_snr_power_budget_identity():
         K = 2 + i % 7
         N = 1 + (i * 3) % 11
         scen = _scenario(num_sensors=K, num_antennas=N)
-        ch = iz.sample_channel(N, K, rng)
+        ch = _draw(N, K, rng)
         snr = iz.aircomp_effective_snr(ch, scen)
         v = _receive_beam(ch)
         b_norm_sq = scen.nu_sq / np.min(np.abs(v.conj() @ ch.H) ** 2)
@@ -178,7 +193,7 @@ def test_degenerate_channel_flagged():
     for N, K in [(6, 4), (3, 5), (12, 10), (20, 10), (5, 5)]:
         scen = _scenario(num_sensors=K, num_antennas=N)
         for t in range(30):
-            H = iz.sample_channel(N, K, rng).H.copy()
+            H = iz.sample_channel(N, K, rng)
             H[:, t % K] = 0.0
             ch = iz.realization_from_matrix(H)
             assert iz.min_beam_alignment(ch) == 0.0
@@ -196,7 +211,7 @@ def test_degenerate_channel_flagged():
 
 def test_noiseless_channel_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
-    ch = iz.sample_channel(12, 10, substream(9, 0))
+    ch = _draw(12, 10, substream(9, 0))
     feats = iz.sample_local_features(scen, 1, substream(9, 1))
     out = iz.aircomp_receive(scen, ch, feats, substream(9, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
@@ -205,7 +220,7 @@ def test_noiseless_channel_receive_is_exact():
 
 def test_receive_covariance_at_fixed_channel():
     scen = _scenario()
-    ch = iz.sample_channel(12, 10, substream(10, 0))
+    ch = _draw(12, 10, substream(10, 0))
     gamma_air = iz.aircomp_effective_snr(ch, scen).gamma_air
     rng = substream(10, 1)
     n = 100000
@@ -222,7 +237,7 @@ def test_literal_matrix_noise_matches_direct_draw():
     # The per-antenna complex noise pushed through the beamformer must be
     # distribution-identical to the direct isotropic draw.
     scen = _scenario(num_sensors=3, num_antennas=4)
-    ch = iz.sample_channel(4, 3, substream(11, 0))
+    ch = _draw(4, 3, substream(11, 0))
     rng_a = substream(11, 1)
     rng_b = substream(11, 2)
     n = 100000
@@ -257,7 +272,7 @@ def test_zf_defining_property():
     for i in range(20):
         K = 2 + i % 5
         N = K + i % 4  # includes the square case
-        ch = iz.sample_channel(N, K, rng)
+        ch = _draw(N, K, rng)
         B = _zf_matrix(ch.H)
         gram = B.conj().T @ ch.H
         assert np.max(np.abs(gram - np.eye(K))) < 1e-8
@@ -273,7 +288,7 @@ def test_zf_norms_match_beam_columns_at_square_edge():
     rng = substream(13, 1)
     for K in (1, 2, 5, 10, 30):
         for _ in range(5):
-            ch = iz.sample_channel(K, K, rng)
+            ch = _draw(K, K, rng)
             B = _zf_matrix(ch.H)
             assert np.max(np.abs(B.conj().T @ ch.H - np.eye(K))) < 1e-6
             np.testing.assert_allclose(
@@ -282,7 +297,7 @@ def test_zf_norms_match_beam_columns_at_square_edge():
 
 
 def test_zf_infeasible_when_undersized():
-    ch = iz.sample_channel(3, 5, substream(14, 0))
+    ch = _draw(3, 5, substream(14, 0))
     with pytest.raises(iz.InfeasibleAccessError):
         iz.zf_norms_sq(ch)
     with pytest.raises(iz.InfeasibleAccessError):
@@ -290,7 +305,7 @@ def test_zf_infeasible_when_undersized():
 
 
 def test_zf_singular_gram_reported():
-    H = iz.sample_channel(5, 3, substream(15, 0)).H.copy()
+    H = iz.sample_channel(5, 3, substream(15, 0))
     H[:, 1] = 0.0
     with pytest.raises(iz.NumericalError):
         iz.zf_norms_sq(iz.realization_from_matrix(H))
@@ -303,7 +318,7 @@ def test_zf_norm_distribution():
     rng = substream(16, 0)
     vals = np.empty(4000)
     for i in range(4000):
-        ch = iz.sample_channel(16, 10, rng)
+        ch = _draw(16, 10, rng)
         vals[i] = iz.zf_norms_sq(ch)[0]
     ks = iz.ks_statistic(vals, iz.zf_norm_cdf(16, 10))
     assert ks < 0.03
@@ -319,7 +334,7 @@ def test_zf_norm_inverse_exponential_edge():
     rng = substream(17, 0)
     vals = np.empty(10000)
     for i in range(10000):
-        ch = iz.sample_channel(3, 3, rng)
+        ch = _draw(3, 3, rng)
         vals[i] = iz.zf_norms_sq(ch)[0]
     assert iz.ks_statistic(vals, cdf) < 0.02
 
@@ -329,7 +344,7 @@ def test_zf_norm_inverse_exponential_edge():
 
 def test_orthogonal_noiseless_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
-    ch = iz.sample_channel(12, 10, substream(18, 0))
+    ch = _draw(12, 10, substream(18, 0))
     feats = iz.sample_local_features(scen, 3, substream(18, 1))
     out = iz.orthogonal_receive(scen, ch, feats, substream(18, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
@@ -344,7 +359,7 @@ def test_orthogonal_snr_collapses_at_square_channel():
         rng = substream(20240, 30, point_index=N)
         vals = np.empty(1000)
         for t in range(1000):
-            ch = iz.sample_channel(N, 50, rng)
+            ch = _draw(N, 50, rng)
             vals[t] = iz.orthogonal_effective_snr(ch, scen) / 50
         med[N] = np.median(vals)
     assert med[50] < 0.05 * med[100]
@@ -355,7 +370,7 @@ def test_orthogonal_snr_mean_matches_closed_form():
     rng = substream(19, 0)
     vals = np.empty(1000)
     for t in range(1000):
-        ch = iz.sample_channel(100, 50, rng)
+        ch = _draw(100, 50, rng)
         vals[t] = iz.orthogonal_effective_snr(ch, scen) / 50
     closed = 10.0 * (100 - 50) / scen.nu_sq
     assert abs(vals.mean() - closed) / closed < 0.05
@@ -368,7 +383,7 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
     scen = _scenario(num_sensors=10, num_antennas=5)
     rng = substream(20, 0)
     for _ in range(10):
-        ch = iz.sample_channel(5, 10, rng)
+        ch = _draw(5, 10, rng)
         feats = iz.sample_local_features(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         assert out.resolved_mode == "aircomp"
@@ -380,7 +395,7 @@ def test_adaptive_selects_larger_snr():
     rng = substream(21, 0)
     seen = set()
     for _ in range(60):
-        ch = iz.sample_channel(18, 10, rng)
+        ch = _draw(18, 10, rng)
         ga = iz.aircomp_effective_snr(ch, scen).gamma_air
         go = iz.orthogonal_effective_snr(ch, scen)
         assert iz.access_snrs(ch, scen) == (ga, go)
@@ -395,7 +410,7 @@ def test_adaptive_selects_larger_snr():
 
 def test_adaptive_mode_is_deterministic_per_draw():
     scen = _scenario(num_sensors=6, num_antennas=8)
-    ch = iz.sample_channel(8, 6, substream(22, 0))
+    ch = _draw(8, 6, substream(22, 0))
     feats = iz.sample_local_features(scen, 1, substream(22, 1))
     a = iz.adaptive_receive(scen, ch, feats, substream(22, 2))
     b = iz.adaptive_receive(scen, ch, feats, substream(22, 2))
@@ -416,7 +431,7 @@ def test_adaptive_mean_snr_dominates_both_modes():
         orth = np.full(1000, -np.inf)
         ada = np.empty(1000)
         for t in range(1000):
-            ch = iz.sample_channel(N, 10, rng)
+            ch = _draw(N, 10, rng)
             air[t] = iz.aircomp_effective_snr(ch, scen).gamma_air
             if N >= 10:
                 orth[t] = iz.orthogonal_effective_snr(ch, scen)

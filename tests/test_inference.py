@@ -392,11 +392,13 @@ def test_trial_streams_match_substreams():
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_chunk_size_does_not_change_results(monkeypatch, pipeline):
-    # 97 does not divide 600 or 512, so every chunk edge moves.
+    # 97 does not divide 600 or 512, so every chunk edge moves, and channel
+    # stacks of 7 trials (N = 12, K = 10) move every stack edge.
     scen = iz.build_scenario(_config())
     batches = []
-    for chunk in (512, 97):
+    for chunk, stack_bytes in ((512, inference._STACK_BYTES), (97, 7 * 16 * 12 * 10)):
         monkeypatch.setattr(inference, "_CHUNK_TRIALS", chunk)
+        monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
         batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
     for field in ("entropies", "labels", "predictions", "effective_snrs"):
         np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))
@@ -420,3 +422,136 @@ def test_batch_summaries_match_arrays():
     )
     expected_se = batch.entropies.std(ddof=1) / np.sqrt(500)
     assert batch.entropy_stderr == pytest.approx(expected_se)
+
+
+# ------------------------------------------- stacked engine, per-draw oracle
+
+
+def _reference_realization(H):
+    """One draw's principal pair computed on its own, as the one-draw code
+    computed it: the top eigenpair of the smaller Gram matrix, the 1-D
+    ``np.linalg.norm``, and the largest entry's phase divided out by its
+    scalar modulus."""
+    N, K = H.shape
+    if N <= K:
+        w, V = np.linalg.eigh(H @ H.conj().T)
+        q1 = H.conj().T @ V[:, -1] / np.sqrt(w[-1])
+    else:
+        w, V = np.linalg.eigh(H.conj().T @ H)
+        q1 = V[:, -1]
+    q1 = q1 / np.linalg.norm(q1)
+    top = q1[np.argmax(np.abs(q1))]
+    return iz.ChannelRealization(H=H, lambda1=float(w[-1]), q1=q1 * (top.conjugate() / abs(top)))
+
+
+def _draw_trial(scenario, pipeline, rng):
+    """Reference route: one trial through the per-draw public functions, with
+    the channel drawn through the engine's own binding of ``sample_channel``
+    and its principal pair from :func:`_reference_realization`."""
+    label = iz.sample_label(scenario.num_classes, rng)
+    features = iz.sample_local_features(scenario, label, rng)
+    if pipeline == "noiseless":
+        return label, iz.aggregate_noiseless(features), np.inf, None
+    H = inference.sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
+    receive = {
+        "aircomp": iz.aircomp_receive,
+        "orthogonal": iz.orthogonal_receive,
+        "adaptive": iz.adaptive_receive,
+    }[pipeline]
+    outcome = receive(scenario, _reference_realization(H), features, rng)
+    return label, outcome.f_tilde, outcome.effective_snr, outcome.resolved_mode
+
+
+def _oracle_batch(scenario, pipeline, trials, stream_id, point):
+    """The reference route's trials, classified as run_trials classifies."""
+    draws = [
+        _draw_trial(scenario, pipeline, substream(scenario.config.master_seed, stream_id, point, t))
+        for t in range(trials)
+    ]
+    labels, f_tilde, snrs, modes = zip(*draws)
+    snrs = np.array(snrs)
+    entropies, _, predictions = inference._classify(scenario, np.array(f_tilde), snrs)
+    return (entropies, np.array(labels), predictions, snrs), modes
+
+
+def _assert_engine_matches_oracle(scenario, pipeline, trials=530):
+    # 530 trials cross the 512-trial chunk edge
+    batch = iz.run_trials(scenario, pipeline, trials, stream_id=5, point_index=2)
+    want, modes = _oracle_batch(scenario, pipeline, trials, 5, 2)
+    for field, expected in zip(("entropies", "labels", "predictions", "effective_snrs"), want):
+        np.testing.assert_array_equal(getattr(batch, field), expected, err_msg=field)
+    return batch, modes
+
+
+@pytest.mark.parametrize(
+    ("pipeline", "num_antennas"),
+    [(p, n) for p in iz.PIPELINES for n in (4, 6, 9) if (p, n) != ("orthogonal", 4)],
+)
+def test_stacked_engine_matches_per_draw_oracle(pipeline, num_antennas):
+    # K = 6 sensors: N = 4 < K (orthogonal infeasible), N = K and N = 9 > K,
+    # where each access mode wins some adaptive trials
+    scen = iz.build_scenario(_config(num_sensors=6, num_antennas=num_antennas))
+    _, modes = _assert_engine_matches_oracle(scen, pipeline)
+    for t in (0, 511, 529):
+        record = iz.simulate_trial(scen, pipeline, substream(20240, 5, 2, t))
+        assert record.resolved_mode == modes[t]
+    if pipeline == "adaptive":
+        expected = {"aircomp", "orthogonal"} if num_antennas >= 6 else {"aircomp"}
+        assert set(modes) == expected
+
+
+def _zero_some_columns(sample_channel):
+    """A sampler that silences sensor 0 on the draws whose H[0, 0] has real
+    part above 1, about one in six."""
+
+    def sample(num_antennas, num_sensors, rng):
+        H = sample_channel(num_antennas, num_sensors, rng)
+        if H[0, 0].real > 1.0:
+            H[:, 0] = 0.0
+        return H
+
+    return sample
+
+
+@pytest.mark.parametrize(("pipeline", "num_antennas"), [("aircomp", 9), ("aircomp", 4), ("adaptive", 4)])
+def test_zero_column_trials_alone_get_zero_snr(monkeypatch, pipeline, num_antennas):
+    monkeypatch.setattr(inference, "sample_channel", _zero_some_columns(inference.sample_channel))
+    scen = iz.build_scenario(_config(num_sensors=6, num_antennas=num_antennas))
+    batch, _ = _assert_engine_matches_oracle(scen, pipeline)
+    zeroed = np.array([
+        inference.sample_channel(num_antennas, 6, _after_features(scen, t))[0, 0] == 0
+        for t in range(batch.trials)
+    ])
+    assert 0 < zeroed.sum() < batch.trials
+    np.testing.assert_array_equal(batch.effective_snrs == 0, zeroed)
+    np.testing.assert_array_equal(batch.entropies[zeroed], np.log(scen.num_classes))
+
+
+def _after_features(scenario, t):
+    """Trial t's generator of the oracle tests, advanced past its label and
+    feature draws."""
+    rng = substream(scenario.config.master_seed, 5, 2, t)
+    iz.sample_local_features(scenario, iz.sample_label(scenario.num_classes, rng), rng)
+    return rng
+
+
+@pytest.mark.parametrize("pipeline", ["orthogonal", "adaptive"])
+def test_singular_gram_raises_numerical_error(monkeypatch, pipeline):
+    monkeypatch.setattr(inference, "sample_channel", _zero_some_columns(inference.sample_channel))
+    scen = iz.build_scenario(_config(num_sensors=6, num_antennas=9))
+    with pytest.raises(iz.NumericalError) as excinfo:
+        iz.run_trials(scen, pipeline, 100)
+    assert not isinstance(excinfo.value, np.linalg.LinAlgError)
+
+
+def test_all_zero_channel_raises_numerical_error(monkeypatch):
+    monkeypatch.setattr(inference, "sample_channel", lambda N, K, rng: np.zeros((N, K), complex))
+    scen = iz.build_scenario(_config(num_sensors=6, num_antennas=9))
+    with pytest.raises(iz.NumericalError):
+        iz.run_trials(scen, "aircomp", 10)
+
+
+def test_orthogonal_replay_infeasible_without_antennas():
+    scen = iz.build_scenario(_config(num_sensors=6, num_antennas=4))
+    with pytest.raises(iz.InfeasibleAccessError):
+        iz.simulate_trial(scen, "orthogonal", substream(1, 0))

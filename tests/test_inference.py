@@ -513,6 +513,14 @@ def _zero_some_columns(sample_channel):
     return sample
 
 
+def _after_features(scenario, t):
+    """Trial t's generator of the oracle tests, advanced past its label and
+    feature draws."""
+    rng = substream(scenario.config.master_seed, 5, 2, t)
+    iz.sample_local_features(scenario, iz.sample_label(scenario.num_classes, rng), rng)
+    return rng
+
+
 @pytest.mark.parametrize(("pipeline", "num_antennas"), [("aircomp", 9), ("aircomp", 4), ("adaptive", 4)])
 def test_zero_column_trials_alone_get_zero_snr(monkeypatch, pipeline, num_antennas):
     monkeypatch.setattr(inference, "sample_channel", _zero_some_columns(inference.sample_channel))
@@ -525,14 +533,6 @@ def test_zero_column_trials_alone_get_zero_snr(monkeypatch, pipeline, num_antenn
     assert 0 < zeroed.sum() < batch.trials
     np.testing.assert_array_equal(batch.effective_snrs == 0, zeroed)
     np.testing.assert_array_equal(batch.entropies[zeroed], np.log(scen.num_classes))
-
-
-def _after_features(scenario, t):
-    """Trial t's generator of the oracle tests, advanced past its label and
-    feature draws."""
-    rng = substream(scenario.config.master_seed, 5, 2, t)
-    iz.sample_local_features(scenario, iz.sample_label(scenario.num_classes, rng), rng)
-    return rng
 
 
 @pytest.mark.parametrize("pipeline", ["orthogonal", "adaptive"])

@@ -136,10 +136,13 @@ def realization_from_matrix(H):
     )
 
 
-def sample_channel(num_antennas, num_sensors, rng):
-    """Draw H (N x K) with i.i.d. CN(0, 1) entries."""
-    shape = (num_antennas, num_sensors)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def sample_channel(z):
+    """H (..., N, K) with i.i.d. CN(0, 1) entries from standard normals ``z``
+    (..., 2, N, K), real parts first; each part times 1/sqrt(2) has the bits
+    of ``(z[0] + 1j * z[1]) / np.sqrt(2.0)``."""
+    H = np.empty(z.shape[:-3] + z.shape[-2:], dtype=complex)
+    H.real, H.imag = np.moveaxis(z, -3, 0) * (1 / np.sqrt(2.0))
+    return H
 
 
 def _min_alignments(channel):
@@ -235,13 +238,12 @@ def zf_norms_sq(channel):
     return _zf_norms(channel.H)
 
 
-def _orth_snrs(H, scenario):
-    """gamma_aoa of each matrix of a stack (..., N, K)."""
-    total_norm = _zf_norms(H).sum(axis=-1)
+def _orth_snrs(total_norm, scenario, K):
+    """gamma_aoa of K sensors from zero-forcing norm sums sum_k ||b_k||^2,
+    one per draw of any stack."""
     gamma = scenario.transmit_snr
     if gamma == np.inf:
         return np.full_like(total_norm, np.inf)
-    K = H.shape[-1]
     return gamma * K**2 / (scenario.nu_sq * total_norm)
 
 
@@ -251,7 +253,7 @@ def orthogonal_effective_snr(channel, scenario):
     gamma_aoa = gamma K^2 / (nu^2 * sum_k ||b_k||^2); the zero-forcing
     norms grow as antennas shrink toward the sensor count.
     """
-    return float(_orth_snrs(channel.H, scenario))
+    return float(_orth_snrs(zf_norms_sq(channel).sum(), scenario, channel.num_sensors))
 
 
 def orthogonal_receive(scenario, channel, local_features, rng):
@@ -290,13 +292,13 @@ def _pipeline_snrs(scenario, pipeline, H):
     """Effective SNRs (n,) of a stack of channel draws H (n, N, K) under an
     access ``pipeline``, and for ``adaptive`` whether over the air won each
     draw (else None).  Row i equals the one-draw functions on H[i]."""
+    N, K = H.shape[-2:]
     if pipeline == "orthogonal":
-        return _orth_snrs(H, scenario), None
+        return _orth_snrs(_zf_norms(H).sum(axis=-1), scenario, K), None
     if pipeline not in ("aircomp", "adaptive"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     gamma_air, _ = _air_snrs(realization_from_matrix(H), scenario)
     if pipeline == "aircomp":
         return gamma_air, None
-    num_antennas, num_sensors = H.shape[-2:]
-    gamma_aoa = -np.inf if num_antennas < num_sensors else _orth_snrs(H, scenario)
+    gamma_aoa = -np.inf if N < K else _orth_snrs(_zf_norms(H).sum(axis=-1), scenario, K)
     return _best_access(gamma_air, gamma_aoa)

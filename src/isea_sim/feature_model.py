@@ -15,22 +15,22 @@ def sample_label(num_classes, rng):
     return int(rng.integers(num_classes))
 
 
-def sample_local_features(scenario, label, rng):
-    """Draw all K sensor views P_k mu_l + w_k, w_k ~ N(0, C), at once; rows
-    are independent given the label."""
-    z = rng.standard_normal((scenario.num_sensors, scenario.feature_dim))
-    return scenario.sensor_centroids[:, label, :] + z @ scenario.C_factor.T
+def sample_local_features(scenario, labels, z):
+    """The K sensor views P_k mu_l + w_k, w_k = C^(1/2) z_k, of a label, or
+    of each label of a stack: standard normals ``z`` (..., K, M) give views
+    (..., K, M), each matching its label and normals taken alone."""
+    return scenario.sensor_centroids.transpose(1, 0, 2)[labels] + z @ scenario.C_factor.T
 
 
 def aggregate_noiseless(local_features):
-    """Average the sensor views; this is the ideal fusion output.
+    """Average the sensor views (..., K, M); this is the ideal fusion output.
 
     Given the label, the average is Gaussian with mean P_bar mu_l and
     covariance C / K.
     """
     features = np.asarray(local_features, dtype=float)
-    if features.ndim != 2 or features.shape[0] < 1:
-        raise ValueError("expected a nonempty (K, M) array of sensor features")
+    if features.ndim < 2 or features.shape[-2] < 1:
+        raise ValueError("expected a nonempty (..., K, M) array of sensor features")
     # add.reduce then divide is what ndarray.mean does, bit for bit, without
     # its per-call dispatch
-    return np.add.reduce(features, axis=0) / features.shape[0]
+    return np.add.reduce(features, axis=-2) / features.shape[-2]

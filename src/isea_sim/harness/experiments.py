@@ -20,12 +20,14 @@ import numpy as np
 
 from .._blas import one_blas_thread
 from ..channel import (
+    _best_access,
+    _orth_snrs,
+    _zf_norms,
     access_snrs,
     aircomp_effective_snr,
     realization_from_matrix,
     sample_channel,
     scaled_min_alignment,
-    zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
 from ..inference import PIPELINES, _stderr, run_trials
@@ -286,19 +288,18 @@ def _draw_streams(spec, point, draws):
 
 
 def _per_draw(stat, num_antennas, num_sensors, rngs):
-    """``stat`` of one fresh channel per generator in ``rngs``, as an array.
+    """``stat`` of one fresh channel matrix H per generator in ``rngs``.
 
     This is the harness's only per-draw channel loop.  Channels are drawn
     lazily and dropped after use, so one N x K matrix is alive at a time.
-    A ``stat`` that returns a tuple gives one column per entry.  The
-    benchmark's tracer rebinds ``sample_channel`` and ``substream`` in this
-    module, so both are called through their module-level names.
+    A ``stat`` that returns a tuple gives one column per entry; one that
+    reads the principal pair builds it from H.  The benchmark's tracer
+    rebinds ``sample_channel`` and ``substream`` in this module, so both
+    are called through their module-level names.
     """
+    shape = (2, num_antennas, num_sensors)
     with one_blas_thread():
-        draws = [
-            stat(realization_from_matrix(sample_channel(num_antennas, num_sensors, rng)))
-            for rng in rngs
-        ]
+        draws = [stat(sample_channel(rng.standard_normal(shape))) for rng in rngs]
     return np.array(draws, dtype=float)
 
 
@@ -329,9 +330,9 @@ def _aloss_config(cfg, gamma_lin):
     return dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
 
 
-def _zf_norm_pair(channel):
-    """``(||b_1||^2, sum_k ||b_k||^2)`` of one channel."""
-    norms = zf_norms_sq(channel)
+def _zf_norm_pair(H):
+    """``(||b_1||^2, sum_k ||b_k||^2)`` of one channel matrix."""
+    norms = _zf_norms(H)
     return norms[0], norms.sum()
 
 
@@ -339,7 +340,9 @@ def _alignment_ks(num_antennas, num_sensors, rngs):
     """K-scaled weakest alignments of one channel per generator in ``rngs``
     and their KS distance to the limiting exponential law at omega = N/K.
     Returns ``(ks, zeta)``."""
-    zeta = _per_draw(scaled_min_alignment, num_antennas, num_sensors, rngs)
+    zeta = _per_draw(
+        lambda H: scaled_min_alignment(realization_from_matrix(H)), num_antennas, num_sensors, rngs
+    )
     return ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
 
 
@@ -374,10 +377,8 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
         row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
         return [row], [f"N={N}: infeasible (K={K})"]
     ks, norms = _zf_norm_ks(N, K, _draw_streams(spec, point, draws))
-    snrs = scen.transmit_snr * K**2 / (scen.nu_sq * norms[:, 1])
-    prediction = None
-    if N > K:
-        prediction = scen.transmit_snr * K * (N - K) / scen.nu_sq
+    snrs = _orth_snrs(norms[:, 1], scen, K)
+    prediction = scen.transmit_snr * K * (N - K) / scen.nu_sq if N > K else None
     row = SweepRow(
         sweep_value=N,
         pipeline="orthogonal",
@@ -392,11 +393,11 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     K, N = scen.num_sensors, scen.num_antennas
     omega = N / K  # the simulated ratio, which the rows and notes report
     streams = _draw_streams(spec, point, draws)
-    air, aoa = _per_draw(lambda ch: access_snrs(ch, scen), N, K, streams).T
-    wins = (air >= aoa).astype(float)
-    prob, prob_se = float(wins.mean()), _stderr(wins)
+    air, aoa = _per_draw(lambda H: access_snrs(realization_from_matrix(H), scen), N, K, streams).T
+    best, wins = _best_access(air, aoa)
+    prob, prob_se = float(wins.mean()), _stderr(wins.astype(float))
     predicted = crossing_probability(K, omega)
-    mean_snrs = (air.mean(), aoa.mean() if N >= K else None, np.maximum(air, aoa).mean())
+    mean_snrs = (air.mean(), aoa.mean() if N >= K else None, best.mean())
     rows = []
     for pipeline, mean_snr in zip(("aircomp", "orthogonal", "adaptive"), mean_snrs):
         if mean_snr is None:
@@ -419,7 +420,9 @@ def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
     """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
     K, N = scen.num_sensors, scen.num_antennas
     streams = _draw_streams(spec, point, draws)
-    snrs = _per_draw(lambda ch: aircomp_effective_snr(ch, scen).gamma_air, N, K, streams)
+    snrs = _per_draw(
+        lambda H: aircomp_effective_snr(realization_from_matrix(H), scen).gamma_air, N, K, streams
+    )
     # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
     samples = np.zeros(draws)
     usable = snrs > 0

@@ -144,28 +144,25 @@ def _draw_trials(scenario, pipeline, rngs, n):
     """Labels, received vectors, effective SNRs and, for ``adaptive``,
     whether over the air won (else None), of n trials: one generator each.
 
-    Each trial draws its label, sensor features, channel and M receive
-    noise samples from its own generator, in that order; the channel stage
-    then runs on the stack of draws.  A trial whose SNR is 0 discards its
-    noise, and since nothing is drawn after it, no other value changes.
+    Each trial draws its label, then one row of standard normals, the same
+    values as one call per block: K M for the views, N K real and N K
+    imaginary channel parts and M receive noise samples (noiseless: the
+    views alone).  Views, channels and noise are formed on the stack.  A
+    trial whose SNR is 0 discards its noise; nothing is drawn after it.
     """
     M, N, K = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
-    with_channel = pipeline != "noiseless"
     labels = np.empty(n, dtype=np.int64)
-    f_bar = np.empty((n, M))
-    if with_channel:
-        H = np.empty((n, N, K), dtype=complex)
-        noise = np.empty((n, M))
+    z = np.empty((n, K * M + (0 if pipeline == "noiseless" else 2 * N * K + M)))
     for i, rng in enumerate(rngs):
-        labels[i] = label = sample_label(scenario.num_classes, rng)
-        f_bar[i] = aggregate_noiseless(sample_local_features(scenario, label, rng))
-        if with_channel:
-            H[i] = sample_channel(N, K, rng)
-            noise[i] = rng.standard_normal(M)
-    if not with_channel:
+        labels[i] = sample_label(scenario.num_classes, rng)
+        rng.standard_normal(out=z[i])
+    local = sample_local_features(scenario, labels, z[:, : K * M].reshape(n, K, M))
+    f_bar = aggregate_noiseless(local)
+    if pipeline == "noiseless":
         return labels, f_bar, np.full(n, np.inf), None
+    H = sample_channel(z[:, K * M : -M].reshape(n, 2, N, K))
     snrs, air_wins = _pipeline_snrs(scenario, pipeline, H)
-    return labels, _receive(f_bar, snrs, noise), snrs, air_wins
+    return labels, _receive(f_bar, snrs, z[:, -M:]), snrs, air_wins
 
 
 def _classify(scenario, f_tilde, snrs):
@@ -201,16 +198,10 @@ def simulate_trial(scenario, pipeline, rng):
     )
 
 
-def _stack_trials(scenario):
-    """Trials per channel stack: a whole chunk, unless its channel matrices
-    would take more than _STACK_BYTES."""
-    return max(1, _STACK_BYTES // (16 * scenario.num_antennas * scenario.num_sensors))
-
-
 def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop):
-    """Draw trials [start, stop), one stream each, in stacks of at most
-    :func:`_stack_trials`, then classify them as one batch."""
-    step = _stack_trials(scenario)
+    """Draw trials [start, stop), one stream each, in stacks whose channel
+    matrices take at most _STACK_BYTES, then classify them as one batch."""
+    step = max(1, _STACK_BYTES // (16 * scenario.num_antennas * scenario.num_sensors))
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)
@@ -236,9 +227,10 @@ def run_trials(
     (master_seed, stream_id, point_index, trial_index), so the result is
     independent of ``workers`` and of scheduling, and pipelines evaluated
     with the same stream coordinates see identical labels, features, and
-    channels (paired comparisons).  The returned :class:`TrialBatch`
-    carries the uncertainty and accuracy estimates with their standard
-    errors.
+    channels (paired comparisons).  The calling process runs every
+    ``workers``-th chunk of 512 trials, and a pool of at most workers - 1
+    forked processes the rest.  The returned :class:`TrialBatch` carries
+    the uncertainty and accuracy estimates with their standard errors.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
@@ -252,17 +244,20 @@ def run_trials(
     chunk = partial(
         _run_chunk, scenario, pipeline, scenario.config.master_seed, stream_id, point_index
     )
-    starts = range(0, trials, _CHUNK_TRIALS)
-    stops = [min(start + _CHUNK_TRIALS, trials) for start in starts]
+    spans = [(a, min(a + _CHUNK_TRIALS, trials)) for a in range(0, trials, _CHUNK_TRIALS)]
     with one_blas_thread():  # forked workers inherit the one thread
-        if workers <= 1 or len(starts) == 1:
-            parts = list(map(chunk, starts, stops))
+        if workers <= 1 or len(spans) == 1:
+            parts = [chunk(*span) for span in spans]
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            # a fork pool starts all its workers at once; more than one per
-            # chunk would sit idle
-            with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
-                parts = list(pool.map(chunk, starts, stops))
+            # the calling process runs every workers-th chunk; a fork pool
+            # starts all its workers at once, so it gets no more than chunks
+            pooled = [span for i, span in enumerate(spans) if i % workers]
+            with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as pool:
+                theirs = pool.map(chunk, *zip(*pooled))
+                done = {span: chunk(*span) for span in spans[::workers]}
+                done.update(zip(pooled, theirs))
+            parts = [done[span] for span in spans]
     # each part is a chunk's (entropies, labels, predictions, effective_snrs)
     return TrialBatch(*map(np.concatenate, zip(*parts)))

@@ -71,10 +71,11 @@ def test_01_aggregated_feature_moments():
         rng = substream(MASTER_SEED, 0)
         label = 2
         trials = 100000
+        shape = (sc.num_sensors, sc.feature_dim)
         agg = np.empty((trials, sc.feature_dim))
         for i in range(trials):
             agg[i] = feature_model.aggregate_noiseless(
-                feature_model.sample_local_features(sc, label, rng)
+                feature_model.sample_local_features(sc, label, rng.standard_normal(shape))
             )
         target_mean = sc.P_bar @ sc.centroids[label]
         target_cov = sc.C / sc.num_sensors
@@ -245,7 +246,9 @@ def test_08_crossing_probability_formula():
         N = round(omega * K)
         sc = iz.build_scenario(_config(num_sensors=K, num_antennas=N))
         rng = substream(MASTER_SEED, 16)
-        air, aoa = _per_draw(lambda ch: iz.access_snrs(ch, sc), N, K, repeat(rng, 10000)).T
+        air, aoa = _per_draw(
+            lambda H: iz.access_snrs(iz.realization_from_matrix(H), sc), N, K, repeat(rng, 10000)
+        ).T
         empirical = np.mean(air >= aoa)
         predicted = theory.crossing_probability(K, omega)
         assert abs(empirical - predicted) < 0.05  # observed 0.0185

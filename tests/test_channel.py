@@ -25,9 +25,21 @@ def _scenario(**overrides):
     return iz.build_scenario(iz.ScenarioConfig(**base))
 
 
+def _channel(num_antennas, num_sensors, rng):
+    """One channel matrix H (N x K)."""
+    return iz.sample_channel(rng.standard_normal((2, num_antennas, num_sensors)))
+
+
 def _draw(num_antennas, num_sensors, rng):
     """One channel draw with its principal pair."""
-    return iz.realization_from_matrix(iz.sample_channel(num_antennas, num_sensors, rng))
+    return iz.realization_from_matrix(_channel(num_antennas, num_sensors, rng))
+
+
+def _views(scen, label, rng):
+    """One draw of the K sensor views of ``label``."""
+    return iz.sample_local_features(
+        scen, label, rng.standard_normal((scen.num_sensors, scen.feature_dim))
+    )
 
 
 def _align_phase(x, ref):
@@ -90,6 +102,21 @@ def test_entry_variance_is_unit():
     assert abs(acc / 100 - 1.0) < 0.01
 
 
+def test_stacked_channels_match_each_draw_alone():
+    # the trial engine forms H from a stack of normals (n, 2, N, K); each
+    # row must equal its normals taken alone, and the complex division by
+    # sqrt(2) of the separate real and imaginary draws, bit for bit
+    rng = substream(1, 1)
+    for N, K in _SHAPES:
+        z = rng.standard_normal((3, 4, 2, N, K))
+        H = iz.sample_channel(z)
+        assert H.shape == (3, 4, N, K) and H.dtype == complex
+        for i, j in np.ndindex(3, 4):
+            np.testing.assert_array_equal(H[i, j], iz.sample_channel(z[i, j]))
+            re, im = z[i, j]
+            np.testing.assert_array_equal(H[i, j], (re + 1j * im) / np.sqrt(2.0))
+
+
 def test_principal_pair_identity_up_to_phase():
     for i, (N, K) in enumerate([(2, 5), (5, 5), (9, 4), (1, 3), (6, 1)]):
         ch = _draw(N, K, substream(2, 0, point_index=i))
@@ -124,7 +151,7 @@ def test_realization_from_matrix_matches_sampler():
     # full-eigensolver size
     rng = substream(4, 0)
     for N, K in _SHAPES + [(70, 66), (66, 70)]:
-        H = np.stack([iz.sample_channel(N, K, rng) for _ in range(3)])
+        H = np.stack([_channel(N, K, rng) for _ in range(3)])
         assert H.shape == (3, N, K) and H.dtype == complex
         stacked = iz.realization_from_matrix(H[:, None])
         assert stacked.lambda1.shape == (3, 1) and stacked.q1.shape == (3, 1, K)
@@ -193,14 +220,14 @@ def test_degenerate_channel_flagged():
     for N, K in [(6, 4), (3, 5), (12, 10), (20, 10), (5, 5)]:
         scen = _scenario(num_sensors=K, num_antennas=N)
         for t in range(30):
-            H = iz.sample_channel(N, K, rng)
+            H = _channel(N, K, rng)
             H[:, t % K] = 0.0
             ch = iz.realization_from_matrix(H)
             assert iz.min_beam_alignment(ch) == 0.0
             snr = iz.aircomp_effective_snr(ch, scen)
             assert snr.degenerate
             assert snr.gamma_air == 0.0
-    feats = iz.sample_local_features(scen, 0, substream(8, 1))
+    feats = _views(scen, 0, substream(8, 1))
     out = iz.aircomp_receive(scen, ch, feats, substream(8, 2))
     assert out.effective_snr == 0.0
     assert np.all(np.isnan(out.f_tilde))
@@ -212,7 +239,7 @@ def test_degenerate_channel_flagged():
 def test_noiseless_channel_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
     ch = _draw(12, 10, substream(9, 0))
-    feats = iz.sample_local_features(scen, 1, substream(9, 1))
+    feats = _views(scen, 1, substream(9, 1))
     out = iz.aircomp_receive(scen, ch, feats, substream(9, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
     assert out.effective_snr == np.inf
@@ -226,7 +253,7 @@ def test_receive_covariance_at_fixed_channel():
     n = 100000
     out = np.empty((n, 5))
     for i in range(n):
-        feats = iz.sample_local_features(scen, 2, rng)
+        feats = _views(scen, 2, rng)
         out[i] = iz.aircomp_receive(scen, ch, feats, rng).f_tilde
     ref = scen.C / 10 + np.eye(5) / gamma_air
     S = np.cov(out, rowvar=False)
@@ -244,9 +271,9 @@ def test_literal_matrix_noise_matches_direct_draw():
     direct = np.empty((n, 5))
     literal = np.empty((n, 5))
     for i in range(n):
-        feats = iz.sample_local_features(scen, 0, rng_a)
+        feats = _views(scen, 0, rng_a)
         direct[i] = iz.aircomp_receive(scen, ch, feats, rng_a).f_tilde
-        feats_b = iz.sample_local_features(scen, 0, rng_b)
+        feats_b = _views(scen, 0, rng_b)
         literal[i] = _symbol_level_aircomp(scen, ch, feats_b, rng_b)
     Sd = np.cov(direct, rowvar=False)
     Sl = np.cov(literal, rowvar=False)
@@ -305,7 +332,7 @@ def test_zf_infeasible_when_undersized():
 
 
 def test_zf_singular_gram_reported():
-    H = iz.sample_channel(5, 3, substream(15, 0))
+    H = _channel(5, 3, substream(15, 0))
     H[:, 1] = 0.0
     with pytest.raises(iz.NumericalError):
         iz.zf_norms_sq(iz.realization_from_matrix(H))
@@ -345,7 +372,7 @@ def test_zf_norm_inverse_exponential_edge():
 def test_orthogonal_noiseless_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
     ch = _draw(12, 10, substream(18, 0))
-    feats = iz.sample_local_features(scen, 3, substream(18, 1))
+    feats = _views(scen, 3, substream(18, 1))
     out = iz.orthogonal_receive(scen, ch, feats, substream(18, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
 
@@ -384,7 +411,7 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
     rng = substream(20, 0)
     for _ in range(10):
         ch = _draw(5, 10, rng)
-        feats = iz.sample_local_features(scen, 0, rng)
+        feats = _views(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         assert out.resolved_mode == "aircomp"
         assert iz.access_snrs(ch, scen)[1] == -np.inf
@@ -399,7 +426,7 @@ def test_adaptive_selects_larger_snr():
         ga = iz.aircomp_effective_snr(ch, scen).gamma_air
         go = iz.orthogonal_effective_snr(ch, scen)
         assert iz.access_snrs(ch, scen) == (ga, go)
-        feats = iz.sample_local_features(scen, 0, rng)
+        feats = _views(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         want = "aircomp" if ga >= go else "orthogonal"
         assert out.resolved_mode == want
@@ -411,7 +438,7 @@ def test_adaptive_selects_larger_snr():
 def test_adaptive_mode_is_deterministic_per_draw():
     scen = _scenario(num_sensors=6, num_antennas=8)
     ch = _draw(8, 6, substream(22, 0))
-    feats = iz.sample_local_features(scen, 1, substream(22, 1))
+    feats = _views(scen, 1, substream(22, 1))
     a = iz.adaptive_receive(scen, ch, feats, substream(22, 2))
     b = iz.adaptive_receive(scen, ch, feats, substream(22, 2))
     assert a.resolved_mode == b.resolved_mode

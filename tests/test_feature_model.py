@@ -24,6 +24,13 @@ def _scenario(**overrides):
     return iz.build_scenario(iz.ScenarioConfig(**base))
 
 
+def _views(scen, label, rng):
+    """One draw of the K sensor views of ``label``."""
+    return iz.sample_local_features(
+        scen, label, rng.standard_normal((scen.num_sensors, scen.feature_dim))
+    )
+
+
 def test_label_frequencies_are_uniform():
     rng = substream(0, 0)
     counts = np.bincount([iz.sample_label(2, rng) for _ in range(100000)], minlength=2)
@@ -49,7 +56,7 @@ def test_zero_covariance_features_are_exact_projections():
     scen = _scenario()
     zero = np.zeros_like(scen.C)
     scen = dataclasses.replace(scen, C=zero, C_factor=zero)
-    f = iz.sample_local_features(scen, 1, substream(2, 0))
+    f = _views(scen, 1, substream(2, 0))
     assert np.array_equal(f, scen.sensor_centroids[:, 1])
 
 
@@ -59,7 +66,7 @@ def test_local_feature_mean():
     n = 100000
     acc = np.zeros(5)
     for _ in range(n):
-        acc += iz.sample_local_features(scen, 4, rng)[2]
+        acc += _views(scen, 4, rng)[2]
     dev = np.abs(acc / n - scen.sensor_centroids[2, 4])
     assert np.all(dev < 3 * np.sqrt(0.1 / n))
 
@@ -70,16 +77,34 @@ def test_local_feature_covariance():
     n = 100000
     samples = np.empty((n, 5))
     for i in range(n):
-        samples[i] = iz.sample_local_features(scen, 0, rng)[0]
+        samples[i] = _views(scen, 0, rng)[0]
     S = np.cov(samples, rowvar=False)
     assert np.linalg.norm(S - scen.C) / np.linalg.norm(scen.C) < 0.05
 
 
 def test_batch_sampling_matches_marginals():
     scen = _scenario(num_sensors=4)
-    batch = iz.sample_local_features(scen, 2, substream(6, 0))
+    batch = _views(scen, 2, substream(6, 0))
     assert batch.shape == (4, 5)
     assert np.all(np.isfinite(batch))
+
+
+def test_stacked_views_and_averages_match_each_draw_alone():
+    # the trial engine forms the views and their average on a stack of
+    # trials; each row must equal its label and normals taken alone, bit for
+    # bit, over a leading shape of any rank
+    for M, K in ((5, 10), (1, 9), (3, 1), (10, 10)):
+        scen = _scenario(feature_dim=M, num_sensors=K)
+        rng = substream(7, M)
+        labels = rng.integers(5, size=(3, 4))
+        z = rng.standard_normal((3, 4, K, M))
+        views = iz.sample_local_features(scen, labels, z)
+        averages = iz.aggregate_noiseless(views)
+        assert views.shape == (3, 4, K, M) and averages.shape == (3, 4, M)
+        for i, j in np.ndindex(3, 4):
+            one = iz.sample_local_features(scen, int(labels[i, j]), z[i, j])
+            np.testing.assert_array_equal(views[i, j], one)
+            np.testing.assert_array_equal(averages[i, j], iz.aggregate_noiseless(one))
 
 
 def test_aggregate_single_vector_is_identity():
@@ -120,7 +145,7 @@ def test_aggregate_moments_shrink_with_sensor_count():
     n = 20000
     agg = np.empty((n, 5))
     for i in range(n):
-        agg[i] = iz.aggregate_noiseless(iz.sample_local_features(scen, 3, rng))
+        agg[i] = iz.aggregate_noiseless(_views(scen, 3, rng))
     ref = scen.C / 10
     se = agg.std(axis=0, ddof=1) / np.sqrt(n)
     assert np.all(np.abs(agg.mean(axis=0) - scen.P_bar @ scen.centroids[3]) < 3 * se)

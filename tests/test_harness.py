@@ -782,8 +782,8 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
     # the span tags read these result fields
     scen = iz.build_scenario(iz.ScenarioConfig(num_sensors=4, num_antennas=6))
     rng = substream(1, 0)
-    ch = iz.realization_from_matrix(iz.sample_channel(6, 4, rng))
-    features = iz.sample_local_features(scen, 0, rng)
+    ch = iz.realization_from_matrix(iz.sample_channel(rng.standard_normal((2, 6, 4))))
+    features = iz.sample_local_features(scen, 0, rng.standard_normal((4, scen.feature_dim)))
     tags = {fn.__name__: tag for fn, (_, tag) in layers.items() if tag is not None}
     assert tags["aircomp_effective_snr"](None, None, iz.aircomp_effective_snr(ch, scen)) is False
     adaptive = iz.adaptive_receive(scen, ch, features, rng)
@@ -842,17 +842,30 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     assert counts["channel.sample"] == 60
     assert counts["channel.air_snr"] == 60
     assert counts["channel.orth_snr"] == 30
-    # the trial engine draws each trial's channel and features through the
-    # traced names, and receives the whole stack without the per-draw calls
+    # the trial engine draws each trial's label through the traced name and
+    # forms the views and channels of each stack (here one per point, 30
+    # trials) through theirs, and receives the whole stack without the
+    # per-draw calls
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n",
         ["sweep-n", "--config", str(config), "--sweep", "8,12", "--pipelines", "adaptive"],
     )
-    assert counts["channel.sample"] == 60
-    assert counts["feature_model.sample"] == 120
+    assert counts["channel.sample"] == 2
+    assert counts["feature_model.sample"] == 60 + 2
     for name in ("channel.receive", "channel.air_snr", "channel.orth_snr"):
         assert counts[name] == 0, name
+    # the benchmark's traced mc-access run requires one pool per feasible
+    # cell: at 600 trials (two chunks) and two workers, the calling process
+    # runs one chunk and a pool the other; orthogonal at N = 8 < K is not run
+    counts = _traced_span_counts(
+        tmp_path,
+        "sweep-n-pool",
+        ["sweep-n", "--config", str(config), "--sweep", "8,12", "--trials", "600",
+         "--workers", "2", "--pipelines", "orthogonal,adaptive"],
+    )
+    assert counts["inference.pool"] == 3
+    assert counts["inference.run_trials"] == 3
     # one substream per channel draw, plus two for each point's scenario build
     counts = _traced_span_counts(
         tmp_path, "aloss", ["aloss", "--config", str(config), "--sweep", "1,10"]

@@ -327,10 +327,8 @@ def test_worker_split_is_invisible():
     assert np.array_equal(serial.effective_snrs, pooled.effective_snrs)
 
 
-def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # A fork pool starts all of its workers at the first submit, so 600
-    # trials (two chunks) at three workers must ask for two, and the
-    # arrays must still equal the serial run's.
+def _record_pool_sizes(monkeypatch):
+    """Make run_trials' pools record the worker count each one asks for."""
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -339,12 +337,36 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
             super().__init__(max_workers, *args, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # A fork pool starts all of its workers at the first submit.  At 600
+    # trials (two chunks) and three workers the calling process runs the
+    # first chunk, so the pool must ask for one worker, and the arrays must
+    # still equal the serial run's.
+    sizes = _record_pool_sizes(monkeypatch)
     scen = iz.build_scenario(_config())
     serial = iz.run_trials(scen, "aircomp", 600)
     pooled = iz.run_trials(scen, "aircomp", 600, workers=3)
-    assert sizes == [2]
+    assert sizes == [1]
     for field in ("entropies", "labels", "predictions", "effective_snrs"):
         np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
+
+
+@pytest.mark.parametrize("pipeline", iz.PIPELINES)
+def test_calling_process_runs_its_share_of_the_chunks(monkeypatch, pipeline):
+    # 1,100 trials are three chunks.  At two workers the calling process
+    # runs chunks 0 and 2 and a one-worker pool chunk 1; at three workers
+    # the calling process runs chunk 0 and a two-worker pool the others.
+    sizes = _record_pool_sizes(monkeypatch)
+    scen = iz.build_scenario(_config())
+    serial = iz.run_trials(scen, pipeline, 1100, stream_id=6, point_index=1)
+    for workers in (2, 3):
+        pooled = iz.run_trials(scen, pipeline, 1100, stream_id=6, point_index=1, workers=workers)
+        for field in ("entropies", "labels", "predictions", "effective_snrs"):
+            np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
+    assert sizes == [1, 2]
 
 
 def test_paired_uncertainty_decreases_with_snr():
@@ -366,7 +388,8 @@ def test_paired_uncertainty_decreases_with_snr():
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_simulate_trial_replays_run_trials(pipeline):
     # 600 trials span two chunks; indices 511 and 512 sit on either side of
-    # the boundary, and the two-worker run maps each chunk in the pool.
+    # the boundary, and the two-worker run maps the first chunk in the
+    # calling process and the second in the pool.
     scen = iz.build_scenario(_config())
     stream_id, point = 7, 3
     batch = iz.run_trials(scen, pipeline, 600, stream_id=stream_id, point_index=point, workers=2)
@@ -388,6 +411,21 @@ def test_trial_streams_match_substreams():
         fresh = substream(20240, 7, 3, t)
         for draw in (lambda g: g.integers(5), lambda g: g.standard_normal((t % 4 + 1, 3))):
             np.testing.assert_array_equal(draw(rng), draw(fresh))
+
+
+def test_one_normal_draw_per_trial_equals_its_four_blocks():
+    # After its label a trial draws one row of K M + 2 N K + M normals into
+    # its stack; a Philox generator keeps no state between normal calls, so
+    # the row equals the views, the channel's real and imaginary parts and
+    # the noise drawn with one call each.
+    K, M, N = 6, 5, 9
+    for t, rng in zip(range(509, 517), trial_streams(20240, 5, 2, 509, 517)):
+        separate = substream(20240, 5, 2, t)
+        assert iz.sample_label(5, rng) == iz.sample_label(5, separate)
+        row = np.empty(K * M + 2 * N * K + M)
+        rng.standard_normal(out=row)
+        blocks = [separate.standard_normal(shape) for shape in ((K, M), (N, K), (N, K), M)]
+        np.testing.assert_array_equal(row, np.concatenate([b.ravel() for b in blocks]))
 
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
@@ -445,14 +483,16 @@ def _reference_realization(H):
 
 
 def _draw_trial(scenario, pipeline, rng):
-    """Reference route: one trial through the per-draw public functions, with
-    the channel drawn through the engine's own binding of ``sample_channel``
-    and its principal pair from :func:`_reference_realization`."""
+    """Reference route: one trial through the per-draw public functions, each
+    block of normals drawn with its own call, the channel formed through the
+    engine's own binding of ``sample_channel`` and its principal pair from
+    :func:`_reference_realization`."""
     label = iz.sample_label(scenario.num_classes, rng)
-    features = iz.sample_local_features(scenario, label, rng)
+    K, M, N = scenario.num_sensors, scenario.feature_dim, scenario.num_antennas
+    features = iz.sample_local_features(scenario, label, rng.standard_normal((K, M)))
     if pipeline == "noiseless":
         return label, iz.aggregate_noiseless(features), np.inf, None
-    H = inference.sample_channel(scenario.num_antennas, scenario.num_sensors, rng)
+    H = inference.sample_channel(rng.standard_normal((2, N, K)))
     receive = {
         "aircomp": iz.aircomp_receive,
         "orthogonal": iz.orthogonal_receive,
@@ -502,12 +542,13 @@ def test_stacked_engine_matches_per_draw_oracle(pipeline, num_antennas):
 
 def _zero_some_columns(sample_channel):
     """A sampler that silences sensor 0 on the draws whose H[0, 0] has real
-    part above 1, about one in six."""
+    part above 1, about one in six, in one draw (2, N, K) of normals or in
+    each of a stack (n, 2, N, K)."""
 
-    def sample(num_antennas, num_sensors, rng):
-        H = sample_channel(num_antennas, num_sensors, rng)
-        if H[0, 0].real > 1.0:
-            H[:, 0] = 0.0
+    def sample(z):
+        H = sample_channel(z)
+        silenced = H[..., 0, 0].real > 1.0
+        H[..., :, 0] = np.where(silenced[..., None], 0.0, H[..., :, 0])
         return H
 
     return sample
@@ -517,7 +558,8 @@ def _after_features(scenario, t):
     """Trial t's generator of the oracle tests, advanced past its label and
     feature draws."""
     rng = substream(scenario.config.master_seed, 5, 2, t)
-    iz.sample_local_features(scenario, iz.sample_label(scenario.num_classes, rng), rng)
+    iz.sample_label(scenario.num_classes, rng)
+    rng.standard_normal((scenario.num_sensors, scenario.feature_dim))
     return rng
 
 
@@ -526,8 +568,9 @@ def test_zero_column_trials_alone_get_zero_snr(monkeypatch, pipeline, num_antenn
     monkeypatch.setattr(inference, "sample_channel", _zero_some_columns(inference.sample_channel))
     scen = iz.build_scenario(_config(num_sensors=6, num_antennas=num_antennas))
     batch, _ = _assert_engine_matches_oracle(scen, pipeline)
+    shape = (2, num_antennas, 6)
     zeroed = np.array([
-        inference.sample_channel(num_antennas, 6, _after_features(scen, t))[0, 0] == 0
+        inference.sample_channel(_after_features(scen, t).standard_normal(shape))[0, 0] == 0
         for t in range(batch.trials)
     ])
     assert 0 < zeroed.sum() < batch.trials
@@ -545,7 +588,9 @@ def test_singular_gram_raises_numerical_error(monkeypatch, pipeline):
 
 
 def test_all_zero_channel_raises_numerical_error(monkeypatch):
-    monkeypatch.setattr(inference, "sample_channel", lambda N, K, rng: np.zeros((N, K), complex))
+    monkeypatch.setattr(
+        inference, "sample_channel", lambda z: np.zeros(z.shape[:-3] + z.shape[-2:], complex)
+    )
     scen = iz.build_scenario(_config(num_sensors=6, num_antennas=9))
     with pytest.raises(iz.NumericalError):
         iz.run_trials(scen, "aircomp", 10)

@@ -127,7 +127,7 @@ def test_symbol_variance_matches_monte_carlo():
     samples = np.empty((trials, 5, 5))  # (trial, sensor, dim)
     for t in range(trials):
         label = iz.sample_label(5, rng)
-        samples[t] = iz.sample_local_features(scen, label, rng)
+        samples[t] = iz.sample_local_features(scen, label, rng.standard_normal((5, 5)))
     per_entry_var = samples.var(axis=0, ddof=1)
     assert abs(per_entry_var.mean() - scen.nu_sq) / scen.nu_sq < 0.03
 

@@ -10,16 +10,17 @@ asymptotic laws.
 from .channel import (
     AggregationOutcome,
     ChannelRealization,
-    access_snrs,
     adaptive_receive,
+    air_snrs,
     aircomp_effective_snr,
     aircomp_receive,
+    best_access,
     min_beam_alignment,
+    orth_snrs,
     orthogonal_effective_snr,
     orthogonal_receive,
     realization_from_matrix,
     sample_channel,
-    scaled_min_alignment,
     zf_norms_sq,
 )
 from .errors import ConfigError, InfeasibleAccessError, NumericalError

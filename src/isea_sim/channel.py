@@ -9,9 +9,9 @@ slot with a zero-forcing receive beam b_k, trading noise amplification for
 isolation; its SNR needs only ||b_k||^2, the diagonal of (H^H H)^-1.
 Both reduce to the noiseless average plus isotropic Gaussian noise whose
 power is the inverse effective SNR, which is how receivers simulate them.
-The statistics are computed on stacks of draws (n, N, K), each row equal
-bit for bit to its draw taken alone; the public one-draw functions are
-one-row calls of the same kernels.
+Each statistic is one function of one draw or of a stack of draws
+(..., N, K), each row equal bit for bit to its draw taken alone; the
+receivers and their one-draw SNRs are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -32,6 +32,16 @@ from .feature_model import aggregate_noiseless
 # there the idle threads of the two builds fight for the cores, and a K = 50
 # draw that switches builds takes 10 ms instead of 1 ms.
 _FULL_EIG_MAX = 64
+# Channel statistics run on stacks of at most this many bytes of channel
+# matrices, so their temporaries stay near one draw's footprint at any N K
+# (whole 512-trial chunks at N K <= 32); stacking changes no value.
+_STACK_BYTES = 2**18
+
+
+def rows_per_stack(num_antennas, num_sensors):
+    """Draws per stack: as many complex N x K matrices as fit in
+    _STACK_BYTES, and at least one."""
+    return max(1, _STACK_BYTES // (16 * num_antennas * num_sensors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,49 +155,34 @@ def sample_channel(z):
     return H
 
 
-def _min_alignments(channel):
-    """Weakest alignment of each draw of a (stacked) realization; exactly 0
-    where H has an all-zero column."""
-    align = channel.lambda1 * np.min(np.abs(channel.q1) ** 2, axis=-1)
-    return np.where(channel.H.any(axis=-2).all(axis=-1), align, 0.0)
-
-
 def min_beam_alignment(channel):
     """min_k |v^H h_k|^2 = lambda1 min_k |q1_k|^2, the weakest sensor's gain
-    along the receive beam.
+    along the receive beam, of one draw or of each draw of a stack.
 
     A sensor whose channel column is exactly zero has no gain at all; the
     eigensolver may still leave a rounding-level q1_k there, so such a
     column is answered with an exact zero.
     """
-    return float(_min_alignments(channel))
+    align = channel.lambda1 * np.min(np.abs(channel.q1) ** 2, axis=-1)
+    return np.where(channel.H.any(axis=-2).all(axis=-1), align, 0.0)[()]
 
 
-def scaled_min_alignment(channel):
-    """K-scaled weakest alignment; converges to Exp((1 + sqrt(w))^2) in law
-    when the array grows proportionally, N = w K."""
-    return channel.num_sensors * min_beam_alignment(channel)
-
-
-def _air_snrs(channel, scenario):
-    """``(gamma_air, degenerate)`` of each draw of a (stacked) realization."""
-    align = _min_alignments(channel)
+def air_snrs(channel, scenario):
+    """``(gamma_air, degenerate)`` of one draw or of each draw of a stack:
+    gamma_air = 2 K^2 gamma min_k |v^H h_k|^2 / nu^2, and a draw whose
+    weakest alignment vanishes is degenerate with gamma_air = 0."""
+    align = min_beam_alignment(channel)
     degenerate = align <= 0
     gamma_air = np.zeros_like(align)
     K = channel.num_sensors
     scale = 2.0 * K**2 * scenario.transmit_snr / scenario.nu_sq
     np.multiply(scale, align, out=gamma_air, where=~degenerate)
-    return gamma_air, degenerate
+    return gamma_air[()], degenerate
 
 
 def aircomp_effective_snr(channel, scenario):
-    """Effective SNR of over-the-air aggregation.
-
-    Returns an :class:`AircompSnr` carrying gamma_air = 2 K^2 gamma
-    min_k |v^H h_k|^2 / nu^2.  A channel whose weakest alignment vanishes
-    is flagged degenerate with gamma_air = 0.
-    """
-    gamma_air, degenerate = _air_snrs(channel, scenario)
+    """:func:`air_snrs` of one draw as an :class:`AircompSnr`."""
+    gamma_air, degenerate = air_snrs(channel, scenario)
     return AircompSnr(gamma_air=float(gamma_air), degenerate=bool(degenerate))
 
 
@@ -213,8 +208,15 @@ def aircomp_receive(scenario, channel, local_features, rng):
     return _receive_one(local_features, aircomp_effective_snr(channel, scenario).gamma_air, rng)
 
 
-def _zf_norms(H):
-    """Diagonal of (H^H H)^-1 for each matrix of a stack (..., N, K)."""
+def zf_norms_sq(H):
+    """Squared norms ||b_k||^2 (..., K) of the zero-forcing receive beams
+    B = H (H^H H)^-1 of one channel matrix or a stack H (..., N, K): the
+    real diagonal of (H^H H)^-1.
+
+    B itself is never formed.  Requires at least as many antennas as
+    sensors; raises :class:`InfeasibleAccessError` otherwise and
+    :class:`NumericalError` when a Gram matrix is singular.
+    """
     N, K = H.shape[-2:]
     if N < K:
         raise InfeasibleAccessError(
@@ -227,33 +229,20 @@ def _zf_norms(H):
     return np.diagonal(gram_inv, axis1=-2, axis2=-1).real.copy()
 
 
-def zf_norms_sq(channel):
-    """Squared norms ||b_k||^2 of the zero-forcing receive beams
-    B = H (H^H H)^-1, which are the real diagonal of (H^H H)^-1.
-
-    B itself is never formed.  Requires at least as many antennas as
-    sensors; raises :class:`InfeasibleAccessError` otherwise and
-    :class:`NumericalError` when the Gram matrix is singular.
-    """
-    return _zf_norms(channel.H)
-
-
-def _orth_snrs(total_norm, scenario, K):
-    """gamma_aoa of K sensors from zero-forcing norm sums sum_k ||b_k||^2,
-    one per draw of any stack."""
+def orth_snrs(norms, scenario):
+    """gamma_aoa = gamma K^2 / (nu^2 sum_k ||b_k||^2) of each draw, from its
+    K zero-forcing norms (..., K); the norms grow as antennas shrink toward
+    the sensor count."""
+    total_norm = norms.sum(axis=-1)
     gamma = scenario.transmit_snr
     if gamma == np.inf:
-        return np.full_like(total_norm, np.inf)
-    return gamma * K**2 / (scenario.nu_sq * total_norm)
+        return np.full_like(total_norm, np.inf)[()]
+    return gamma * norms.shape[-1] ** 2 / (scenario.nu_sq * total_norm)
 
 
 def orthogonal_effective_snr(channel, scenario):
-    """Effective SNR of orthogonal (per-sensor slot) access.
-
-    gamma_aoa = gamma K^2 / (nu^2 * sum_k ||b_k||^2); the zero-forcing
-    norms grow as antennas shrink toward the sensor count.
-    """
-    return float(_orth_snrs(zf_norms_sq(channel).sum(), scenario, channel.num_sensors))
+    """gamma_aoa of one draw, by :func:`orth_snrs`."""
+    return float(orth_snrs(zf_norms_sq(channel.H), scenario))
 
 
 def orthogonal_receive(scenario, channel, local_features, rng):
@@ -261,29 +250,24 @@ def orthogonal_receive(scenario, channel, local_features, rng):
     return _receive_one(local_features, orthogonal_effective_snr(channel, scenario), rng)
 
 
-def _best_access(gamma_air, gamma_aoa):
-    """The adaptive SNR and whether over the air won: it wins ties."""
-    air_wins = gamma_air >= gamma_aoa
-    return np.where(air_wins, gamma_air, gamma_aoa), air_wins
+def best_access(gamma_air, gamma_aoa):
+    """The adaptive SNR of each draw and whether over the air won it.
 
-
-def access_snrs(channel, scenario):
-    """``(gamma_air, gamma_aoa)`` of one draw.
-
-    gamma_aoa is -inf when orthogonal access is infeasible (N < K), so
+    gamma_aoa is -inf where orthogonal access is infeasible (N < K), and
     over the air wins exactly when ``gamma_air >= gamma_aoa``: ties and
     infeasible orthogonal access both go to the air.
     """
-    gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
-    if channel.num_antennas < channel.num_sensors:
-        return gamma_air, -np.inf
-    return gamma_air, orthogonal_effective_snr(channel, scenario)
+    air_wins = gamma_air >= gamma_aoa
+    return np.where(air_wins, gamma_air, gamma_aoa)[()], air_wins
 
 
 def adaptive_receive(scenario, channel, local_features, rng):
     """Receive through the access mode with the larger effective SNR for
-    this draw, by :func:`access_snrs`; ``resolved_mode`` names the winner."""
-    snr, air_wins = _best_access(*access_snrs(channel, scenario))
+    this draw, by :func:`best_access`; ``resolved_mode`` names the winner."""
+    gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
+    feasible = channel.num_antennas >= channel.num_sensors
+    gamma_aoa = orthogonal_effective_snr(channel, scenario) if feasible else -np.inf
+    snr, air_wins = best_access(gamma_air, gamma_aoa)
     mode = "aircomp" if air_wins else "orthogonal"
     return _receive_one(local_features, float(snr), rng, mode)
 
@@ -291,14 +275,14 @@ def adaptive_receive(scenario, channel, local_features, rng):
 def _pipeline_snrs(scenario, pipeline, H):
     """Effective SNRs (n,) of a stack of channel draws H (n, N, K) under an
     access ``pipeline``, and for ``adaptive`` whether over the air won each
-    draw (else None).  Row i equals the one-draw functions on H[i]."""
+    draw (else None)."""
     N, K = H.shape[-2:]
     if pipeline == "orthogonal":
-        return _orth_snrs(_zf_norms(H).sum(axis=-1), scenario, K), None
+        return orth_snrs(zf_norms_sq(H), scenario), None
     if pipeline not in ("aircomp", "adaptive"):
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    gamma_air, _ = _air_snrs(realization_from_matrix(H), scenario)
+    gamma_air, _ = air_snrs(realization_from_matrix(H), scenario)
     if pipeline == "aircomp":
         return gamma_air, None
-    gamma_aoa = -np.inf if N < K else _orth_snrs(_zf_norms(H).sum(axis=-1), scenario, K)
-    return _best_access(gamma_air, gamma_aoa)
+    gamma_aoa = -np.inf if N < K else orth_snrs(zf_norms_sq(H), scenario)
+    return best_access(gamma_air, gamma_aoa)

@@ -20,19 +20,19 @@ import numpy as np
 
 from .._blas import one_blas_thread
 from ..channel import (
-    _best_access,
-    _orth_snrs,
-    _zf_norms,
-    access_snrs,
-    aircomp_effective_snr,
+    air_snrs,
+    best_access,
+    min_beam_alignment,
+    orth_snrs,
     realization_from_matrix,
+    rows_per_stack,
     sample_channel,
-    scaled_min_alignment,
+    zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
 from ..inference import PIPELINES, _stderr, run_trials
 from ..scenario import ScenarioConfig, build_scenario
-from ..streams import substream
+from ..streams import trial_streams
 from ..theory import (
     KAPPA_LOWER,
     asymptotic_separation,
@@ -282,25 +282,31 @@ def _simulation_point(spec, point, value, scen, trials, workers):
 
 
 def _draw_streams(spec, point, draws):
-    """One counter-based generator per draw of a sweep point."""
+    """One counter-based generator per draw of a sweep point, each valid
+    until the next is taken."""
     stream_id = _EXPERIMENTS[spec.experiment].stream_id
-    return (substream(spec.scenario.master_seed, stream_id, point, t) for t in range(draws))
+    return trial_streams(spec.scenario.master_seed, stream_id, point, 0, draws)
 
 
 def _per_draw(stat, num_antennas, num_sensors, rngs):
-    """``stat`` of one fresh channel matrix H per generator in ``rngs``.
+    """``stat`` of one channel matrix H per generator in ``rngs``, the
+    statistics of all draws concatenated along the first axis.
 
-    This is the harness's only per-draw channel loop.  Channels are drawn
-    lazily and dropped after use, so one N x K matrix is alive at a time.
-    A ``stat`` that returns a tuple gives one column per entry; one that
+    This is the harness's only channel loop.  Each H is drawn from its own
+    generator, in order, and ``stat`` runs on stacks (n, N, K) of
+    :func:`rows_per_stack` of them, returning one row per draw; one that
     reads the principal pair builds it from H.  The benchmark's tracer
-    rebinds ``sample_channel`` and ``substream`` in this module, so both
-    are called through their module-level names.
+    rebinds ``sample_channel`` in this module, so it is called through its
+    module-level name.
     """
-    shape = (2, num_antennas, num_sensors)
+    z = np.empty((rows_per_stack(num_antennas, num_sensors), 2, num_antennas, num_sensors))
+    rngs = iter(rngs)
+    parts = []
     with one_blas_thread():
-        draws = [stat(sample_channel(rng.standard_normal(shape))) for rng in rngs]
-    return np.array(draws, dtype=float)
+        # zip takes a row before a generator, so no generator is left undrawn
+        while n := len([rng.standard_normal(out=row) for row, rng in zip(z, rngs)]):
+            parts.append(stat(sample_channel(z[:n])))
+    return np.concatenate(parts)
 
 
 def _antennas_for(omega, num_sensors):
@@ -330,28 +336,21 @@ def _aloss_config(cfg, gamma_lin):
     return dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
 
 
-def _zf_norm_pair(H):
-    """``(||b_1||^2, sum_k ||b_k||^2)`` of one channel matrix."""
-    norms = _zf_norms(H)
-    return norms[0], norms.sum()
-
-
 def _alignment_ks(num_antennas, num_sensors, rngs):
     """K-scaled weakest alignments of one channel per generator in ``rngs``
     and their KS distance to the limiting exponential law at omega = N/K.
     Returns ``(ks, zeta)``."""
-    zeta = _per_draw(
-        lambda H: scaled_min_alignment(realization_from_matrix(H)), num_antennas, num_sensors, rngs
+    zeta = num_sensors * _per_draw(
+        lambda H: min_beam_alignment(realization_from_matrix(H)), num_antennas, num_sensors, rngs
     )
     return ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
 
 
 def _zf_norm_ks(num_antennas, num_sensors, rngs):
-    """Zero-forcing beam norms ``(||b_1||^2, sum_k ||b_k||^2)`` of one
-    channel per generator in ``rngs``, one row each, and the KS distance of
-    the first column to the scaled inverse chi-square law.  Returns
-    ``(ks, norms)``."""
-    norms = _per_draw(_zf_norm_pair, num_antennas, num_sensors, rngs)
+    """Zero-forcing beam norms ``||b_k||^2`` of one channel per generator
+    in ``rngs``, one row of K each, and the KS distance of the first column
+    to the scaled inverse chi-square law.  Returns ``(ks, norms)``."""
+    norms = _per_draw(zf_norms_sq, num_antennas, num_sensors, rngs)
     return ks_statistic(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors)), norms
 
 
@@ -377,7 +376,7 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
         row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
         return [row], [f"N={N}: infeasible (K={K})"]
     ks, norms = _zf_norm_ks(N, K, _draw_streams(spec, point, draws))
-    snrs = _orth_snrs(norms[:, 1], scen, K)
+    snrs = orth_snrs(norms, scen)
     prediction = scen.transmit_snr * K * (N - K) / scen.nu_sq if N > K else None
     row = SweepRow(
         sweep_value=N,
@@ -392,9 +391,17 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     """How often over-the-air access beats orthogonal access at N = round(omega K)."""
     K, N = scen.num_sensors, scen.num_antennas
     omega = N / K  # the simulated ratio, which the rows and notes report
-    streams = _draw_streams(spec, point, draws)
-    air, aoa = _per_draw(lambda H: access_snrs(realization_from_matrix(H), scen), N, K, streams).T
-    best, wins = _best_access(air, aoa)
+
+    def snr_pairs(H):
+        """(gamma_air, gamma_aoa) of each draw, gamma_aoa -inf where N < K."""
+        snrs = np.full((H.shape[0], 2), -np.inf)
+        snrs[:, 0], _ = air_snrs(realization_from_matrix(H), scen)
+        if N >= K:
+            snrs[:, 1] = orth_snrs(zf_norms_sq(H), scen)
+        return snrs
+
+    air, aoa = _per_draw(snr_pairs, N, K, _draw_streams(spec, point, draws)).T
+    best, wins = best_access(air, aoa)
     prob, prob_se = float(wins.mean()), _stderr(wins.astype(float))
     predicted = crossing_probability(K, omega)
     mean_snrs = (air.mean(), aoa.mean() if N >= K else None, best.mean())
@@ -420,9 +427,7 @@ def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
     """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
     K, N = scen.num_sensors, scen.num_antennas
     streams = _draw_streams(spec, point, draws)
-    snrs = _per_draw(
-        lambda H: aircomp_effective_snr(realization_from_matrix(H), scen).gamma_air, N, K, streams
-    )
+    snrs = _per_draw(lambda H: air_snrs(realization_from_matrix(H), scen)[0], N, K, streams)
     # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
     samples = np.zeros(draws)
     usable = snrs > 0

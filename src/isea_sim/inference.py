@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import _pipeline_snrs, _receive, sample_channel
+from .channel import _pipeline_snrs, _receive, rows_per_stack, sample_channel
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless, sample_label, sample_local_features
 from .streams import STREAM_TRIALS, trial_streams
@@ -29,10 +29,6 @@ PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 
 _COND_LIMIT = 1e12
 _CHUNK_TRIALS = 512
-# The channel stage runs on stacks of at most this many bytes of channel
-# matrices, so its temporaries stay near the per-trial engine's footprint
-# at any N K (whole chunks at N K <= 32); stacking changes no value.
-_STACK_BYTES = 2**18
 
 
 def _noise_power_from_snr(snr):
@@ -199,9 +195,9 @@ def simulate_trial(scenario, pipeline, rng):
 
 
 def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop):
-    """Draw trials [start, stop), one stream each, in stacks whose channel
-    matrices take at most _STACK_BYTES, then classify them as one batch."""
-    step = max(1, _STACK_BYTES // (16 * scenario.num_antennas * scenario.num_sensors))
+    """Draw trials [start, stop), one stream each, in stacks of
+    :func:`rows_per_stack` channel draws, then classify them as one batch."""
+    step = rows_per_stack(scenario.num_antennas, scenario.num_sensors)
     parts = []
     for a in range(start, stop, step):
         b = min(a + step, stop)

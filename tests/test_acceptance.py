@@ -246,10 +246,13 @@ def test_08_crossing_probability_formula():
         N = round(omega * K)
         sc = iz.build_scenario(_config(num_sensors=K, num_antennas=N))
         rng = substream(MASTER_SEED, 16)
-        air, aoa = _per_draw(
-            lambda H: iz.access_snrs(iz.realization_from_matrix(H), sc), N, K, repeat(rng, 10000)
-        ).T
-        empirical = np.mean(air >= aoa)
+
+        def snr_pairs(H):
+            gamma_air, _ = iz.air_snrs(iz.realization_from_matrix(H), sc)
+            return np.column_stack((gamma_air, iz.orth_snrs(iz.zf_norms_sq(H), sc)))
+
+        air, aoa = _per_draw(snr_pairs, N, K, repeat(rng, 10000)).T
+        empirical = np.mean(iz.best_access(air, aoa)[1])
         predicted = theory.crossing_probability(K, omega)
         assert abs(empirical - predicted) < 0.05  # observed 0.0185
 

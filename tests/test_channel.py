@@ -25,9 +25,11 @@ def _scenario(**overrides):
     return iz.build_scenario(iz.ScenarioConfig(**base))
 
 
-def _channel(num_antennas, num_sensors, rng):
-    """One channel matrix H (N x K)."""
-    return iz.sample_channel(rng.standard_normal((2, num_antennas, num_sensors)))
+def _channel(num_antennas, num_sensors, rng, draws=None):
+    """One channel matrix H (N x K), or a stack of ``draws`` of them drawn
+    with one call, which holds the same values as one call per draw."""
+    shape = (2, num_antennas, num_sensors)
+    return iz.sample_channel(rng.standard_normal(shape if draws is None else (draws, *shape)))
 
 
 def _draw(num_antennas, num_sensors, rng):
@@ -145,10 +147,39 @@ def test_large_matrix_eigenvalue_concentration():
     assert np.all(np.abs(vals / 4.0 - 1.0) < 0.10)
 
 
+def _assert_rows_equal_draws_alone(H, scen, zero_forcing):
+    """Every statistic of the stack H (n, N, K) against the same statistic
+    of each H[i] taken alone, bit for bit; ``zero_forcing`` False leaves
+    orthogonal access out (gamma_aoa = -inf), as for N < K."""
+    stack = iz.realization_from_matrix(H)
+    alignments = iz.min_beam_alignment(stack)
+    gamma_air, degenerate = iz.air_snrs(stack, scen)
+    gamma_aoa = np.full(H.shape[0], -np.inf)
+    if zero_forcing:
+        norms = iz.zf_norms_sq(H)
+        gamma_aoa = iz.orth_snrs(norms, scen)
+    best, air_wins = iz.best_access(gamma_air, gamma_aoa)
+    for i, h in enumerate(H):
+        one = iz.realization_from_matrix(h)
+        assert iz.min_beam_alignment(one) == alignments[i]
+        air_one = iz.air_snrs(one, scen)
+        assert air_one == (gamma_air[i], degenerate[i])
+        aoa_one = -np.inf
+        if zero_forcing:
+            np.testing.assert_array_equal(iz.zf_norms_sq(h), norms[i])
+            aoa_one = iz.orth_snrs(iz.zf_norms_sq(h), scen)
+            assert aoa_one == gamma_aoa[i]
+        assert iz.best_access(air_one[0], aoa_one) == (best[i], air_wins[i])
+    return alignments, degenerate
+
+
 def test_realization_from_matrix_matches_sampler():
     # the sampler returns H alone; a stack of draws, with any leading shape,
     # gets each draw's own principal pair bit for bit, also above the
-    # full-eigensolver size
+    # full-eigensolver size (66-row Grams take the subset eigensolver), and
+    # each channel statistic of a stack equals that draw's alone, also for
+    # a draw whose column 1 is zero (on tall arrays the eigensolver leaves
+    # a rounding-level q1 entry there)
     rng = substream(4, 0)
     for N, K in _SHAPES + [(70, 66), (66, 70)]:
         H = np.stack([_channel(N, K, rng) for _ in range(3)])
@@ -160,6 +191,12 @@ def test_realization_from_matrix_matches_sampler():
             assert isinstance(one.lambda1, float)
             assert one.lambda1 == stacked.lambda1[i, 0]
             np.testing.assert_array_equal(one.q1, stacked.q1[i, 0])
+        scen = _scenario(num_sensors=K, num_antennas=N)
+        _assert_rows_equal_draws_alone(H, scen, zero_forcing=N >= K)
+        if K > 1:
+            H[1, :, 1] = 0.0
+            alignments, degenerate = _assert_rows_equal_draws_alone(H, scen, zero_forcing=False)
+            assert alignments[1] == 0.0 and degenerate.tolist() == [False, True, False]
     with pytest.raises(ValueError):
         iz.realization_from_matrix(np.ones(3))
 
@@ -291,7 +328,7 @@ def test_zf_on_orthonormal_columns_returns_channel():
     ch = iz.realization_from_matrix(Q)
     B = _zf_matrix(ch.H)
     np.testing.assert_allclose(B, Q, atol=1e-10)
-    np.testing.assert_allclose(iz.zf_norms_sq(ch), np.ones(4), atol=1e-10)
+    np.testing.assert_allclose(iz.zf_norms_sq(ch.H), np.ones(4), atol=1e-10)
 
 
 def test_zf_defining_property():
@@ -305,7 +342,7 @@ def test_zf_defining_property():
         assert np.max(np.abs(gram - np.eye(K))) < 1e-8
         # the Gram-inverse diagonal is the column norms of that B
         np.testing.assert_allclose(
-            iz.zf_norms_sq(ch), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-9
+            iz.zf_norms_sq(ch.H), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-9
         )
 
 
@@ -319,14 +356,14 @@ def test_zf_norms_match_beam_columns_at_square_edge():
             B = _zf_matrix(ch.H)
             assert np.max(np.abs(B.conj().T @ ch.H - np.eye(K))) < 1e-6
             np.testing.assert_allclose(
-                iz.zf_norms_sq(ch), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-7
+                iz.zf_norms_sq(ch.H), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-7
             )
 
 
 def test_zf_infeasible_when_undersized():
     ch = _draw(3, 5, substream(14, 0))
     with pytest.raises(iz.InfeasibleAccessError):
-        iz.zf_norms_sq(ch)
+        iz.zf_norms_sq(ch.H)
     with pytest.raises(iz.InfeasibleAccessError):
         iz.orthogonal_effective_snr(ch, _scenario(num_sensors=5, num_antennas=3))
 
@@ -335,18 +372,13 @@ def test_zf_singular_gram_reported():
     H = _channel(5, 3, substream(15, 0))
     H[:, 1] = 0.0
     with pytest.raises(iz.NumericalError):
-        iz.zf_norms_sq(iz.realization_from_matrix(H))
+        iz.zf_norms_sq(H)
 
 
 def test_zf_norm_distribution():
     # |b_k|^2 follows a scaled inverse chi-square with 2(N-K+1) degrees
     # of freedom; spot-check the exact reference CDF by simulation.
-    scen = _scenario(num_sensors=10, num_antennas=16)
-    rng = substream(16, 0)
-    vals = np.empty(4000)
-    for i in range(4000):
-        ch = _draw(16, 10, rng)
-        vals[i] = iz.zf_norms_sq(ch)[0]
+    vals = iz.zf_norms_sq(_channel(16, 10, substream(16, 0), draws=4000))[:, 0]
     ks = iz.ks_statistic(vals, iz.zf_norm_cdf(16, 10))
     assert ks < 0.03
     assert abs(vals.mean() - 1 / 6) / (1 / 6) < 0.05
@@ -358,11 +390,7 @@ def test_zf_norm_inverse_exponential_edge():
     cdf = iz.zf_norm_cdf(3, 3)
     grid = np.array([0.2, 0.5, 1.0, 2.0, 10.0])
     np.testing.assert_allclose(cdf(grid), np.exp(-1.0 / grid), atol=1e-12)
-    rng = substream(17, 0)
-    vals = np.empty(10000)
-    for i in range(10000):
-        ch = _draw(3, 3, rng)
-        vals[i] = iz.zf_norms_sq(ch)[0]
+    vals = iz.zf_norms_sq(_channel(3, 3, substream(17, 0), draws=10000))[:, 0]
     assert iz.ks_statistic(vals, cdf) < 0.02
 
 
@@ -383,22 +411,15 @@ def test_orthogonal_snr_collapses_at_square_channel():
     med = {}
     for N in (50, 100):
         scen = _scenario(num_sensors=50, num_antennas=N)
-        rng = substream(20240, 30, point_index=N)
-        vals = np.empty(1000)
-        for t in range(1000):
-            ch = _draw(N, 50, rng)
-            vals[t] = iz.orthogonal_effective_snr(ch, scen) / 50
-        med[N] = np.median(vals)
+        H = _channel(N, 50, substream(20240, 30, point_index=N), draws=1000)
+        med[N] = np.median(iz.orth_snrs(iz.zf_norms_sq(H), scen) / 50)
     assert med[50] < 0.05 * med[100]
 
 
 def test_orthogonal_snr_mean_matches_closed_form():
     scen = _scenario(num_sensors=50, num_antennas=100)
-    rng = substream(19, 0)
-    vals = np.empty(1000)
-    for t in range(1000):
-        ch = _draw(100, 50, rng)
-        vals[t] = iz.orthogonal_effective_snr(ch, scen) / 50
+    H = _channel(100, 50, substream(19, 0), draws=1000)
+    vals = iz.orth_snrs(iz.zf_norms_sq(H), scen) / 50
     closed = 10.0 * (100 - 50) / scen.nu_sq
     assert abs(vals.mean() - closed) / closed < 0.05
 
@@ -414,7 +435,7 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
         feats = _views(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         assert out.resolved_mode == "aircomp"
-        assert iz.access_snrs(ch, scen)[1] == -np.inf
+        assert out.effective_snr == iz.aircomp_effective_snr(ch, scen).gamma_air
 
 
 def test_adaptive_selects_larger_snr():
@@ -425,12 +446,12 @@ def test_adaptive_selects_larger_snr():
         ch = _draw(18, 10, rng)
         ga = iz.aircomp_effective_snr(ch, scen).gamma_air
         go = iz.orthogonal_effective_snr(ch, scen)
-        assert iz.access_snrs(ch, scen) == (ga, go)
+        assert iz.best_access(ga, go) == (max(ga, go), ga >= go)
         feats = _views(scen, 0, rng)
         out = iz.adaptive_receive(scen, ch, feats, rng)
         want = "aircomp" if ga >= go else "orthogonal"
         assert out.resolved_mode == want
-        assert out.effective_snr == max(iz.access_snrs(ch, scen))
+        assert out.effective_snr == max(ga, go)
         seen.add(want)
     assert seen == {"aircomp", "orthogonal"}  # both branches exercised
 
@@ -454,15 +475,10 @@ def test_adaptive_mean_snr_dominates_both_modes():
     rng = substream(23, 0)
     for N in range(2, 21):
         scen = iz.build_scenario(dataclasses.replace(base, num_antennas=N))
-        air = np.empty(1000)
-        orth = np.full(1000, -np.inf)
-        ada = np.empty(1000)
-        for t in range(1000):
-            ch = _draw(N, 10, rng)
-            air[t] = iz.aircomp_effective_snr(ch, scen).gamma_air
-            if N >= 10:
-                orth[t] = iz.orthogonal_effective_snr(ch, scen)
-            ada[t] = max(air[t], orth[t])
+        H = _channel(N, 10, rng, draws=1000)
+        air, _ = iz.air_snrs(iz.realization_from_matrix(H), scen)
+        orth = iz.orth_snrs(iz.zf_norms_sq(H), scen) if N >= 10 else np.full(1000, -np.inf)
+        ada, _ = iz.best_access(air, orth)
         best = max(air.mean(), orth.mean() if N >= 10 else -np.inf)
         spread = max(air.std(ddof=1), orth.std(ddof=1) if N >= 10 else 0.0)
         assert ada.mean() >= best - 3 * spread / np.sqrt(1000)

@@ -189,7 +189,7 @@ def test_snr_distribution_check_rejects_small_sensor_count():
 def test_zf_norm_check_runs_and_reports(tmp_path):
     ks, norms = _zf_norm_ks(16, 10, repeat(substream(20240, 26), 1000))
     assert 0.0 < ks < 0.1
-    assert norms.shape == (1000, 2)
+    assert norms.shape == (1000, 10)
     assert norms[:, 0].mean() == pytest.approx(1.0 / 6.0, rel=0.15)
 
 
@@ -809,6 +809,29 @@ def test_theory_binds_no_function_of_another_layer():
     assert foreign == {}
 
 
+def test_harness_binds_no_private_name_of_channel():
+    # the channel-only experiments take every statistic from the public,
+    # stacked functions that the trial engine uses
+    from isea_sim import channel
+
+    private = {
+        name: value
+        for name, value in vars(channel).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+    bound = {
+        name
+        for name, value in vars(experiments).items()
+        if private.get(name, object()) is value
+        or (
+            callable(value)
+            and getattr(value, "__module__", None) == channel.__name__
+            and value.__name__.startswith("_")
+        )
+    }
+    assert bound == set()
+
+
 def _traced_span_counts(tmp_path, name, cli_args):
     """Run one CLI call under ``bench/child.py --trace``; count its spans by
     name."""
@@ -835,13 +858,15 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
         "mc_trials = 30\n",
         encoding="utf-8",
     )
-    # N = 5 (orthogonal infeasible) and N = 15, 30 draws each
+    # N = 5 (orthogonal infeasible) and N = 15, 30 draws each: each point's
+    # draws fit in one stack, whose statistics are stacked calls that
+    # bypass the one-draw SNR functions
     counts = _traced_span_counts(
         tmp_path, "crossing", ["crossing", "--config", str(config), "--sweep", "0.5,1.5"]
     )
-    assert counts["channel.sample"] == 60
-    assert counts["channel.air_snr"] == 60
-    assert counts["channel.orth_snr"] == 30
+    assert counts["channel.sample"] == 2
+    assert counts["channel.air_snr"] == 0
+    assert counts["channel.orth_snr"] == 0
     # the trial engine draws each trial's label through the traced name and
     # forms the views and channels of each stack (here one per point, 30
     # trials) through theirs, and receives the whole stack without the
@@ -866,20 +891,24 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     )
     assert counts["inference.pool"] == 3
     assert counts["inference.run_trials"] == 3
-    # one substream per channel draw, plus two for each point's scenario build
+    # two substreams for each point's scenario build, and one per point that
+    # the re-keyed trial_streams generator of its draws starts from
     counts = _traced_span_counts(
         tmp_path, "aloss", ["aloss", "--config", str(config), "--sweep", "1,10"]
     )
-    assert counts["channel.sample"] == 60
-    assert counts["channel.air_snr"] == 60
-    assert counts["streams.substream"] == 64
+    assert counts["channel.sample"] == 2
+    assert counts["channel.air_snr"] == 0
+    assert counts["streams.substream"] == 2 * 2 + 2
     for experiment, sweep in (("snr-dist", "8,10"), ("bnorm-dist", "8,12,16")):
         counts = _traced_span_counts(
             tmp_path,
             experiment,
             [experiment, "--config", str(config), "--sweep", sweep, "--trials", "100"],
         )
-        assert counts["channel.sample"] == 200, experiment
-        # bnorm-dist builds the scenario of its infeasible N = 8 point too
+        # one stack of 100 draws per point that draws; bnorm-dist builds
+        # the scenario of its infeasible N = 8 point too but draws nothing
         points = len(sweep.split(","))
-        assert counts["streams.substream"] == 200 + 2 * points, experiment
+        assert counts["channel.sample"] == 2, experiment
+        assert counts["streams.substream"] == 2 * points + 2, experiment
+        for name in ("channel.air_snr", "channel.orth_snr"):
+            assert counts[name] == 0, (experiment, name)

@@ -10,7 +10,7 @@ from scipy import special
 from scipy.integrate import dblquad, quad
 
 import isea_sim as iz
-from isea_sim import inference
+from isea_sim import channel, inference
 from isea_sim.streams import substream, trial_streams
 
 
@@ -434,9 +434,9 @@ def test_chunk_size_does_not_change_results(monkeypatch, pipeline):
     # stacks of 7 trials (N = 12, K = 10) move every stack edge.
     scen = iz.build_scenario(_config())
     batches = []
-    for chunk, stack_bytes in ((512, inference._STACK_BYTES), (97, 7 * 16 * 12 * 10)):
+    for chunk, stack_bytes in ((512, channel._STACK_BYTES), (97, 7 * 16 * 12 * 10)):
         monkeypatch.setattr(inference, "_CHUNK_TRIALS", chunk)
-        monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
         batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
     for field in ("entropies", "labels", "predictions", "effective_snrs"):
         np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))

@@ -32,16 +32,17 @@ from .feature_model import aggregate_noiseless
 # there the idle threads of the two builds fight for the cores, and a K = 50
 # draw that switches builds takes 10 ms instead of 1 ms.
 _FULL_EIG_MAX = 64
-# Channel statistics run on stacks of at most this many bytes of channel
-# matrices, so their temporaries stay near one draw's footprint at any N K
-# (whole 512-trial chunks at N K <= 32); stacking changes no value.
+# Trials and channel statistics run on stacks of at most _STACK_ROWS rows and
+# _STACK_BYTES of channel matrices, which bounds the classifier's (rows, L, M)
+# and the channel stage's temporaries; stacking changes no value.
+_STACK_ROWS = 512
 _STACK_BYTES = 2**18
 
 
 def rows_per_stack(num_antennas, num_sensors):
-    """Draws per stack: as many complex N x K matrices as fit in
-    _STACK_BYTES, and at least one."""
-    return max(1, _STACK_BYTES // (16 * num_antennas * num_sensors))
+    """Rows per stack: at most _STACK_ROWS and as many complex N x K matrices
+    as fit in _STACK_BYTES, at least one; ``num_antennas=0`` draws none."""
+    return min(_STACK_ROWS, max(1, _STACK_BYTES // (16 * num_antennas * num_sensors or 1)))
 
 
 @dataclass(frozen=True, eq=False)

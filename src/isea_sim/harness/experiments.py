@@ -115,21 +115,26 @@ class ExperimentSpec:
                     f"simulate K={K}, N={N}, transmit_snr_db={point.transmit_snr_db:g}"
                 )
             simulated[point] = value
-            size = _point_bytes(point)
+            size = _point_bytes(point, pipelines if record.run is _simulation_point else ())
             if size > _MAX_POINT_BYTES:
                 raise ConfigError(
                     f"{self.experiment} at K={K:g}, N={N:g} needs {size / 2**30:.3g} GiB of "
-                    f"scenario and channel arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
+                    f"arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
                 )
 
 
-def _point_bytes(cfg):
-    """Bytes of a point's per-sensor scenario arrays (K M^2 + K L M floats)
-    and of one complex N x K channel matrix, counted in floats so that no
-    count overflows."""
+def _point_bytes(cfg, pipelines=()):
+    """Bytes of a point's scenario arrays (K M^2 + K L M floats) and one
+    complex N x K channel, and where ``pipelines`` run trials, of the results
+    (4 floats per trial, and integer copies of 2) and one stack's classifier
+    temporaries (2 rows L M floats); counted in floats so no count overflows."""
     K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
-    return 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
+    size = 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
+    if pipelines:  # a noiseless stack holds no channel, so the most rows
+        rows = rows_per_stack(0 if "noiseless" in pipelines else N, K)
+        size += 48.0 * cfg.mc_trials + 16.0 * rows * L * M
+    return size
 
 
 @dataclass(frozen=True)
@@ -213,13 +218,14 @@ def run_experiment(spec, workers=1, paper_scale=False):
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     record = _EXPERIMENTS[spec.experiment]
-    draws = spec.scenario.mc_trials
+    # the enlarged grid or trial count goes through every check of a requested one
     if paper_scale and record.grid is None:
-        # the enlarged grid goes through every check of a requested one
         values = spec.sweep_values
         spec = dataclasses.replace(spec, sweep_values=sorted(set(values) | {2 * v for v in values}))
     elif paper_scale:
-        draws *= 10
+        scenario = dataclasses.replace(spec.scenario, mc_trials=10 * spec.scenario.mc_trials)
+        spec = dataclasses.replace(spec, scenario=scenario)
+    draws = spec.scenario.mc_trials
     if spec.output_path is not None:
         _probe_writable(spec.output_path)
     rows, notes = [], []

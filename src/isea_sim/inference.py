@@ -14,6 +14,7 @@ point, trial) coordinates.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -28,7 +29,6 @@ from .streams import STREAM_TRIALS, trial_streams
 PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 
 _COND_LIMIT = 1e12
-_CHUNK_TRIALS = 512
 
 
 def _noise_power_from_snr(snr):
@@ -194,37 +194,25 @@ def simulate_trial(scenario, pipeline, rng):
     )
 
 
-def _run_chunk(scenario, pipeline, master_seed, stream_id, point_index, start, stop):
-    """Draw trials [start, stop), one stream each, in stacks of
-    :func:`rows_per_stack` channel draws, then classify them as one batch."""
-    step = rows_per_stack(scenario.num_antennas, scenario.num_sensors)
-    parts = []
-    for a in range(start, stop, step):
-        b = min(a + step, stop)
-        rngs = trial_streams(master_seed, stream_id, point_index, a, b)
-        parts.append(_draw_trials(scenario, pipeline, rngs, b - a)[:3])
-    labels, f_tilde, snrs = map(np.concatenate, zip(*parts))
+def _run_stack(scenario, pipeline, stream_id, point_index, start, stop):
+    """Draw and classify trials [start, stop), one stream each, in one step."""
+    rngs = trial_streams(scenario.config.master_seed, stream_id, point_index, start, stop)
+    labels, f_tilde, snrs, _ = _draw_trials(scenario, pipeline, rngs, stop - start)
     entropies, _, predictions = _classify(scenario, f_tilde, snrs)
     return entropies, labels, predictions, snrs
 
 
-def run_trials(
-    scenario,
-    pipeline,
-    trials,
-    *,
-    stream_id=STREAM_TRIALS,
-    point_index=0,
-    workers=1,
-):
+def run_trials(scenario, pipeline, trials, *, stream_id=STREAM_TRIALS, point_index=0, workers=1):
     """Run Monte Carlo trials of one access pipeline.
 
     Each trial draws its own random stream from
     (master_seed, stream_id, point_index, trial_index), so the result is
     independent of ``workers`` and of scheduling, and pipelines evaluated
     with the same stream coordinates see identical labels, features, and
-    channels (paired comparisons).  The calling process runs every
-    ``workers``-th chunk of 512 trials, and a pool of at most workers - 1
+    channels (paired comparisons).  Trials run in stacks of
+    :func:`rows_per_stack` rows, each drawn and classified in one step.
+    With ``workers`` bounded by the usable CPUs and the stacks, the calling
+    process runs every ``workers``-th stack and a pool of workers - 1
     forked processes the rest.  The returned :class:`TrialBatch` carries
     the uncertainty and accuracy estimates with their standard errors.
     """
@@ -234,26 +222,31 @@ def run_trials(
         raise ValueError("trials must be positive")
     if pipeline == "orthogonal" and scenario.num_antennas < scenario.num_sensors:
         raise InfeasibleAccessError(
-            "orthogonal access infeasible: "
-            f"N={scenario.num_antennas} < K={scenario.num_sensors}"
+            f"orthogonal access infeasible: N={scenario.num_antennas} < K={scenario.num_sensors}"
         )
-    chunk = partial(
-        _run_chunk, scenario, pipeline, scenario.config.master_seed, stream_id, point_index
-    )
-    spans = [(a, min(a + _CHUNK_TRIALS, trials)) for a in range(0, trials, _CHUNK_TRIALS)]
+    stack = partial(_run_stack, scenario, pipeline, stream_id, point_index)
+    antennas = 0 if pipeline == "noiseless" else scenario.num_antennas  # noiseless: no channel
+    step = rows_per_stack(antennas, scenario.num_sensors)
+    spans = [(a, min(a + step, trials)) for a in range(0, trials, step)]
+    # a fork pool starts all its workers at once: no more than CPUs or stacks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, len(spans))
+    out = np.empty((4, trials))  # entropies, labels, predictions, effective SNRs
     with one_blas_thread():  # forked workers inherit the one thread
-        if workers <= 1 or len(spans) == 1:
-            parts = [chunk(*span) for span in spans]
+        if workers <= 1:
+            for a, b in spans:
+                out[:, a:b] = stack(a, b)
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            # the calling process runs every workers-th chunk; a fork pool
-            # starts all its workers at once, so it gets no more than chunks
+            # the calling process runs every workers-th stack, the pool the rest
+            # in about four messages per worker, not one per (maybe one-row) stack
             pooled = [span for i, span in enumerate(spans) if i % workers]
-            with ProcessPoolExecutor(max_workers=min(workers - 1, len(pooled))) as pool:
-                theirs = pool.map(chunk, *zip(*pooled))
-                done = {span: chunk(*span) for span in spans[::workers]}
-                done.update(zip(pooled, theirs))
-            parts = [done[span] for span in spans]
-    # each part is a chunk's (entropies, labels, predictions, effective_snrs)
-    return TrialBatch(*map(np.concatenate, zip(*parts)))
+            batch = max(1, len(pooled) // (4 * workers - 4))
+            with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+                theirs = pool.map(stack, *zip(*pooled), chunksize=batch)
+                for a, b in spans[::workers]:
+                    out[:, a:b] = stack(a, b)
+                for (a, b), part in zip(pooled, theirs):
+                    out[:, a:b] = part
+    return TrialBatch(out[0], *out[1:3].astype(np.int64), out[3])

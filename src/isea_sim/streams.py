@@ -4,7 +4,7 @@ Every Monte Carlo trial draws from its own generator, keyed by
 ``(master_seed, stream_id)`` with ``(point_index, trial_index)`` placed in
 the high words of the Philox counter.  Each trial therefore owns a disjoint
 2**128 block of the counter space, and results are bit-identical no matter
-how trials are chunked across workers or in what order they run.
+how trials are stacked, spread across workers or ordered.
 """
 
 from __future__ import annotations

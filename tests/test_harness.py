@@ -324,11 +324,16 @@ def test_spec_rejects_a_point_that_is_not_a_valid_scenario(experiment, sweep, me
 
 
 def _largest_counts(cfg):
-    """The largest K at the config's N, and N at its K, whose scenario
-    arrays (K M^2 + K L M floats) and complex N x K channel fit in 2 GiB."""
+    """The largest K at the config's N for sweep-k, and N at its K for
+    bnorm-dist, whose scenario arrays (K M^2 + K L M floats) and complex
+    N x K channel fit in 2 GiB; sweep-k also holds six 8-byte result words
+    per trial and the temporaries of a 512-row noiseless stack (2 x 512 L M
+    floats)."""
     M, L, N, K = cfg.feature_dim, cfg.num_classes, cfg.num_antennas, cfg.num_sensors
     limit = 2 * 2**30
-    return limit // (8 * (M * M + L * M) + 16 * N), (limit - 8 * K * (M * M + L * M)) // (16 * K)
+    trials = 48 * cfg.mc_trials + 16 * 512 * L * M
+    largest_k = (limit - trials) // (8 * (M * M + L * M) + 16 * N)
+    return largest_k, (limit - 8 * K * (M * M + L * M)) // (16 * K)
 
 
 def test_spec_rejects_a_point_above_the_memory_limit():
@@ -342,6 +347,18 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     assert spec.sweep_values[-1] == largest_n
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("bnorm-dist", cfg, sweep_values=(largest_n + 1,))
+    # one 512-row stack's (512, L, M) classifier temporaries, 7.6 GiB here
+    wide = _cfg(feature_dim=1000, num_classes=1000, num_sensors=1, num_antennas=2)
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        ExperimentSpec("sweep-k", wide, sweep_values=(1,), pipelines=("noiseless",))
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        ExperimentSpec("sweep-n", wide, sweep_values=(2,), pipelines=("aircomp",))
+    # six 8-byte result words per trial, 4.4 TiB here
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        ExperimentSpec("sweep-k", _cfg(mc_trials=10**11), sweep_values=(1,))
+    # a desk-scale point passes, and a channel-only experiment holds no trials
+    ExperimentSpec("sweep-k", _cfg(feature_dim=100, num_classes=100), sweep_values=(1,))
+    ExperimentSpec("crossing", _cfg(mc_trials=10**11))
 
 
 def _no_point_may_run(monkeypatch):
@@ -359,6 +376,10 @@ def test_paper_scale_checks_the_doubled_grid_before_the_first_point(monkeypatch)
     cfg = _cfg()
     _, largest_n = _largest_counts(cfg)
     spec = ExperimentSpec("bnorm-dist", cfg, output_path=None, sweep_values=(largest_n,))
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        run_experiment(spec, paper_scale=True)
+    # ten times 10^7 trials would need 4.8 GB of results
+    spec = ExperimentSpec("sweep-k", _cfg(mc_trials=10**7), sweep_values=(1,))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         run_experiment(spec, paper_scale=True)
 
@@ -881,8 +902,9 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     for name in ("channel.receive", "channel.air_snr", "channel.orth_snr"):
         assert counts[name] == 0, name
     # the benchmark's traced mc-access run requires one pool per feasible
-    # cell: at 600 trials (two chunks) and two workers, the calling process
-    # runs one chunk and a pool the other; orthogonal at N = 8 < K is not run
+    # cell: at 600 trials (three stacks at N = 8, five at N = 12) and two
+    # workers, the calling process runs the even stacks and a pool the odd
+    # ones; orthogonal at N = 8 < K is not run
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n-pool",

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -316,15 +317,18 @@ def test_orthogonal_trials_infeasible_without_antennas():
         iz.run_trials(scen, "orthogonal", 200)
 
 
-def test_worker_split_is_invisible():
-    # 600 trials cross the fixed chunk boundary, so a two-worker run
-    # exercises the pool path and must reproduce the serial arrays.
+def test_worker_split_is_invisible(monkeypatch):
+    # 600 trials are five stacks of at most 136 (N = 12, K = 10), so a
+    # two-worker run exercises the pool path and must reproduce the serial
+    # arrays; 200 one-row stacks reach the pool's 100 in four batches.
     scen = iz.build_scenario(_config())
-    serial = iz.run_trials(scen, "aircomp", 600)
-    pooled = iz.run_trials(scen, "aircomp", 600, workers=2)
-    assert np.array_equal(serial.entropies, pooled.entropies)
-    assert np.array_equal(serial.predictions, pooled.predictions)
-    assert np.array_equal(serial.effective_snrs, pooled.effective_snrs)
+    for stack_bytes, trials in ((channel._STACK_BYTES, 600), (1, 200)):
+        monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
+        serial = iz.run_trials(scen, "aircomp", trials)
+        pooled = iz.run_trials(scen, "aircomp", trials, workers=2)
+        assert np.array_equal(serial.entropies, pooled.entropies)
+        assert np.array_equal(serial.predictions, pooled.predictions)
+        assert np.array_equal(serial.effective_snrs, pooled.effective_snrs)
 
 
 def _record_pool_sizes(monkeypatch):
@@ -340,15 +344,21 @@ def _record_pool_sizes(monkeypatch):
     return sizes
 
 
+def _usable_cpus(monkeypatch, cpus):
+    """Make run_trials see ``cpus`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
-    # A fork pool starts all of its workers at the first submit.  At 600
-    # trials (two chunks) and three workers the calling process runs the
-    # first chunk, so the pool must ask for one worker, and the arrays must
-    # still equal the serial run's.
+    # A fork pool starts all of its workers at the first submit.  At 200
+    # trials (two stacks, of 136 and 64) and three workers on three CPUs the
+    # calling process runs the first stack, so the pool must ask for one
+    # worker, and the arrays must still equal the serial run's.
     sizes = _record_pool_sizes(monkeypatch)
+    _usable_cpus(monkeypatch, 3)
     scen = iz.build_scenario(_config())
-    serial = iz.run_trials(scen, "aircomp", 600)
-    pooled = iz.run_trials(scen, "aircomp", 600, workers=3)
+    serial = iz.run_trials(scen, "aircomp", 200)
+    pooled = iz.run_trials(scen, "aircomp", 200, workers=3)
     assert sizes == [1]
     for field in ("entropies", "labels", "predictions", "effective_snrs"):
         np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
@@ -356,10 +366,13 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_calling_process_runs_its_share_of_the_chunks(monkeypatch, pipeline):
-    # 1,100 trials are three chunks.  At two workers the calling process
-    # runs chunks 0 and 2 and a one-worker pool chunk 1; at three workers
-    # the calling process runs chunk 0 and a two-worker pool the others.
+    # 1,100 trials are nine channel stacks of at most 136, or three
+    # noiseless stacks of at most 512.  On three CPUs, at two workers the
+    # calling process runs the even stacks and a one-worker pool the odd
+    # ones; at three workers the calling process runs every third stack
+    # and a two-worker pool the others.
     sizes = _record_pool_sizes(monkeypatch)
+    _usable_cpus(monkeypatch, 3)
     scen = iz.build_scenario(_config())
     serial = iz.run_trials(scen, pipeline, 1100, stream_id=6, point_index=1)
     for workers in (2, 3):
@@ -367,6 +380,26 @@ def test_calling_process_runs_its_share_of_the_chunks(monkeypatch, pipeline):
         for field in ("entropies", "labels", "predictions", "effective_snrs"):
             np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
     assert sizes == [1, 2]
+
+
+def test_workers_are_bounded_by_the_usable_cpus(monkeypatch):
+    # A fork pool starts all of its workers at once, so a huge ``workers``
+    # must fork no more processes than the CPUs can run: none on one CPU,
+    # one beside the calling process on two.  Without sched_getaffinity the
+    # bound is os.cpu_count(), or one CPU where that is unknown.
+    sizes = _record_pool_sizes(monkeypatch)
+    scen = iz.build_scenario(_config())
+    serial = iz.run_trials(scen, "orthogonal", 1100)
+    for cpus in (1, 2):
+        _usable_cpus(monkeypatch, cpus)
+        pooled = iz.run_trials(scen, "orthogonal", 1100, workers=100_000)
+        np.testing.assert_array_equal(serial.entropies, pooled.entropies)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for count in (1, None, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        pooled = iz.run_trials(scen, "orthogonal", 1100, workers=100_000)
+        np.testing.assert_array_equal(serial.entropies, pooled.entropies)
+    assert sizes == [1, 1]
 
 
 def test_paired_uncertainty_decreases_with_snr():
@@ -387,13 +420,14 @@ def test_paired_uncertainty_decreases_with_snr():
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_simulate_trial_replays_run_trials(pipeline):
-    # 600 trials span two chunks; indices 511 and 512 sit on either side of
-    # the boundary, and the two-worker run maps the first chunk in the
-    # calling process and the second in the pool.
+    # 600 trials are stacks of 136 rows (N = 12, K = 10), or of 512 for
+    # noiseless; indices 135 and 136 sit on either side of a channel stack
+    # edge and 511 and 512 of the noiseless one, and the two-worker run maps
+    # the even stacks in the calling process and the odd ones in the pool.
     scen = iz.build_scenario(_config())
     stream_id, point = 7, 3
     batch = iz.run_trials(scen, pipeline, 600, stream_id=stream_id, point_index=point, workers=2)
-    for i in (0, 511, 512, 599):
+    for i in (0, 135, 136, 511, 512, 599):
         rec = iz.simulate_trial(scen, pipeline, substream(20240, stream_id, point, i))
         assert rec.label == batch.labels[i]
         assert rec.predicted == batch.predictions[i]
@@ -430,16 +464,45 @@ def test_one_normal_draw_per_trial_equals_its_four_blocks():
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_chunk_size_does_not_change_results(monkeypatch, pipeline):
-    # 97 does not divide 600 or 512, so every chunk edge moves, and channel
-    # stacks of 7 trials (N = 12, K = 10) move every stack edge.
+    # Noiseless stacks of 97 rows in place of 512 and channel stacks of 7
+    # trials (N = 12, K = 10) in place of 136 move every stack edge: 97 and
+    # 7 divide neither 600 nor the default sizes.
     scen = iz.build_scenario(_config())
     batches = []
-    for chunk, stack_bytes in ((512, channel._STACK_BYTES), (97, 7 * 16 * 12 * 10)):
-        monkeypatch.setattr(inference, "_CHUNK_TRIALS", chunk)
+    for rows, stack_bytes in ((512, channel._STACK_BYTES), (97, 7 * 16 * 12 * 10)):
+        monkeypatch.setattr(channel, "_STACK_ROWS", rows)
         monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
         batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
     for field in ("entropies", "labels", "predictions", "effective_snrs"):
         np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))
+
+
+def test_stacks_hold_at_most_512_rows_and_stack_bytes_of_channels(monkeypatch):
+    # rows_per_stack is the engine's one batching rule: the largest count up
+    # to 512 whose complex N x K matrices fit in _STACK_BYTES, at least one
+    for N, K in ((1, 1), (4, 8), (12, 10), (20, 10), (40, 100), (400, 100)):
+        matrix = 16 * N * K
+        rows = channel.rows_per_stack(N, K)
+        assert 1 <= rows <= 512
+        assert rows == 1 or rows * matrix <= channel._STACK_BYTES
+        assert rows == 512 or (rows + 1) * matrix > channel._STACK_BYTES
+    assert channel.rows_per_stack(0, 100) == 512
+    # the engine's stacks follow it; a noiseless trial draws no channel, so
+    # its stacks hold 512 rows even where a channel stack holds one
+    spans = []
+    run_stack = inference._run_stack
+
+    def record(*args):
+        spans.append(args[-2:])
+        return run_stack(*args)
+
+    monkeypatch.setattr(inference, "_run_stack", record)
+    scen = iz.build_scenario(_config(num_sensors=100, num_antennas=400))
+    iz.run_trials(scen, "noiseless", 1100)
+    assert spans == [(0, 512), (512, 1024), (1024, 1100)]
+    spans.clear()
+    iz.run_trials(scen, "aircomp", 3)
+    assert spans == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_trial_records_have_consistent_fields():
@@ -515,7 +578,8 @@ def _oracle_batch(scenario, pipeline, trials, stream_id, point):
 
 
 def _assert_engine_matches_oracle(scenario, pipeline, trials=530):
-    # 530 trials cross the 512-trial chunk edge
+    # 530 trials cross a stack edge: noiseless stacks hold 512 rows, and
+    # channel stacks 512, 455 and 303 at N = 4, 6 and 9 (K = 6)
     batch = iz.run_trials(scenario, pipeline, trials, stream_id=5, point_index=2)
     want, modes = _oracle_batch(scenario, pipeline, trials, 5, 2)
     for field, expected in zip(("entropies", "labels", "predictions", "effective_snrs"), want):

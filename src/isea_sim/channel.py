@@ -33,16 +33,17 @@ from .feature_model import aggregate_noiseless
 # draw that switches builds takes 10 ms instead of 1 ms.
 _FULL_EIG_MAX = 64
 # Trials and channel statistics run on stacks of at most _STACK_ROWS rows and
-# _STACK_BYTES of channel matrices, which bounds the classifier's (rows, L, M)
-# and the channel stage's temporaries; stacking changes no value.
+# _STACK_BYTES of standard normals, which bounds the views', the channel
+# stage's and the classifier's (rows, L, M) temporaries at any K, N or L M;
+# stacking changes no value.
 _STACK_ROWS = 512
 _STACK_BYTES = 2**18
 
 
-def rows_per_stack(num_antennas, num_sensors):
-    """Rows per stack: at most _STACK_ROWS and as many complex N x K matrices
-    as fit in _STACK_BYTES, at least one; ``num_antennas=0`` draws none."""
-    return min(_STACK_ROWS, max(1, _STACK_BYTES // (16 * num_antennas * num_sensors or 1)))
+def rows_per_stack(row_floats):
+    """Rows per stack: at most _STACK_ROWS and as many rows of ``row_floats``
+    standard normals as fit in _STACK_BYTES, at least one."""
+    return min(_STACK_ROWS, max(1, _STACK_BYTES // (8 * row_floats)))
 
 
 @dataclass(frozen=True, eq=False)

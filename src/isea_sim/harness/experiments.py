@@ -30,7 +30,7 @@ from ..channel import (
     zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
-from ..inference import PIPELINES, _stderr, run_trials
+from ..inference import PIPELINES, _row_floats, _stderr, run_trials
 from ..scenario import ScenarioConfig, build_scenario
 from ..streams import trial_streams
 from ..theory import (
@@ -126,14 +126,17 @@ class ExperimentSpec:
 def _point_bytes(cfg, pipelines=()):
     """Bytes of a point's scenario arrays (K M^2 + K L M floats) and one
     complex N x K channel, and where ``pipelines`` run trials, of the results
-    (4 floats per trial, and integer copies of 2) and one stack's classifier
-    temporaries (2 rows L M floats); counted in floats so no count overflows."""
+    (4 floats per trial, and integer copies of 2) and the largest of their
+    stacks: its normals with three temporaries as large (4 rows x row floats)
+    and the classifier's (2 rows L M floats); counted in floats so no count
+    overflows."""
     K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
     size = 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
-    if pipelines:  # a noiseless stack holds no channel, so the most rows
-        rows = rows_per_stack(0 if "noiseless" in pipelines else N, K)
-        size += 48.0 * cfg.mc_trials + 16.0 * rows * L * M
+    rows = [_row_floats(pipeline, M, N, K) for pipeline in pipelines]
+    if rows:
+        stack = max(8.0 * rows_per_stack(row) * (4 * row + 2 * L * M) for row in rows)
+        size += 48.0 * cfg.mc_trials + stack
     return size
 
 
@@ -305,7 +308,7 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
     rebinds ``sample_channel`` in this module, so it is called through its
     module-level name.
     """
-    z = np.empty((rows_per_stack(num_antennas, num_sensors), 2, num_antennas, num_sensors))
+    z = np.empty((rows_per_stack(2 * num_antennas * num_sensors), 2, num_antennas, num_sensors))
     rngs = iter(rngs)
     parts = []
     with one_blas_thread():

@@ -136,6 +136,11 @@ def _stderr(values):
     return float(values.std(ddof=1) / np.sqrt(n))
 
 
+def _row_floats(pipeline, M, N, K):
+    """Standard normals of one trial of ``pipeline`` at M, N and K."""
+    return K * M + (0 if pipeline == "noiseless" else 2 * N * K + M)
+
+
 def _draw_trials(scenario, pipeline, rngs, n):
     """Labels, received vectors, effective SNRs and, for ``adaptive``,
     whether over the air won (else None), of n trials: one generator each.
@@ -148,7 +153,7 @@ def _draw_trials(scenario, pipeline, rngs, n):
     """
     M, N, K = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
     labels = np.empty(n, dtype=np.int64)
-    z = np.empty((n, K * M + (0 if pipeline == "noiseless" else 2 * N * K + M)))
+    z = np.empty((n, _row_floats(pipeline, M, N, K)))
     for i, rng in enumerate(rngs):
         labels[i] = sample_label(scenario.num_classes, rng)
         rng.standard_normal(out=z[i])
@@ -202,7 +207,15 @@ def _run_stack(scenario, pipeline, stream_id, point_index, start, stop):
     return entropies, labels, predictions, snrs
 
 
-def run_trials(scenario, pipeline, trials, *, stream_id=STREAM_TRIALS, point_index=0, workers=1):
+def run_trials(
+    scenario,
+    pipeline,
+    trials,
+    *,
+    stream_id=STREAM_TRIALS,
+    point_index=0,
+    workers=1,
+):
     """Run Monte Carlo trials of one access pipeline.
 
     Each trial draws its own random stream from
@@ -210,7 +223,8 @@ def run_trials(scenario, pipeline, trials, *, stream_id=STREAM_TRIALS, point_ind
     independent of ``workers`` and of scheduling, and pipelines evaluated
     with the same stream coordinates see identical labels, features, and
     channels (paired comparisons).  Trials run in stacks of
-    :func:`rows_per_stack` rows, each drawn and classified in one step.
+    :func:`rows_per_stack` rows of a trial's normals, each drawn and
+    classified in one step.
     With ``workers`` bounded by the usable CPUs and the stacks, the calling
     process runs every ``workers``-th stack and a pool of workers - 1
     forked processes the rest.  The returned :class:`TrialBatch` carries
@@ -222,11 +236,12 @@ def run_trials(scenario, pipeline, trials, *, stream_id=STREAM_TRIALS, point_ind
         raise ValueError("trials must be positive")
     if pipeline == "orthogonal" and scenario.num_antennas < scenario.num_sensors:
         raise InfeasibleAccessError(
-            f"orthogonal access infeasible: N={scenario.num_antennas} < K={scenario.num_sensors}"
+            "orthogonal access infeasible: "
+            f"N={scenario.num_antennas} < K={scenario.num_sensors}"
         )
     stack = partial(_run_stack, scenario, pipeline, stream_id, point_index)
-    antennas = 0 if pipeline == "noiseless" else scenario.num_antennas  # noiseless: no channel
-    step = rows_per_stack(antennas, scenario.num_sensors)
+    dims = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
+    step = rows_per_stack(_row_floats(pipeline, *dims))
     spans = [(a, min(a + step, trials)) for a in range(0, trials, step)]
     # a fork pool starts all its workers at once: no more than CPUs or stacks
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -239,10 +254,10 @@ def run_trials(scenario, pipeline, trials, *, stream_id=STREAM_TRIALS, point_ind
         else:
             from concurrent.futures import ProcessPoolExecutor
 
-            # the calling process runs every workers-th stack, the pool the rest
-            # in about four messages per worker, not one per (maybe one-row) stack
+            # the calling process runs every workers-th stack and the pool the
+            # rest, in one message per worker: four cost mc-access 12 % of its time
             pooled = [span for i, span in enumerate(spans) if i % workers]
-            batch = max(1, len(pooled) // (4 * workers - 4))
+            batch = -(-len(pooled) // (workers - 1))
             with ProcessPoolExecutor(max_workers=workers - 1) as pool:
                 theirs = pool.map(stack, *zip(*pooled), chunksize=batch)
                 for a, b in spans[::workers]:

@@ -327,12 +327,13 @@ def _largest_counts(cfg):
     """The largest K at the config's N for sweep-k, and N at its K for
     bnorm-dist, whose scenario arrays (K M^2 + K L M floats) and complex
     N x K channel fit in 2 GiB; sweep-k also holds six 8-byte result words
-    per trial and the temporaries of a 512-row noiseless stack (2 x 512 L M
-    floats)."""
+    per trial and, at so large a K, one-row stacks, an aircomp one the
+    largest: its K M + 2 N K + M normals, three temporaries as large and
+    2 L M classifier floats."""
     M, L, N, K = cfg.feature_dim, cfg.num_classes, cfg.num_antennas, cfg.num_sensors
     limit = 2 * 2**30
-    trials = 48 * cfg.mc_trials + 16 * 512 * L * M
-    largest_k = (limit - trials) // (8 * (M * M + L * M) + 16 * N)
+    fixed = 48 * cfg.mc_trials + 8 * (4 * M + 2 * L * M)
+    largest_k = (limit - fixed) // (8 * (M * M + L * M) + 16 * N + 32 * (M + 2 * N))
     return largest_k, (limit - 8 * K * (M * M + L * M)) // (16 * K)
 
 
@@ -347,8 +348,9 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     assert spec.sweep_values[-1] == largest_n
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("bnorm-dist", cfg, sweep_values=(largest_n + 1,))
-    # one 512-row stack's (512, L, M) classifier temporaries, 7.6 GiB here
-    wide = _cfg(feature_dim=1000, num_classes=1000, num_sensors=1, num_antennas=2)
+    # one stack's (rows, L, M) classifier temporaries: 32 noiseless or 16
+    # aircomp rows (M = 1,000, K = 1) of 2 x 10^7 floats, 4.8 or 2.4 GiB
+    wide = _cfg(feature_dim=1000, num_classes=10000, num_sensors=1, num_antennas=2)
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("sweep-k", wide, sweep_values=(1,), pipelines=("noiseless",))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
@@ -359,6 +361,11 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     # a desk-scale point passes, and a channel-only experiment holds no trials
     ExperimentSpec("sweep-k", _cfg(feature_dim=100, num_classes=100), sweep_values=(1,))
     ExperimentSpec("crossing", _cfg(mc_trials=10**11))
+    # a noiseless trial at K = 20,000 draws 1.6 MB of normals, so its stacks
+    # hold one row and the point needs about 40 MiB, not a 512-row stack's
+    # 0.8 GB of normals and as much again in each view-sized temporary
+    ExperimentSpec("sweep-k", cfg, sweep_values=(20000,), pipelines=("noiseless",))
+    assert experiments._point_bytes(_cfg(num_sensors=20000), ("noiseless",)) < 48 * 2**20
 
 
 def _no_point_may_run(monkeypatch):
@@ -853,13 +860,20 @@ def test_harness_binds_no_private_name_of_channel():
     assert bound == set()
 
 
-def _traced_span_counts(tmp_path, name, cli_args):
-    """Run one CLI call under ``bench/child.py --trace``; count its spans by
-    name."""
+def _traced_span_counts(tmp_path, name, cli_args, cpus=None):
+    """Run one CLI call under ``bench/child.py --trace``, where run_trials
+    sees ``cpus`` usable CPUs if given; count its spans by name."""
     child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
     spans = tmp_path / f"{name}.spans.tsv"
+    # run child.py as ``python3 child.py`` would, with sched_getaffinity replaced
+    shim = [] if cpus is None else [
+        "-c",
+        f"import os, runpy, sys; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+        "sys.argv = sys.argv[1:]; sys.path[0] = os.path.dirname(sys.argv[0]); "
+        "runpy.run_path(sys.argv[0], run_name='__main__')",
+    ]
     proc = subprocess.run(
-        [sys.executable, str(child), "--result", str(tmp_path / f"{name}.json"),
+        [sys.executable, *shim, str(child), "--result", str(tmp_path / f"{name}.json"),
          "--trace", str(spans), "--", *cli_args, "--out", str(tmp_path / f"{name}.csv")],
         capture_output=True,
         text=True,
@@ -902,14 +916,15 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     for name in ("channel.receive", "channel.air_snr", "channel.orth_snr"):
         assert counts[name] == 0, name
     # the benchmark's traced mc-access run requires one pool per feasible
-    # cell: at 600 trials (three stacks at N = 8, five at N = 12) and two
-    # workers, the calling process runs the even stacks and a pool the odd
-    # ones; orthogonal at N = 8 < K is not run
+    # cell: at 600 trials (four stacks at N = 8, six at N = 12) and two
+    # workers on two usable CPUs, the calling process runs the even stacks
+    # and a pool the odd ones; orthogonal at N = 8 < K is not run
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n-pool",
         ["sweep-n", "--config", str(config), "--sweep", "8,12", "--trials", "600",
          "--workers", "2", "--pipelines", "orthogonal,adaptive"],
+        cpus=2,
     )
     assert counts["inference.pool"] == 3
     assert counts["inference.run_trials"] == 3

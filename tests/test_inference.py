@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -318,9 +319,9 @@ def test_orthogonal_trials_infeasible_without_antennas():
 
 
 def test_worker_split_is_invisible(monkeypatch):
-    # 600 trials are five stacks of at most 136 (N = 12, K = 10), so a
+    # 600 trials are six stacks of at most 111 (N = 12, K = 10), so a
     # two-worker run exercises the pool path and must reproduce the serial
-    # arrays; 200 one-row stacks reach the pool's 100 in four batches.
+    # arrays; 200 one-row stacks reach the pool's 100 in one batch.
     scen = iz.build_scenario(_config())
     for stack_bytes, trials in ((channel._STACK_BYTES, 600), (1, 200)):
         monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
@@ -351,7 +352,7 @@ def _usable_cpus(monkeypatch, cpus):
 
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # A fork pool starts all of its workers at the first submit.  At 200
-    # trials (two stacks, of 136 and 64) and three workers on three CPUs the
+    # trials (two stacks, of 111 and 89) and three workers on three CPUs the
     # calling process runs the first stack, so the pool must ask for one
     # worker, and the arrays must still equal the serial run's.
     sizes = _record_pool_sizes(monkeypatch)
@@ -366,7 +367,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_calling_process_runs_its_share_of_the_chunks(monkeypatch, pipeline):
-    # 1,100 trials are nine channel stacks of at most 136, or three
+    # 1,100 trials are ten channel stacks of at most 111, or three
     # noiseless stacks of at most 512.  On three CPUs, at two workers the
     # calling process runs the even stacks and a one-worker pool the odd
     # ones; at three workers the calling process runs every third stack
@@ -420,14 +421,14 @@ def test_paired_uncertainty_decreases_with_snr():
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_simulate_trial_replays_run_trials(pipeline):
-    # 600 trials are stacks of 136 rows (N = 12, K = 10), or of 512 for
-    # noiseless; indices 135 and 136 sit on either side of a channel stack
+    # 600 trials are stacks of 111 rows (N = 12, K = 10), or of 512 for
+    # noiseless; indices 110 and 111 sit on either side of a channel stack
     # edge and 511 and 512 of the noiseless one, and the two-worker run maps
     # the even stacks in the calling process and the odd ones in the pool.
     scen = iz.build_scenario(_config())
     stream_id, point = 7, 3
     batch = iz.run_trials(scen, pipeline, 600, stream_id=stream_id, point_index=point, workers=2)
-    for i in (0, 135, 136, 511, 512, 599):
+    for i in (0, 110, 111, 511, 512, 599):
         rec = iz.simulate_trial(scen, pipeline, substream(20240, stream_id, point, i))
         assert rec.label == batch.labels[i]
         assert rec.predicted == batch.predictions[i]
@@ -464,31 +465,29 @@ def test_one_normal_draw_per_trial_equals_its_four_blocks():
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
 def test_chunk_size_does_not_change_results(monkeypatch, pipeline):
-    # Noiseless stacks of 97 rows in place of 512 and channel stacks of 7
-    # trials (N = 12, K = 10) in place of 136 move every stack edge: 97 and
-    # 7 divide neither 600 nor the default sizes.
+    # A trial draws 295 normals (N = 12, K = 10, M = 5), or 50 noiseless:
+    # stacks of 7 channel or 41 noiseless rows in place of 111 or 512 move
+    # every stack edge, and 7 and 41 divide neither 600 nor the defaults.
     scen = iz.build_scenario(_config())
     batches = []
-    for rows, stack_bytes in ((512, channel._STACK_BYTES), (97, 7 * 16 * 12 * 10)):
-        monkeypatch.setattr(channel, "_STACK_ROWS", rows)
+    for stack_bytes in (channel._STACK_BYTES, 7 * 8 * 295):
         monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
         batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
     for field in ("entropies", "labels", "predictions", "effective_snrs"):
         np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))
 
 
-def test_stacks_hold_at_most_512_rows_and_stack_bytes_of_channels(monkeypatch):
+def test_stacks_hold_at_most_512_rows_and_stack_bytes_of_normals(monkeypatch):
     # rows_per_stack is the engine's one batching rule: the largest count up
-    # to 512 whose complex N x K matrices fit in _STACK_BYTES, at least one
-    for N, K in ((1, 1), (4, 8), (12, 10), (20, 10), (40, 100), (400, 100)):
-        matrix = 16 * N * K
-        rows = channel.rows_per_stack(N, K)
+    # to 512 whose rows of a trial's normals fit in _STACK_BYTES, at least one
+    for row in (1, 64, 65, 295, 350, 1000, 2**15, 2**15 + 1, 10**6):
+        rows = channel.rows_per_stack(row)
         assert 1 <= rows <= 512
-        assert rows == 1 or rows * matrix <= channel._STACK_BYTES
-        assert rows == 512 or (rows + 1) * matrix > channel._STACK_BYTES
-    assert channel.rows_per_stack(0, 100) == 512
-    # the engine's stacks follow it; a noiseless trial draws no channel, so
-    # its stacks hold 512 rows even where a channel stack holds one
+        assert rows == 1 or 8 * rows * row <= channel._STACK_BYTES
+        assert rows == 512 or 8 * (rows + 1) * row > channel._STACK_BYTES
+    # the engine's stacks follow it; a noiseless trial draws K M = 1,000
+    # normals and no channel, so its stacks ignore N K and hold 32 rows
+    # where a channel stack (81,010 normals) holds one
     spans = []
     run_stack = inference._run_stack
 
@@ -497,12 +496,26 @@ def test_stacks_hold_at_most_512_rows_and_stack_bytes_of_channels(monkeypatch):
         return run_stack(*args)
 
     monkeypatch.setattr(inference, "_run_stack", record)
-    scen = iz.build_scenario(_config(num_sensors=100, num_antennas=400))
-    iz.run_trials(scen, "noiseless", 1100)
-    assert spans == [(0, 512), (512, 1024), (1024, 1100)]
+    scen = iz.build_scenario(_config(feature_dim=10, num_sensors=100, num_antennas=400))
+    iz.run_trials(scen, "noiseless", 70)
+    assert spans == [(0, 32), (32, 64), (64, 70)]
     spans.clear()
     iz.run_trials(scen, "aircomp", 3)
     assert spans == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_a_stack_holds_about_stack_bytes_at_any_k():
+    # At K = 2,000 one noiseless trial draws K M = 10,000 normals (80 kB),
+    # so its stacks hold three rows: 512-row stacks would hold 41 MB of
+    # normals and as much again in each view-sized temporary.
+    scen = iz.build_scenario(_config(feature_dim=5, num_sensors=2000))
+    tracemalloc.start()
+    try:
+        iz.run_trials(scen, "noiseless", 600)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * channel._STACK_BYTES
 
 
 def test_trial_records_have_consistent_fields():
@@ -579,7 +592,7 @@ def _oracle_batch(scenario, pipeline, trials, stream_id, point):
 
 def _assert_engine_matches_oracle(scenario, pipeline, trials=530):
     # 530 trials cross a stack edge: noiseless stacks hold 512 rows, and
-    # channel stacks 512, 455 and 303 at N = 4, 6 and 9 (K = 6)
+    # channel stacks 394, 306 and 229 at N = 4, 6 and 9 (K = 6)
     batch = iz.run_trials(scenario, pipeline, trials, stream_id=5, point_index=2)
     want, modes = _oracle_batch(scenario, pipeline, trials, 5, 2)
     for field, expected in zip(("entropies", "labels", "predictions", "effective_snrs"), want):

@@ -6,12 +6,12 @@ receive beam v; its effective SNR is limited by the weakest alignment
 |v^H h_k|^2 = lambda1 |q1_k|^2, so a draw is summarized by the principal
 pair (lambda1, q1) alone.  Orthogonal access gives each sensor its own
 slot with a zero-forcing receive beam b_k, trading noise amplification for
-isolation; its SNR needs only ||b_k||^2, the diagonal of (H^H H)^-1.
-Both reduce to the noiseless average plus isotropic Gaussian noise whose
-power is the inverse effective SNR, which is how receivers simulate them.
+isolation; its SNR needs only ||b_k||^2, the diagonal of (H^H H)^-1, which
+the Cholesky factor of H^H H gives.  Both reduce to the noiseless average
+plus isotropic Gaussian noise of power 1/SNR, as receivers simulate them.
 Each statistic is one function of one draw or of a stack of draws
-(..., N, K), each row equal bit for bit to its draw taken alone; the
-receivers and their one-draw SNRs are one-row calls of them.
+(..., N, K), each row equal bit for bit to its draw taken alone, and runs
+at one BLAS thread; receivers and one-draw SNRs are one-row calls of them.
 """
 
 from __future__ import annotations
@@ -19,19 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
+from ._blas import one_blas_thread
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless
 
-# Random square Gram matrices have a tight spectral gap at the edge, so
-# iterative methods converge slowly; LAPACK is faster at every size we hit.
-# At one OpenBLAS thread the subset eigensolver (in scipy's OpenBLAS) beats the
-# full one (in numpy's) from 13 rows on.  The switch stays at 64 rows for
-# callers that draw channels in their own loop at the default thread count:
-# there the idle threads of the two builds fight for the cores, and a K = 50
-# draw that switches builds takes 10 ms instead of 1 ms.
-_FULL_EIG_MAX = 64
+# Random Gram matrices have a tight spectral gap at the edge, so iterative
+# methods converge slowly.  At one thread LAPACK's heevr (MRRR) asked for the
+# top pair beats numpy's stacked full eigh from 9 rows on: per matrix 14
+# against 16 us at 10 rows, 22 against 44 at 16 and 235 against 575 at 64.
+_FULL_EIG_MAX = 8
 # Trials and channel statistics run on stacks of at most _STACK_ROWS rows and
 # _STACK_BYTES of standard normals, which bounds the views', the channel
 # stage's and the classifier's (rows, L, M) temporaries at any K, N or L M;
@@ -101,26 +99,38 @@ def _conj_t(H):
 
 def _top_eigenpairs(G):
     """Largest eigenvalue and its eigenvector of each Hermitian matrix in a
-    stack G (n, m, m)."""
-    m = G.shape[-1]
+    stack G (n, m, m); above _FULL_EIG_MAX rows one LAPACK heevr call per
+    matrix, with the arguments and workspace ``scipy.linalg.eigh`` passes."""
+    n, m = G.shape[:2]
     if m <= _FULL_EIG_MAX:
         w, V = np.linalg.eigh(G)
         return w[:, -1], V[:, :, -1]
-    pairs = [scipy.linalg.eigh(g, subset_by_index=[m - 1, m - 1]) for g in G]
-    return np.array([w[0] for w, _ in pairs]), np.array([V[:, 0] for _, V in pairs])
+    heevr, heevr_lwork = get_lapack_funcs(("heevr", "heevr_lwork"), (G,))
+    work = {k: int(v.real) for k, v in zip(("lwork", "lrwork", "liwork"), heevr_lwork(m, lower=1))}
+    lam, V = np.empty(n), np.empty((n, m), dtype=G.dtype)
+    for i, g in enumerate(G):
+        w, z, _, _, info = heevr(g, range="I", lower=1, il=m, iu=m, **work)
+        if info:
+            raise NumericalError("eigensolver failed on a channel Gram matrix")
+        lam[i], V[i] = w[0], z[:, 0]
+    return lam, V
 
 
-def _principal_pairs(H):
+@one_blas_thread()
+def _principal_pairs(H, gram=None):
     """``(lambda1, q1)`` of each matrix in a stack H (n, N, K), each row
     equal bit for bit to the same matrix taken on its own.
 
-    The eigendecomposition runs on the smaller Gram matrix.  q1 is scaled
-    to unit norm, each row's squared norm being two dot products of its
-    strided real and imaginary parts, and its largest-magnitude entry is
-    made real positive with that entry's scalar modulus (``np.hypot``).
+    The eigendecomposition runs on the smaller Gram matrix: H H^H when
+    N <= K, else H^H H (``gram`` if given).  q1 is scaled to unit norm,
+    each row's squared norm being two dot products of its strided real
+    and imaginary parts, and its largest-magnitude entry is made real
+    positive with that entry's scalar modulus (``np.hypot``).
     """
     wide = H.shape[1] <= H.shape[2]
-    lam, v = _top_eigenpairs(H @ _conj_t(H) if wide else _conj_t(H) @ H)
+    if wide or gram is None:
+        gram = H @ _conj_t(H) if wide else _conj_t(H) @ H
+    lam, v = _top_eigenpairs(gram)
     if np.any(lam <= 0):
         raise NumericalError("channel matrix has no positive singular value")
     q1 = (_conj_t(H) @ v[..., None])[..., 0] / np.sqrt(lam)[:, None] if wide else v
@@ -143,9 +153,7 @@ def realization_from_matrix(H):
     if H.ndim < 2:
         raise ValueError("channel matrix must be at least two-dimensional")
     lam, q1 = _principal_pairs(H.reshape(-1, *H.shape[-2:]))
-    return ChannelRealization(
-        H=H, lambda1=lam.reshape(H.shape[:-2])[()], q1=q1.reshape(*H.shape[:-2], H.shape[-1])
-    )
+    return ChannelRealization(H, lam.reshape(H.shape[:-2])[()], q1.reshape(*H.shape[:-2], -1))
 
 
 def sample_channel(z):
@@ -210,10 +218,11 @@ def aircomp_receive(scenario, channel, local_features, rng):
     return _receive_one(local_features, aircomp_effective_snr(channel, scenario).gamma_air, rng)
 
 
+@one_blas_thread()
 def zf_norms_sq(H):
     """Squared norms ||b_k||^2 (..., K) of the zero-forcing receive beams
     B = H (H^H H)^-1 of one channel matrix or a stack H (..., N, K): the
-    real diagonal of (H^H H)^-1.
+    real diagonal of (H^H H)^-1, from its Cholesky factor (:func:`_zf_diag`).
 
     B itself is never formed.  Requires at least as many antennas as
     sensors; raises :class:`InfeasibleAccessError` otherwise and
@@ -224,11 +233,21 @@ def zf_norms_sq(H):
         raise InfeasibleAccessError(
             f"zero-forcing needs num_antennas >= num_sensors, got N={N} < K={K}"
         )
+    return _zf_diag(_conj_t(H) @ H)
+
+
+def _zf_diag(gram):
+    """Diagonal of the inverse of each Gram matrix G = L L^H of a stack
+    (..., K, K), as the column sums of |L^-1|^2 (Golub & Van Loan 4.2)."""
     try:
-        gram_inv = np.linalg.inv(_conj_t(H) @ H)
+        L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise NumericalError("channel Gram matrix is singular") from None
-    return np.diagonal(gram_inv, axis1=-2, axis2=-1).real.copy()
+    trtri = get_lapack_funcs("trtri", (L,))
+    # each L^T is Fortran-ordered, so trtri inverts it in place: L becomes L^-1
+    if any(trtri(u, lower=0, overwrite_c=1)[1] for u in L.reshape(-1, *gram.shape[-2:]).mT):
+        raise NumericalError("channel Gram matrix is singular")
+    return (L.real**2 + L.imag**2).sum(axis=-2)
 
 
 def orth_snrs(norms, scenario):
@@ -274,17 +293,25 @@ def adaptive_receive(scenario, channel, local_features, rng):
     return _receive_one(local_features, float(snr), rng, mode)
 
 
+@one_blas_thread()
+def snr_pairs(H, scenario):
+    """``(gamma_air, gamma_aoa)`` of each draw of a stack H (n, N, K), -inf
+    where N < K, bit for bit as :func:`air_snrs` and :func:`orth_snrs` give
+    them; where N > K the principal pair and the norms read one H^H H."""
+    gram = _conj_t(H) @ H if H.shape[1] >= H.shape[2] else None
+    gamma_air, _ = air_snrs(ChannelRealization(H, *_principal_pairs(H, gram)), scenario)
+    aoa = np.full_like(gamma_air, -np.inf) if gram is None else orth_snrs(_zf_diag(gram), scenario)
+    return gamma_air, aoa
+
+
 def _pipeline_snrs(scenario, pipeline, H):
     """Effective SNRs (n,) of a stack of channel draws H (n, N, K) under an
     access ``pipeline``, and for ``adaptive`` whether over the air won each
     draw (else None)."""
-    N, K = H.shape[-2:]
     if pipeline == "orthogonal":
         return orth_snrs(zf_norms_sq(H), scenario), None
-    if pipeline not in ("aircomp", "adaptive"):
-        raise ValueError(f"unknown pipeline {pipeline!r}")
-    gamma_air, _ = air_snrs(realization_from_matrix(H), scenario)
     if pipeline == "aircomp":
-        return gamma_air, None
-    gamma_aoa = -np.inf if N < K else orth_snrs(zf_norms_sq(H), scenario)
-    return best_access(gamma_air, gamma_aoa)
+        return air_snrs(realization_from_matrix(H), scenario)[0], None
+    if pipeline != "adaptive":
+        raise ValueError(f"unknown pipeline {pipeline!r}")
+    return best_access(*snr_pairs(H, scenario))

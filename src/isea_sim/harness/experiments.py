@@ -27,6 +27,7 @@ from ..channel import (
     realization_from_matrix,
     rows_per_stack,
     sample_channel,
+    snr_pairs,
     zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
@@ -232,8 +233,8 @@ def run_experiment(spec, workers=1, paper_scale=False):
     if spec.output_path is not None:
         _probe_writable(spec.output_path)
     rows, notes = [], []
-    # one block for the whole sweep: run_trials and _per_draw open their own,
-    # but a block per pool would restart the threads each pool's fork stops
+    # one block for the whole sweep: one per pool would restart the threads
+    # that each pool's fork stops
     with one_blas_thread():
         for point, value in enumerate(spec.sweep_values):
             scen = build_scenario(record.config_at(spec.scenario, value))
@@ -311,10 +312,9 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
     z = np.empty((rows_per_stack(2 * num_antennas * num_sensors), 2, num_antennas, num_sensors))
     rngs = iter(rngs)
     parts = []
-    with one_blas_thread():
-        # zip takes a row before a generator, so no generator is left undrawn
-        while n := len([rng.standard_normal(out=row) for row, rng in zip(z, rngs)]):
-            parts.append(stat(sample_channel(z[:n])))
+    # zip takes a row before a generator, so no generator is left undrawn
+    while n := len([rng.standard_normal(out=row) for row, rng in zip(z, rngs)]):
+        parts.append(stat(sample_channel(z[:n])))
     return np.concatenate(parts)
 
 
@@ -401,15 +401,8 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     K, N = scen.num_sensors, scen.num_antennas
     omega = N / K  # the simulated ratio, which the rows and notes report
 
-    def snr_pairs(H):
-        """(gamma_air, gamma_aoa) of each draw, gamma_aoa -inf where N < K."""
-        snrs = np.full((H.shape[0], 2), -np.inf)
-        snrs[:, 0], _ = air_snrs(realization_from_matrix(H), scen)
-        if N >= K:
-            snrs[:, 1] = orth_snrs(zf_norms_sq(H), scen)
-        return snrs
-
-    air, aoa = _per_draw(snr_pairs, N, K, _draw_streams(spec, point, draws)).T
+    streams = _draw_streams(spec, point, draws)
+    air, aoa = _per_draw(lambda H: np.column_stack(snr_pairs(H, scen)), N, K, streams).T
     best, wins = best_access(air, aoa)
     prob, prob_se = float(wins.mean()), _stderr(wins.astype(float))
     predicted = crossing_probability(K, omega)

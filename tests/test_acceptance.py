@@ -18,6 +18,7 @@ from scipy import integrate, special, stats
 
 import isea_sim as iz
 from isea_sim import feature_model, theory
+from isea_sim.channel import snr_pairs
 from isea_sim.harness.experiments import (
     ExperimentSpec,
     _alignment_ks,
@@ -247,11 +248,8 @@ def test_08_crossing_probability_formula():
         sc = iz.build_scenario(_config(num_sensors=K, num_antennas=N))
         rng = substream(MASTER_SEED, 16)
 
-        def snr_pairs(H):
-            gamma_air, _ = iz.air_snrs(iz.realization_from_matrix(H), sc)
-            return np.column_stack((gamma_air, iz.orth_snrs(iz.zf_norms_sq(H), sc)))
-
-        air, aoa = _per_draw(snr_pairs, N, K, repeat(rng, 10000)).T
+        pairs = _per_draw(lambda H: np.column_stack(snr_pairs(H, sc)), N, K, repeat(rng, 10000))
+        air, aoa = pairs.T
         empirical = np.mean(iz.best_access(air, aoa)[1])
         predicted = theory.crossing_probability(K, omega)
         assert abs(empirical - predicted) < 0.05  # observed 0.0185

@@ -4,7 +4,7 @@ import numpy
 import pytest
 import scipy
 
-from isea_sim import _blas
+from isea_sim import _blas, channel
 from isea_sim._blas import one_blas_thread
 
 
@@ -87,3 +87,39 @@ def test_leaves_a_build_already_at_one_thread_alone(monkeypatch):
         with one_blas_thread():
             pass
     assert calls == []
+
+
+def test_channel_kernels_take_one_thread_and_give_it_back(builds, monkeypatch):
+    # each kernel enters the block itself, so a caller outside any loop gets
+    # one thread in the Cholesky factor, trtri and the subset eigensolver
+    seen = []
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            seen.append((name, _counts(builds)))
+            return fn(*args, **kwargs)
+
+        return call
+
+    lookup = channel.get_lapack_funcs
+
+    def recorded_lookup(names, arrays):
+        if isinstance(names, str):
+            return recording(names, lookup(names, arrays))
+        return [recording(name, fn) for name, fn in zip(names, lookup(names, arrays))]
+
+    monkeypatch.setattr(channel, "get_lapack_funcs", recorded_lookup)
+    monkeypatch.setattr(numpy.linalg, "cholesky", recording("cholesky", numpy.linalg.cholesky))
+    K = channel._FULL_EIG_MAX + 2  # the subset eigensolver's sizes
+    rng = numpy.random.default_rng(0)
+    H = rng.standard_normal((3, K + 2, K)) + 1j * rng.standard_normal((3, K + 2, K))
+    kernels = {
+        channel.realization_from_matrix: {"heevr_lwork", "heevr"},
+        channel.zf_norms_sq: {"cholesky", "trtri"},
+    }
+    for kernel, names in kernels.items():
+        seen.clear()
+        kernel(H)
+        assert {name for name, _ in seen} == names
+        assert all(counts == [1, 1] for _, counts in seen)
+        assert _counts(builds) == [2, 3]

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import isea_sim as iz
+from isea_sim import channel
 from isea_sim.streams import substream
 
 
@@ -201,6 +203,20 @@ def test_realization_from_matrix_matches_sampler():
         iz.realization_from_matrix(np.ones(3))
 
 
+def test_subset_eigensolver_has_the_bits_of_scipy_eigh():
+    # above _FULL_EIG_MAX the top pair comes from one direct heevr call per
+    # matrix, with the arguments and workspace that scipy.linalg.eigh passes
+    rng = substream(4, 1)
+    for m in (channel._FULL_EIG_MAX + 1, 30, 70):
+        H = _channel(m + 4, m, rng, draws=2)
+        G = H.conj().swapaxes(-1, -2) @ H
+        lam, V = channel._top_eigenpairs(G)
+        for i, g in enumerate(G):
+            w, v = scipy.linalg.eigh(g, subset_by_index=[m - 1, m - 1])
+            assert lam[i] == w[0]
+            np.testing.assert_array_equal(V[i], v[:, 0])
+
+
 def test_min_alignment_equals_projection_onto_receive_beam():
     # lambda1 min|q1|^2 against min_k |v^H h_k|^2 with v formed here
     rng = substream(24, 0)
@@ -373,6 +389,42 @@ def test_zf_singular_gram_reported():
     H[:, 1] = 0.0
     with pytest.raises(iz.NumericalError):
         iz.zf_norms_sq(H)
+
+
+@pytest.mark.parametrize("K", [10, 15, 16, 30, 64, 65])
+def test_shared_gram_changes_no_snr(K):
+    # snr_pairs forms H^H H once where N > K and reads both statistics
+    # from it; each SNR keeps the bits of its statistic taken alone, on both
+    # sides of the eigensolver switch, at N < K (no zero forcing), at the
+    # square edge and above, and each stacked row keeps its one-draw bits
+    rng = substream(18, K)
+    for N in (K - 1, K, K + 1, 2 * K):
+        H = _channel(N, K, rng, draws=3)
+        scen = _scenario(num_sensors=K, num_antennas=N)
+        gamma_air, gamma_aoa = channel.snr_pairs(H, scen)
+        alone = iz.air_snrs(iz.realization_from_matrix(H), scen)[0]
+        np.testing.assert_array_equal(gamma_air, alone)
+        if N < K:
+            np.testing.assert_array_equal(gamma_aoa, np.full(3, -np.inf))
+        else:
+            np.testing.assert_array_equal(gamma_aoa, iz.orth_snrs(iz.zf_norms_sq(H), scen))
+        best, air_wins = channel._pipeline_snrs(scen, "adaptive", H)
+        expected = iz.best_access(gamma_air, gamma_aoa)
+        np.testing.assert_array_equal(best, expected[0])
+        np.testing.assert_array_equal(air_wins, expected[1])
+        for i in range(3):
+            one = channel.snr_pairs(H[i : i + 1], scen)
+            assert (one[0][0], one[1][0]) == (gamma_air[i], gamma_aoa[i])
+
+
+def test_zf_norms_match_the_inverse_diagonal():
+    # the Cholesky route against the diagonal of the explicit inverse
+    rng = substream(19, 0)
+    for K in (1, 2, 10, 30, 64, 100):
+        H = _channel(K + 4, K, rng, draws=4)
+        gram_inv = np.linalg.inv(H.conj().swapaxes(-1, -2) @ H)
+        expected = np.diagonal(gram_inv, axis1=-2, axis2=-1).real
+        np.testing.assert_allclose(iz.zf_norms_sq(H), expected, rtol=1e-12, atol=0)
 
 
 def test_zf_norm_distribution():

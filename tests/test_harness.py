@@ -754,35 +754,61 @@ def test_cli_help_mentions_usage(capsys):
 
 
 def test_blas_thread_count_does_not_change_csv_bytes(monkeypatch):
-    # K = 70 puts every channel Gram above _FULL_EIG_MAX, so crossing runs
-    # the subset eigensolver.  The library runs its loops at one OpenBLAS
-    # thread; with that policy made a no-op they run at two.
+    # sweep-n's Grams of at most 8 rows take the stacked eigensolver and its
+    # 10-row ones the subset eigensolver; crossing at K = 30 (Grams of 15
+    # and 30 rows, between _FULL_EIG_MAX and 64) and at K = 70 (70 rows)
+    # takes the subset eigensolver and, at N >= K, the Cholesky route.  The
+    # library runs its kernels at one OpenBLAS thread; with that policy made
+    # a no-op they run at two.
     controls = _blas._openblas_thread_controls()
     if not controls:
         pytest.skip("numpy and scipy ship no OpenBLAS build here")
+    sensors = "num_sensors = 10"
     runs = {
-        "sweep-n": (CONFIG_TEXT, (8, 12)),
-        "crossing": (CONFIG_TEXT.replace("num_sensors = 10", "num_sensors = 70"), (1, 1.5)),
+        "sweep-n": ("sweep-n", CONFIG_TEXT, (8, 12)),
+        "crossing-30": ("crossing", CONFIG_TEXT.replace(sensors, "num_sensors = 30"), (0.5, 1.5)),
+        "crossing-70": ("crossing", CONFIG_TEXT.replace(sensors, "num_sensors = 70"), (1, 1.5)),
     }
 
-    def csv_text(experiment):
-        text, sweep = runs[experiment]
+    def csv_text(run):
+        experiment, text, sweep = runs[run]
         cfg = iz.parse_config_text(text.replace("mc_trials = 200", "mc_trials = 100"))
         spec = ExperimentSpec(experiment, cfg, output_path=None, sweep_values=sweep)
         return run_experiment(spec).to_csv_text()
 
-    at_one = {experiment: csv_text(experiment) for experiment in runs}
+    at_one = {run: csv_text(run) for run in runs}
     previous = [get() for get, _ in controls]
     try:
         for _, set_ in controls:
             set_(2)
         monkeypatch.setattr(_blas, "_openblas_thread_controls", lambda: ())
-        at_two = {experiment: csv_text(experiment) for experiment in runs}
+        at_two = {run: csv_text(run) for run in runs}
         assert [get() for get, _ in controls] == [2] * len(controls)
     finally:
         for (_, set_), count in zip(controls, previous):
             set_(count)
     assert at_one == at_two
+
+
+def test_crossing_snrs_are_the_channel_statistics_taken_alone():
+    # crossing takes both SNRs of a draw from one Gram (snr_pairs); its
+    # rows equal those of the two statistics computed apart on the same draws
+    text = CONFIG_TEXT.replace("num_sensors = 10", "num_sensors = 16")
+    cfg = iz.parse_config_text(text.replace("mc_trials = 200", "mc_trials = 40"))
+    spec = ExperimentSpec("crossing", cfg, output_path=None, sweep_values=(1.5,))
+    rows = {row.pipeline: row for row in run_experiment(spec).rows}
+    scen = iz.build_scenario(experiments._crossing_config(cfg, 1.5))
+    assert (scen.num_antennas, scen.num_sensors) == (24, 16)
+
+    def per_draw(stat):
+        return experiments._per_draw(stat, 24, 16, experiments._draw_streams(spec, 0, 40))
+
+    air = per_draw(lambda H: iz.air_snrs(iz.realization_from_matrix(H), scen)[0])
+    aoa = per_draw(lambda H: iz.orth_snrs(iz.zf_norms_sq(H), scen))
+    assert rows["aircomp"].mean_effective_snr == air.mean()
+    assert rows["orthogonal"].mean_effective_snr == aoa.mean()
+    assert rows["adaptive"].mean_effective_snr == np.maximum(air, aoa).mean()
+    assert rows["adaptive"].accuracy == (air >= aoa).mean()
 
 
 # ---------------------------------------------------------------------------

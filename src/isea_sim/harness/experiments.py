@@ -129,15 +129,17 @@ def _point_bytes(cfg, pipelines=()):
     complex N x K channel, and where ``pipelines`` run trials, of the results
     (4 floats per trial, and integer copies of 2) and the largest of their
     stacks: its normals with three temporaries as large (4 rows x row floats)
-    and the classifier's (2 rows L M floats); counted in floats so no count
-    overflows."""
+    and the classifier's (2 rows L M floats), and 2 floats per trial of the
+    SNRs that adaptive takes from aircomp or orthogonal; counted in floats
+    so no count overflows."""
     K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
     size = 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
     rows = [_row_floats(pipeline, M, N, K) for pipeline in pipelines]
     if rows:
         stack = max(8.0 * rows_per_stack(row) * (4 * row + 2 * L * M) for row in rows)
-        size += 48.0 * cfg.mc_trials + stack
+        paired = "adaptive" in pipelines and {"aircomp", "orthogonal"} & set(pipelines)
+        size += (64.0 if paired else 48.0) * cfg.mc_trials + stack
     return size
 
 
@@ -253,15 +255,20 @@ def run_experiment(spec, workers=1, paper_scale=False):
 
 
 def _simulation_point(spec, point, value, scen, trials, workers):
-    """Monte Carlo trials of each pipeline at one sensor or antenna count."""
+    """Monte Carlo trials of each pipeline at one sensor or antenna count.
+    Adaptive runs last: after aircomp, and orthogonal or N < K, it takes the
+    :func:`best_access` SNRs of their draws.  Rows keep the requested order."""
     L = scen.num_classes
     K = scen.num_sensors
     xi = asymptotic_separation(scen)
-    rows = []
-    for pipeline in spec.pipelines:
-        if pipeline == "orthogonal" and scen.num_antennas < scen.num_sensors:
-            rows.append(SweepRow(sweep_value=value, pipeline=pipeline, feasible=INFEASIBLE))
+    rows, snrs = {}, {"orthogonal": -np.inf} if scen.num_antennas < K else {}
+    for pipeline in sorted(spec.pipelines, key=lambda p: p == "adaptive"):
+        if pipeline == "orthogonal" and scen.num_antennas < K:
+            rows[pipeline] = SweepRow(sweep_value=value, pipeline=pipeline, feasible=INFEASIBLE)
             continue
+        paired = None
+        if pipeline == "adaptive" and {"aircomp", "orthogonal"} <= snrs.keys():
+            paired = best_access(snrs.pop("aircomp"), snrs.pop("orthogonal"))[0]
         batch = run_trials(
             scen,
             pipeline,
@@ -269,26 +276,27 @@ def _simulation_point(spec, point, value, scen, trials, workers):
             stream_id=_EXPERIMENTS[spec.experiment].stream_id,
             point_index=point,
             workers=workers,
+            effective_snrs=paired,
         )
+        if "adaptive" in spec.pipelines and pipeline in ("aircomp", "orthogonal"):
+            snrs[pipeline] = batch.effective_snrs.copy()  # a copy frees the other results
         mean_snr = batch.mean_effective_snr  # inf for noiseless, where the loss is 1.0
         loss = channel_loss_factor(scen, mean_snr)
         pw = pairwise_separation_matrix(scen, snr=mean_snr)
         lower, upper = uncertainty_bounds(pw, 1.0, K, scen.feature_dim)
-        rows.append(
-            SweepRow(
-                sweep_value=value,
-                pipeline=pipeline,
-                mean_uncertainty=batch.mean_entropy,
-                uncertainty_stderr=batch.entropy_stderr,
-                accuracy=batch.accuracy,
-                accuracy_stderr=batch.accuracy_stderr,
-                mean_effective_snr=mean_snr,
-                surrogate_lower=lower,
-                surrogate_upper=upper,
-                asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),
-            )
+        rows[pipeline] = SweepRow(
+            sweep_value=value,
+            pipeline=pipeline,
+            mean_uncertainty=batch.mean_entropy,
+            uncertainty_stderr=batch.entropy_stderr,
+            accuracy=batch.accuracy,
+            accuracy_stderr=batch.accuracy_stderr,
+            mean_effective_snr=mean_snr,
+            surrogate_lower=lower,
+            surrogate_upper=upper,
+            asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),
         )
-    return rows, ()
+    return [rows[pipeline] for pipeline in spec.pipelines], ()
 
 
 def _draw_streams(spec, point, draws):

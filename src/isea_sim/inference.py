@@ -141,9 +141,10 @@ def _row_floats(pipeline, M, N, K):
     return K * M + (0 if pipeline == "noiseless" else 2 * N * K + M)
 
 
-def _draw_trials(scenario, pipeline, rngs, n):
+def _draw_trials(scenario, pipeline, rngs, n, snrs=None):
     """Labels, received vectors, effective SNRs and, for ``adaptive``,
     whether over the air won (else None), of n trials: one generator each.
+    Given ``snrs``, the channel stage is skipped and no winner is named.
 
     Each trial draws its label, then one row of standard normals, the same
     values as one call per block: K M for the views, N K real and N K
@@ -152,17 +153,19 @@ def _draw_trials(scenario, pipeline, rngs, n):
     trial whose SNR is 0 discards its noise; nothing is drawn after it.
     """
     M, N, K = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
-    labels = np.empty(n, dtype=np.int64)
+    L, labels = scenario.num_classes, np.empty(n, dtype=np.int64)
     z = np.empty((n, _row_floats(pipeline, M, N, K)))
     for i, rng in enumerate(rngs):
-        labels[i] = sample_label(scenario.num_classes, rng)
+        labels[i] = sample_label(L, rng)
         rng.standard_normal(out=z[i])
     local = sample_local_features(scenario, labels, z[:, : K * M].reshape(n, K, M))
     f_bar = aggregate_noiseless(local)
     if pipeline == "noiseless":
         return labels, f_bar, np.full(n, np.inf), None
-    H = sample_channel(z[:, K * M : -M].reshape(n, 2, N, K))
-    snrs, air_wins = _pipeline_snrs(scenario, pipeline, H)
+    air_wins = None
+    if snrs is None:
+        H = sample_channel(z[:, K * M : -M].reshape(n, 2, N, K))
+        snrs, air_wins = _pipeline_snrs(scenario, pipeline, H)
     return labels, _receive(f_bar, snrs, z[:, -M:]), snrs, air_wins
 
 
@@ -199,10 +202,11 @@ def simulate_trial(scenario, pipeline, rng):
     )
 
 
-def _run_stack(scenario, pipeline, stream_id, point_index, start, stop):
+def _run_stack(scenario, pipeline, stream_id, point_index, snrs, start, stop):
     """Draw and classify trials [start, stop), one stream each, in one step."""
     rngs = trial_streams(scenario.config.master_seed, stream_id, point_index, start, stop)
-    labels, f_tilde, snrs, _ = _draw_trials(scenario, pipeline, rngs, stop - start)
+    snrs = None if snrs is None else snrs[start:stop]
+    labels, f_tilde, snrs, _ = _draw_trials(scenario, pipeline, rngs, stop - start, snrs)
     entropies, _, predictions = _classify(scenario, f_tilde, snrs)
     return entropies, labels, predictions, snrs
 
@@ -215,6 +219,7 @@ def run_trials(
     stream_id=STREAM_TRIALS,
     point_index=0,
     workers=1,
+    effective_snrs=None,
 ):
     """Run Monte Carlo trials of one access pipeline.
 
@@ -229,17 +234,22 @@ def run_trials(
     process runs every ``workers``-th stack and a pool of workers - 1
     forked processes the rest.  The returned :class:`TrialBatch` carries
     the uncertainty and accuracy estimates with their standard errors.
+    Given ``effective_snrs`` (trials,), the trials draw as always but skip
+    the channel stage and are received at those SNRs; the harness gives
+    adaptive the better of its point's aircomp and orthogonal SNRs.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if effective_snrs is not None and np.shape(effective_snrs) != (trials,):
+        raise ValueError("effective_snrs must hold one SNR per trial")
     if pipeline == "orthogonal" and scenario.num_antennas < scenario.num_sensors:
         raise InfeasibleAccessError(
             "orthogonal access infeasible: "
             f"N={scenario.num_antennas} < K={scenario.num_sensors}"
         )
-    stack = partial(_run_stack, scenario, pipeline, stream_id, point_index)
+    stack = partial(_run_stack, scenario, pipeline, stream_id, point_index, effective_snrs)
     dims = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
     step = rows_per_stack(_row_floats(pipeline, *dims))
     spans = [(a, min(a + step, trials)) for a in range(0, trials, step)]

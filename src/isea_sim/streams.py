@@ -35,9 +35,10 @@ def substream(master_seed, stream_id, point_index=0, trial_index=0):
         point_index: sweep-point index within the stream.
         trial_index: trial index within the sweep point.
     """
+    # numpy turns a list mixing words >= 2**63 with small ones into float64
     bitgen = np.random.Philox(
-        key=[master_seed & _MASK64, stream_id & _MASK64],
-        counter=_counter(point_index, trial_index),
+        key=np.array([master_seed & _MASK64, stream_id & _MASK64], dtype=np.uint64),
+        counter=np.array(_counter(point_index, trial_index), dtype=np.uint64),
     )
     return np.random.Generator(bitgen)
 
@@ -48,11 +49,14 @@ def trial_streams(master_seed, stream_id, point_index, start, stop):
 
     One Philox is re-keyed in place instead of seeded anew (no OS entropy
     read or seed hashing), so each generator is valid only until the next
-    is taken.
+    is taken.  The state holds Python ints, which the setter reads faster
+    than uint64 words, and clears any 32-bit half a trial left buffered.
     """
     rng = substream(master_seed, stream_id, point_index, start)
-    state = rng.bit_generator.state
+    counter = _counter(point_index, start)
+    words = {"counter": counter, "key": [master_seed & _MASK64, stream_id & _MASK64]}
+    state = {**rng.bit_generator.state, "state": words, "buffer": [0] * 4}
     for trial_index in range(start, stop):
-        state["state"]["counter"][:] = _counter(point_index, trial_index)
+        counter[2] = trial_index & _MASK64
         rng.bit_generator.state = state
         yield rng

@@ -4,6 +4,7 @@ Monte Carlo rows quoted in comments come from the frozen default seed, so
 they are exact across runs and platforms.
 """
 
+import dataclasses
 import importlib
 import os
 import re
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import isea_sim as iz
-from isea_sim import _blas
+from isea_sim import _blas, inference
 from isea_sim.errors import ConfigError, NumericalError
 from isea_sim.harness import cli, experiments
 from isea_sim.harness.experiments import (
@@ -366,6 +367,13 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     # 0.8 GB of normals and as much again in each view-sized temporary
     ExperimentSpec("sweep-k", cfg, sweep_values=(20000,), pipelines=("noiseless",))
     assert experiments._point_bytes(_cfg(num_sensors=20000), ("noiseless",)) < 48 * 2**20
+    # adaptive beside aircomp or orthogonal keeps their SNRs, two floats per
+    # trial; all three channel pipelines draw rows of one width
+    alone = experiments._point_bytes(cfg, ("adaptive",))
+    assert experiments._point_bytes(cfg, ("aircomp",)) == alone
+    for partners in (("aircomp",), ("orthogonal",), ("aircomp", "orthogonal")):
+        for pipelines in (partners + ("adaptive",), ("adaptive",) + partners):
+            assert experiments._point_bytes(cfg, pipelines) == alone + 16 * cfg.mc_trials
 
 
 def _no_point_may_run(monkeypatch):
@@ -812,6 +820,93 @@ def test_crossing_snrs_are_the_channel_statistics_taken_alone():
 
 
 # ---------------------------------------------------------------------------
+# adaptive SNRs taken from the paired cells
+
+
+def _traced_sweep_n(monkeypatch, pipelines, workers, sweep=(8, 12)):
+    """sweep-n rows of ``pipelines`` on CONFIG_TEXT (K = 10, 200 trials),
+    and for each run_trials call its pipeline, whether it was given SNRs and
+    its batch."""
+    calls = []
+
+    def spy(scen, pipeline, trials, **kwargs):
+        batch = iz.run_trials(scen, pipeline, trials, **kwargs)
+        calls.append((pipeline, kwargs["effective_snrs"] is not None, batch))
+        return batch
+
+    monkeypatch.setattr(experiments, "run_trials", spy)
+    spec = ExperimentSpec(
+        "sweep-n", iz.parse_config_text(CONFIG_TEXT), sweep_values=sweep, pipelines=pipelines
+    )
+    return run_experiment(spec, workers=workers).rows, calls
+
+
+def _adaptive_csv(rows):
+    return SweepReport("sweep-n", tuple(r for r in rows if r.pipeline == "adaptive")).to_csv_text()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_adaptive_rows_do_not_depend_on_their_partners(monkeypatch, workers):
+    # N = 8 < K pairs adaptive with aircomp alone, N = 12 with aircomp and
+    # orthogonal.  200 trials are two stacks at N = 8 and three at N = 12,
+    # which two workers on two usable CPUs split with a pool.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    alone, calls = _traced_sweep_n(monkeypatch, ("adaptive",), workers)
+    assert [(pipeline, given) for pipeline, given, _ in calls] == [("adaptive", False)] * 2
+    all_access = ("aircomp", "orthogonal", "adaptive")
+    for pipelines in (all_access, ("adaptive", "aircomp", "orthogonal")):
+        rows, calls = _traced_sweep_n(monkeypatch, pipelines, workers)
+        assert [row.pipeline for row in rows] == list(pipelines) * 2
+        assert _adaptive_csv(rows) == _adaptive_csv(alone)
+        assert [(pipeline, given) for pipeline, given, _ in calls] == [
+            ("aircomp", False), ("adaptive", True),
+            ("aircomp", False), ("orthogonal", False), ("adaptive", True),
+        ]
+    # trials on either side of a stack edge replay on their own, at the
+    # better of the paired SNRs
+    batches = [batch for _, _, batch in calls]
+    cfg = iz.parse_config_text(CONFIG_TEXT)
+    for point, (N, air, aoa, adaptive) in enumerate(
+        [(8, batches[0], None, batches[1]), (12, *batches[2:])]
+    ):
+        scen = iz.build_scenario(dataclasses.replace(cfg, num_antennas=N))
+        for t in (0, 92, 93, 121, 199):
+            rec = iz.simulate_trial(scen, "adaptive", substream(20240, 12, point, t))
+            gamma_aoa = -np.inf if aoa is None else aoa.effective_snrs[t]
+            assert rec.effective_snr == adaptive.effective_snrs[t]
+            assert rec.effective_snr == max(air.effective_snrs[t], gamma_aoa)
+            air_wins = air.effective_snrs[t] >= gamma_aoa
+            assert rec.resolved_mode == ("aircomp" if air_wins else "orthogonal")
+            assert (rec.label, rec.predicted) == (adaptive.labels[t], adaptive.predictions[t])
+            assert rec.entropy == adaptive.entropies[t]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_degenerate_draw_reaches_adaptive_from_aircomp(monkeypatch, workers):
+    # Sensor 0 silenced on the draws whose H[0, 0] has real part above 1:
+    # aircomp gets gamma_air = 0 there, and at N = 8 < K so does adaptive,
+    # whether it takes that SNR from aircomp or forms it itself.
+    sample_channel = inference.sample_channel
+
+    def silenced(z):
+        H = sample_channel(z)
+        H[..., :, 0] = np.where(H[..., :1, 0].real > 1.0, 0.0, H[..., :, 0])
+        return H
+
+    monkeypatch.setattr(inference, "sample_channel", silenced)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    alone, _ = _traced_sweep_n(monkeypatch, ("adaptive",), workers, sweep=(8,))
+    rows, calls = _traced_sweep_n(monkeypatch, ("aircomp", "adaptive"), workers, sweep=(8,))
+    assert [(pipeline, given) for pipeline, given, _ in calls] == [
+        ("aircomp", False), ("adaptive", True)
+    ]
+    snrs = calls[1][2].effective_snrs
+    assert 0 < (snrs == 0).sum() < snrs.size
+    np.testing.assert_array_equal(snrs, calls[0][2].effective_snrs)
+    assert _adaptive_csv(rows) == _adaptive_csv(alone)
+
+
+# ---------------------------------------------------------------------------
 # names the benchmark traces
 
 
@@ -941,19 +1036,45 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     assert counts["feature_model.sample"] == 60 + 2
     for name in ("channel.receive", "channel.air_snr", "channel.orth_snr"):
         assert counts[name] == 0, name
+    # beside aircomp, and orthogonal or N < K, adaptive takes their SNRs
+    # and forms no channel: one stack each of aircomp at N = 8 and 12 and of
+    # orthogonal at N = 12, and still one run_trials call per feasible cell
+    counts = _traced_span_counts(
+        tmp_path,
+        "sweep-n-all",
+        ["sweep-n", "--config", str(config), "--sweep", "8,12",
+         "--pipelines", "aircomp,orthogonal,adaptive"],
+    )
+    assert counts["channel.sample"] == 3
+    assert counts["feature_model.sample"] == 5 * (30 + 1)
+    assert counts["inference.run_trials"] == 5
     # the benchmark's traced mc-access run requires one pool per feasible
     # cell: at 600 trials (four stacks at N = 8, six at N = 12) and two
     # workers on two usable CPUs, the calling process runs the even stacks
-    # and a pool the odd ones; orthogonal at N = 8 < K is not run
+    # and a pool the odd ones; orthogonal at N = 8 < K is not run.  The
+    # calling process forms the channels of its two aircomp stacks at N = 8
+    # and its three aircomp and three orthogonal stacks at N = 12.
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n-pool",
+        ["sweep-n", "--config", str(config), "--sweep", "8,12", "--trials", "600",
+         "--workers", "2", "--pipelines", "aircomp,orthogonal,adaptive"],
+        cpus=2,
+    )
+    assert counts["inference.pool"] == 5
+    assert counts["inference.run_trials"] == 5
+    assert counts["channel.sample"] == 2 + 3 + 3
+    # adaptive without aircomp forms its own channels
+    counts = _traced_span_counts(
+        tmp_path,
+        "sweep-n-pool-orthogonal",
         ["sweep-n", "--config", str(config), "--sweep", "8,12", "--trials", "600",
          "--workers", "2", "--pipelines", "orthogonal,adaptive"],
         cpus=2,
     )
     assert counts["inference.pool"] == 3
     assert counts["inference.run_trials"] == 3
+    assert counts["channel.sample"] == 3 + 2 + 3
     # two substreams for each point's scenario build, and one per point that
     # the re-keyed trial_streams generator of its draws starts from
     counts = _traced_span_counts(

@@ -350,7 +350,7 @@ def _usable_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+def test_pool_starts_no_more_workers_than_stacks(monkeypatch):
     # A fork pool starts all of its workers at the first submit.  At 200
     # trials (two stacks, of 111 and 89) and three workers on three CPUs the
     # calling process runs the first stack, so the pool must ask for one
@@ -366,7 +366,7 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
-def test_calling_process_runs_its_share_of_the_chunks(monkeypatch, pipeline):
+def test_calling_process_runs_its_share_of_the_stacks(monkeypatch, pipeline):
     # 1,100 trials are ten channel stacks of at most 111, or three
     # noiseless stacks of at most 512.  On three CPUs, at two workers the
     # calling process runs the even stacks and a one-worker pool the odd
@@ -401,6 +401,26 @@ def test_workers_are_bounded_by_the_usable_cpus(monkeypatch):
         pooled = iz.run_trials(scen, "orthogonal", 1100, workers=100_000)
         np.testing.assert_array_equal(serial.entropies, pooled.entropies)
     assert sizes == [1, 1]
+
+
+@pytest.mark.parametrize("num_antennas", [8, 12])
+def test_given_snrs_replace_the_channel_stage(num_antennas):
+    # each channel pipeline given its own SNRs draws and classifies its
+    # trials as it does alone; where N < K adaptive's SNRs are aircomp's
+    scen = iz.build_scenario(_config(num_antennas=num_antennas))
+    air = iz.run_trials(scen, "aircomp", 300, stream_id=6, point_index=1)
+    feasible = num_antennas >= scen.num_sensors
+    for pipeline in ("aircomp", "orthogonal")[: 1 + feasible] + ("adaptive",):
+        alone = iz.run_trials(scen, pipeline, 300, stream_id=6, point_index=1)
+        given = iz.run_trials(
+            scen, pipeline, 300, stream_id=6, point_index=1, effective_snrs=alone.effective_snrs
+        )
+        for field in ("entropies", "labels", "predictions", "effective_snrs"):
+            np.testing.assert_array_equal(getattr(alone, field), getattr(given, field))
+    if not feasible:
+        np.testing.assert_array_equal(alone.effective_snrs, air.effective_snrs)
+    with pytest.raises(ValueError, match="one SNR per trial"):
+        iz.run_trials(scen, "adaptive", 300, effective_snrs=air.effective_snrs[:299])
 
 
 def test_paired_uncertainty_decreases_with_snr():
@@ -464,7 +484,7 @@ def test_one_normal_draw_per_trial_equals_its_four_blocks():
 
 
 @pytest.mark.parametrize("pipeline", iz.PIPELINES)
-def test_chunk_size_does_not_change_results(monkeypatch, pipeline):
+def test_stack_size_does_not_change_results(monkeypatch, pipeline):
     # A trial draws 295 normals (N = 12, K = 10, M = 5), or 50 noiseless:
     # stacks of 7 channel or 41 noiseless rows in place of 111 or 512 move
     # every stack edge, and 7 and 41 divide neither 600 nor the defaults.

@@ -29,8 +29,6 @@ from .inference import (
     PIPELINES,
     TrialBatch,
     TrialRecord,
-    ml_classify,
-    posterior_probabilities,
     run_trials,
     simulate_trial,
 )
@@ -47,20 +45,16 @@ from .scenario import (
 from .theory import (
     KAPPA_LOWER,
     asymptotic_separation,
-    bound_offset,
     channel_loss_factor,
     crossing_probability,
-    exp_integral_e1,
     exp_integral_e1_scaled,
     expected_loss_factor_bounds,
     expected_loss_r,
-    kappa_upper,
     ks_statistic,
     mean_separation,
     pairwise_separation_matrix,
     scaled_alignment_cdf,
     surrogate_uncertainty_full,
-    surrogate_uncertainty_simplified,
     uncertainty_bounds,
     zf_norm_cdf,
 )

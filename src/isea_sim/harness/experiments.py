@@ -126,12 +126,13 @@ class ExperimentSpec:
 
 def _point_bytes(cfg, pipelines=()):
     """Bytes of a point's scenario arrays (K M^2 + K L M floats) and one
-    complex N x K channel, and where ``pipelines`` run trials, of the results
-    (4 floats per trial, and integer copies of 2) and the largest of their
-    stacks: its normals with three temporaries as large (4 rows x row floats)
-    and the classifier's (2 rows L M floats), and 2 floats per trial of the
-    SNRs that adaptive takes from aircomp or orthogonal; counted in floats
-    so no count overflows."""
+    complex N x K channel, and where ``pipelines`` run trials, of one
+    pipeline's results at a time (4 floats per trial, and integer copies of
+    2) with its standard errors' temporaries (2 floats per trial), the
+    largest of their stacks: its normals with three temporaries as large (4
+    rows x row floats) and the classifier's (2 rows L M floats), and 2 floats
+    per trial of the SNRs that adaptive takes from aircomp or orthogonal;
+    counted in floats so no count overflows."""
     K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
     size = 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
@@ -139,7 +140,7 @@ def _point_bytes(cfg, pipelines=()):
     if rows:
         stack = max(8.0 * rows_per_stack(row) * (4 * row + 2 * L * M) for row in rows)
         paired = "adaptive" in pipelines and {"aircomp", "orthogonal"} & set(pipelines)
-        size += (64.0 if paired else 48.0) * cfg.mc_trials + stack
+        size += (80.0 if paired else 64.0) * cfg.mc_trials + stack
     return size
 
 
@@ -278,8 +279,6 @@ def _simulation_point(spec, point, value, scen, trials, workers):
             workers=workers,
             effective_snrs=paired,
         )
-        if "adaptive" in spec.pipelines and pipeline in ("aircomp", "orthogonal"):
-            snrs[pipeline] = batch.effective_snrs.copy()  # a copy frees the other results
         mean_snr = batch.mean_effective_snr  # inf for noiseless, where the loss is 1.0
         loss = channel_loss_factor(scen, mean_snr)
         pw = pairwise_separation_matrix(scen, snr=mean_snr)
@@ -296,6 +295,10 @@ def _simulation_point(spec, point, value, scen, trials, workers):
             surrogate_upper=upper,
             asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),
         )
+        # copied once the row's stderr temporaries are gone; the batch goes before the next run
+        if "adaptive" in spec.pipelines and pipeline in ("aircomp", "orthogonal"):
+            snrs[pipeline] = batch.effective_snrs.copy()
+        del batch
     return [rows[pipeline] for pipeline in spec.pipelines], ()
 
 

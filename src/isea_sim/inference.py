@@ -31,23 +31,6 @@ PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 _COND_LIMIT = 1e12
 
 
-def _noise_power_from_snr(snr):
-    if not snr > 0:
-        raise ValueError("snr must be positive or infinite")
-    return 1.0 / snr  # 0.0 at infinite SNR
-
-
-def ml_classify(scenario, f_tilde, snr=np.inf):
-    """Maximum-likelihood class decision at effective channel SNR ``snr``
-    (inf for the noiseless model); ties resolve to the lowest index."""
-    return int(np.argmax(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr))))
-
-
-def posterior_probabilities(scenario, f_tilde, snr=np.inf):
-    """Class posterior under the uniform prior, via max-shifted softmax."""
-    return _entropies(_posterior_logits(scenario, f_tilde, _noise_power_from_snr(snr)))[1]
-
-
 def _posterior_logits(scenario, f_tilde, noise_power):
     """Per-class log-likelihoods up to a constant, via C's eigenbasis.
 

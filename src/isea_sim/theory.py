@@ -22,20 +22,6 @@ from .errors import NumericalError
 KAPPA_LOWER = 0.5
 
 
-def kappa_upper(feature_dim, c):
-    """Exponent coefficient of the upper bound, kappa = 1/(c M + 2)."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return 1.0 / (c * feature_dim + 2.0)
-
-
-def bound_offset(c):
-    """Additive constant of the upper bound: log(c e^(1/c) / (1 + c))."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    return float(np.log(c) + 1.0 / c - np.log1p(c))
-
-
 def surrogate_uncertainty_full(pairwise, kappa, num_sensors):
     """Softmax surrogate of the expected posterior entropy.
 
@@ -51,15 +37,6 @@ def surrogate_uncertainty_full(pairwise, kappa, num_sensors):
     # the diagonal term exp(0) = 1 is the "1 +" of each row's sum
     np.fill_diagonal(exponents, 0.0)
     return float(np.logaddexp.reduce(exponents, axis=1).mean())
-
-
-def surrogate_uncertainty_simplified(mean_separation, kappa, num_sensors, num_classes):
-    """Equal-distance simplification log(1 + (L-1) exp(-kappa K D_bar))."""
-    if num_classes < 2:
-        raise ValueError("need at least two classes")
-    return float(
-        np.logaddexp(0.0, np.log(num_classes - 1.0) - kappa * num_sensors * mean_separation)
-    )
 
 
 def _noise_weights(scenario, snr):
@@ -117,11 +94,13 @@ def uncertainty_bounds(pairwise, c, num_sensors, feature_dim):
     Returns ``(lower, upper)`` where the lower bound uses kappa = 1/2 and
     the upper uses kappa = 1/(c M + 2) plus the additive offset.
     """
+    if c <= 0:
+        raise ValueError("c must be positive")
     lower = surrogate_uncertainty_full(pairwise, KAPPA_LOWER, num_sensors)
-    upper = surrogate_uncertainty_full(
-        pairwise, kappa_upper(feature_dim, c), num_sensors
-    ) + bound_offset(c)
-    return lower, upper
+    # the offset log(c e^(1/c) / (1 + c)), positive for every c > 0
+    offset = float(np.log(c) + 1.0 / c - np.log1p(c))
+    upper = surrogate_uncertainty_full(pairwise, 1.0 / (c * feature_dim + 2.0), num_sensors)
+    return lower, upper + offset
 
 
 def asymptotic_separation(scenario):
@@ -179,14 +158,6 @@ def expected_loss_r(scenario, omega):
         raise ValueError("omega must be nonnegative")
     lam_min = float(scenario.C_evals[0])  # C is positive definite, so r is inf at gamma = inf
     return 2.0 * scenario.transmit_snr * (1.0 + np.sqrt(omega)) ** 2 * lam_min / scenario.nu_sq
-
-
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = int_x^inf e^(-t)/t dt for x > 0."""
-    x = float(x)
-    if not x > 0:
-        raise ValueError("E1 requires x > 0")
-    return float(scipy.special.exp1(x))
 
 
 def exp_integral_e1_scaled(x):

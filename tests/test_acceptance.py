@@ -107,22 +107,22 @@ def test_02_uncertainty_sandwich():
 
 
 def test_03_exponential_uncertainty_decay():
-    # equalized pairwise distances: the simplified surrogate must decay
-    # exactly exponentially, and the simulated uncertainty must keep
-    # falling across the same sensor range
+    # equalized pairwise distances: the surrogate, log(1 + (L-1) e^(-K D_bar / 2))
+    # there, must decay exactly exponentially, and the simulated uncertainty
+    # must keep falling across the same sensor range
     with criterion(3, "exponential decay in sensor count", budget_s=120):
         base = _config(num_sensors=20, num_antennas=24, observation_rank=5)
         centroids = np.sqrt(0.045) * np.eye(5)
         sc = iz.build_scenario(base, centroids=centroids)
-        off = iz.pairwise_separation_matrix(sc)[~np.eye(5, dtype=bool)]
+        pw = iz.pairwise_separation_matrix(sc)
+        off = pw[~np.eye(5, dtype=bool)]
         assert off.max() - off.min() < 1e-12  # distances really are equal
         xi = iz.asymptotic_separation(sc)
         d_bar = iz.mean_separation(sc)
         ks_grid = np.arange(20, 61)
-        ys = [
-            np.log(iz.surrogate_uncertainty_simplified(d_bar, 0.5, int(k), 5))
-            for k in ks_grid
-        ]
+        ys = [np.log(iz.surrogate_uncertainty_full(pw, 0.5, int(k))) for k in ks_grid]
+        closed = np.log(np.log1p(4.0 * np.exp(-0.5 * d_bar * ks_grid)))
+        np.testing.assert_allclose(ys, closed, rtol=1e-12)
         slope, intercept = np.polyfit(ks_grid, ys, 1)
         resid = ys - (slope * ks_grid + intercept)
         assert 1.0 - resid.var() / np.var(ys) > 0.999
@@ -284,10 +284,12 @@ def test_10_exponential_integral():
             lambda t: np.exp(-t) / t, 1.0, np.inf, limit=400, epsabs=1e-13
         )
         assert err < 1e-9
-        assert abs(iz.exp_integral_e1(1.0) - oracle) < 1e-9
-        assert iz.exp_integral_e1(1.0) == pytest.approx(0.2193839344, abs=1e-9)
+        # E1(x) = e^-x (e^x E1(x)), where e^-x is a normal float
+        e1_at_one = iz.exp_integral_e1_scaled(1.0) * np.exp(-1.0)
+        assert abs(e1_at_one - oracle) < 1e-9
+        assert e1_at_one == pytest.approx(0.2193839344, abs=1e-9)
         for x in np.logspace(-3, 2, 50):
-            val = iz.exp_integral_e1(float(x))
+            val = iz.exp_integral_e1_scaled(float(x)) * np.exp(-x)
             assert 0.0 < val <= np.exp(-x) * np.log1p(1.0 / x)
 
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import repeat
 from pathlib import Path
@@ -327,13 +328,14 @@ def test_spec_rejects_a_point_that_is_not_a_valid_scenario(experiment, sweep, me
 def _largest_counts(cfg):
     """The largest K at the config's N for sweep-k, and N at its K for
     bnorm-dist, whose scenario arrays (K M^2 + K L M floats) and complex
-    N x K channel fit in 2 GiB; sweep-k also holds six 8-byte result words
-    per trial and, at so large a K, one-row stacks, an aircomp one the
-    largest: its K M + 2 N K + M normals, three temporaries as large and
-    2 L M classifier floats."""
+    N x K channel fit in 2 GiB; sweep-k also holds eight 8-byte words per
+    trial (six of results, two of their standard errors' temporaries) and,
+    at so large a K, one-row stacks, an aircomp one the largest: its
+    K M + 2 N K + M normals, three temporaries as large and 2 L M
+    classifier floats."""
     M, L, N, K = cfg.feature_dim, cfg.num_classes, cfg.num_antennas, cfg.num_sensors
     limit = 2 * 2**30
-    fixed = 48 * cfg.mc_trials + 8 * (4 * M + 2 * L * M)
+    fixed = 64 * cfg.mc_trials + 8 * (4 * M + 2 * L * M)
     largest_k = (limit - fixed) // (8 * (M * M + L * M) + 16 * N + 32 * (M + 2 * N))
     return largest_k, (limit - 8 * K * (M * M + L * M)) // (16 * K)
 
@@ -356,7 +358,7 @@ def test_spec_rejects_a_point_above_the_memory_limit():
         ExperimentSpec("sweep-k", wide, sweep_values=(1,), pipelines=("noiseless",))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("sweep-n", wide, sweep_values=(2,), pipelines=("aircomp",))
-    # six 8-byte result words per trial, 4.4 TiB here
+    # eight 8-byte words per trial, 5.8 TiB here
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("sweep-k", _cfg(mc_trials=10**11), sweep_values=(1,))
     # a desk-scale point passes, and a channel-only experiment holds no trials
@@ -376,6 +378,33 @@ def test_spec_rejects_a_point_above_the_memory_limit():
             assert experiments._point_bytes(cfg, pipelines) == alone + 16 * cfg.mc_trials
 
 
+@pytest.mark.parametrize(
+    "pipelines", [("noiseless",), ("noiseless", "aircomp"), ("aircomp", "orthogonal", "adaptive")]
+)
+def test_point_bytes_bound_the_traced_peak_of_a_point(pipelines):
+    # a point holds one pipeline's results at a time, with their standard
+    # errors' temporaries and the SNRs adaptive takes: its traced peak stays
+    # below the pre-check's count, and grows per trial by no more than it.
+    # Rows of one to four floats (M = K = N = 1) keep the stacks small and the
+    # runs short; caches of small blocks add a few kB that do not grow with
+    # the trials, so the growth per trial gets a byte of slack.
+    def traced(trials):
+        cfg = _cfg(feature_dim=1, num_classes=2, num_sensors=1, num_antennas=1, mc_trials=trials)
+        spec = ExperimentSpec("sweep-n", cfg, sweep_values=(1,), pipelines=pipelines)
+        tracemalloc.start()
+        try:
+            run_experiment(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, experiments._point_bytes(cfg, pipelines)
+
+    traced(600)  # imports and numpy's caches, before the measured runs
+    (low, low_bound), (high, high_bound) = traced(4000), traced(20000)
+    assert low <= low_bound and high <= high_bound
+    assert (high - low) / 16000 <= (high_bound - low_bound) / 16000 + 1.0
+
+
 def _no_point_may_run(monkeypatch):
     """Make every sweep point fail the test: each one builds a scenario first."""
 
@@ -393,7 +422,7 @@ def test_paper_scale_checks_the_doubled_grid_before_the_first_point(monkeypatch)
     spec = ExperimentSpec("bnorm-dist", cfg, output_path=None, sweep_values=(largest_n,))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         run_experiment(spec, paper_scale=True)
-    # ten times 10^7 trials would need 4.8 GB of results
+    # ten times 10^7 trials would need 6.4 GB of results and temporaries
     spec = ExperimentSpec("sweep-k", _cfg(mc_trials=10**7), sweep_values=(1,))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         run_experiment(spec, paper_scale=True)

@@ -136,6 +136,15 @@ def _oracle_posterior(scen, f, snr=np.inf):
     return weights / weights.sum()
 
 
+def _classified(scen, f, snr=np.inf):
+    """Entropies, posteriors and decisions of the received vectors ``f``
+    (n, M), or of one vector, all at effective SNR ``snr``: the engine's one
+    classifier route, ``_classify`` through ``_posterior_logits`` and
+    ``_entropies``."""
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    return inference._classify(scen, f, np.full(f.shape[0], float(snr)))
+
+
 def test_posterior_matches_explicit_inverse_oracle():
     A = substream(31, 1).standard_normal((5, 5))
     covariance = A @ A.T / 5 + 0.05 * np.eye(5)  # non-isotropic override
@@ -146,57 +155,58 @@ def test_posterior_matches_explicit_inverse_oracle():
     rng = substream(31, 0)
     for scen in scenarios:
         for snr in (np.inf, 0.7, 5.0):
-            for _ in range(200):
-                f = scen.P_bar @ scen.centroids[rng.integers(8)] + rng.standard_normal(5) * 0.3
-                probs = iz.posterior_probabilities(scen, f, snr=snr)
-                np.testing.assert_allclose(probs, _oracle_posterior(scen, f, snr), atol=1e-9)
-                assert iz.ml_classify(scen, f, snr=snr) == int(np.argmax(probs))
+            fs = [
+                scen.P_bar @ scen.centroids[rng.integers(8)] + rng.standard_normal(5) * 0.3
+                for _ in range(200)
+            ]
+            _, probs, decisions = _classified(scen, fs, snr)
+            oracle = [_oracle_posterior(scen, f, snr) for f in fs]
+            np.testing.assert_allclose(probs, oracle, atol=1e-9)
+            np.testing.assert_array_equal(decisions, probs.argmax(axis=1))
 
 
-def test_classifier_rejects_nonpositive_snr():
+def test_classifier_at_zero_snr_is_uninformative():
+    # a trial with no usable channel gets the uniform posterior, entropy
+    # log L and decision 0, beside informative trials of the same call
     scen = iz.build_scenario(_config())
-    for snr in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            iz.posterior_probabilities(scen, np.zeros(5), snr=snr)
-    with pytest.raises(TypeError):  # noiseless is snr=np.inf, not None
-        iz.posterior_probabilities(scen, np.zeros(5), snr=None)
+    snrs = np.array([0.0, 5.0, 0.0, 5.0, 0.0])
+    entropies, probs, decisions = inference._classify(scen, scen.centroids @ scen.P_bar.T, snrs)
+    dead = snrs == 0
+    np.testing.assert_array_equal(probs[dead], 0.2)
+    np.testing.assert_array_equal(entropies[dead], np.log(5))
+    np.testing.assert_array_equal(decisions, [0, 1, 0, 3, 0])
 
 
 def test_classifier_recovers_exact_centroid():
     scen = iz.build_scenario(_config())
-    for label in range(5):
-        assert iz.ml_classify(scen, scen.P_bar @ scen.centroids[label]) == label
+    decisions = _classified(scen, scen.centroids @ scen.P_bar.T)[2]
+    np.testing.assert_array_equal(decisions, np.arange(5))
 
 
 def test_classifier_nearest_centroid_on_line():
     scen = _line_scenario()
-    assert iz.ml_classify(scen, np.array([0.2])) == 0
-    assert iz.ml_classify(scen, np.array([-0.2])) == 1
+    np.testing.assert_array_equal(_classified(scen, [[0.2], [-0.2]])[2], [0, 1])
 
 
 def test_classifier_agrees_with_posterior_argmax():
     scen = iz.build_scenario(_config(num_classes=8, observation_rank=2))
-    rng = substream(30, 0)
-    for _ in range(10000):
-        f = rng.standard_normal(5) * 2.0
-        probs = iz.posterior_probabilities(scen, f, snr=5.0)
-        assert iz.ml_classify(scen, f, snr=5.0) == int(np.argmax(probs))
+    f = substream(30, 0).standard_normal((10000, 5)) * 2.0
+    _, probs, decisions = _classified(scen, f, 5.0)
+    np.testing.assert_array_equal(decisions, probs.argmax(axis=1))
 
 
 def test_posterior_uniform_when_indistinguishable():
     cfg = _config(num_classes=4)
     shared = np.tile(np.array([0.3, -0.7, 0.1, 0.0, 1.0]), (4, 1))
     scen = iz.build_scenario(cfg, centroids=shared)
-    f = np.array([5.0, 0.0, -2.0, 1.0, 0.0])
-    probs = iz.posterior_probabilities(scen, f)
+    _, probs, decisions = _classified(scen, [5.0, 0.0, -2.0, 1.0, 0.0])
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
-    assert iz.ml_classify(scen, f) == 0  # ties resolve to the lowest index
+    assert decisions[0] == 0  # ties resolve to the lowest index
 
 
 def test_posterior_stable_for_extreme_inputs():
     scen = iz.build_scenario(_config())
-    f = np.full(5, 1e4)  # log-likelihood spread far beyond exp range
-    probs = iz.posterior_probabilities(scen, f)
+    probs = _classified(scen, np.full(5, 1e4))[1]  # log-likelihood spread far beyond exp range
     assert np.all(probs >= 0)
     assert np.all(probs <= 1)
     assert abs(probs.sum() - 1.0) < 1e-12
@@ -205,20 +215,21 @@ def test_posterior_stable_for_extreme_inputs():
 def test_posterior_matches_logistic_closed_form():
     var = 0.1
     scen = _line_scenario(var)
-    for x in np.linspace(-3, 3, 25):
-        probs = iz.posterior_probabilities(scen, np.array([x]))
-        expected = 1.0 / (1.0 + np.exp(-2.0 * x / var))
-        assert abs(probs[0] - expected) < 1e-10
+    x = np.linspace(-3, 3, 25)
+    probs = _classified(scen, x[:, None])[1]
+    expected = 1.0 / (1.0 + np.exp(-2.0 * x / var))
+    assert np.max(np.abs(probs[:, 0] - expected)) < 1e-10
 
 
 @given(st.lists(st.floats(-50, 50), min_size=5, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_posterior_normalization_fuzz(values):
     scen = iz.build_scenario(_config())
-    probs = iz.posterior_probabilities(scen, np.array(values))
+    entropies, probs, _ = _classified(scen, values)
     assert abs(probs.sum() - 1.0) < 1e-12
     ent = special.entr(probs).sum()
     assert 0.0 <= ent <= np.log(5) + 1e-12
+    assert entropies[0] == pytest.approx(ent, abs=1e-12)
 
 
 def test_ill_conditioned_covariance_raises():
@@ -228,7 +239,7 @@ def test_ill_conditioned_covariance_raises():
     with pytest.raises(iz.NumericalError):
         iz.run_trials(scen, "noiseless", 10)
     with pytest.raises(iz.NumericalError):
-        iz.posterior_probabilities(scen, np.zeros(3))
+        _classified(scen, np.zeros(3))
 
 
 # ------------------------------------------------------------- trial running

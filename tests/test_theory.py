@@ -68,6 +68,12 @@ def _equal_distance_matrix(num_classes, distance):
     return pw
 
 
+def _equal_distance_surrogate(distance, kappa, num_sensors, num_classes):
+    """The surrogate's closed form at equal pairwise distances d:
+    log(1 + (L-1) exp(-kappa K d))."""
+    return float(np.log1p((num_classes - 1.0) * np.exp(-kappa * num_sensors * distance)))
+
+
 # ---------------------------------------------------------------------------
 # softmax surrogate
 
@@ -94,29 +100,26 @@ def test_full_surrogate_equals_simplified_at_equal_distances():
     for d in (0.03, 0.4, 2.0):
         for K in (3, 25):
             full = iz.surrogate_uncertainty_full(_equal_distance_matrix(6, d), 0.5, K)
-            simp = iz.surrogate_uncertainty_simplified(d, 0.5, K, 6)
+            simp = _equal_distance_surrogate(d, 0.5, K, 6)
             assert full == pytest.approx(simp, abs=1e-12)
 
 
 def test_two_class_zero_distance_is_log_two():
-    assert iz.surrogate_uncertainty_simplified(0.0, 0.5, 10, 2) == pytest.approx(
-        np.log(2.0), abs=1e-14
-    )
+    lower, _ = iz.uncertainty_bounds(np.zeros((2, 2)), 1.0, 10, 5)
+    assert lower == pytest.approx(np.log(2.0), abs=1e-14)
 
 
 def test_simplified_surrogate_strictly_decreasing_in_sensor_count():
-    vals = [iz.surrogate_uncertainty_simplified(0.2, 0.5, k, 10) for k in range(1, 41)]
+    # the full surrogate at equal distances, the simplified setting
+    pw = _equal_distance_matrix(10, 0.2)
+    vals = [iz.surrogate_uncertainty_full(pw, 0.5, k) for k in range(1, 41)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_simplified_surrogate_rejects_single_class():
-    with pytest.raises(ValueError):
-        iz.surrogate_uncertainty_simplified(1.0, 0.5, 10, 1)
 
 
 def test_full_minus_simplified_residual_tracks_separation_variance():
     # Perturb an equal-distance matrix by widening amounts and regress the
-    # gap between the two surrogate forms on the off-diagonal variance.
+    # gap between the full surrogate and the equal-distance closed form at
+    # the mean distance on the off-diagonal variance.
     # The gap is a second-order effect, so the fit should pass near the
     # origin and correlate tightly.
     rng = substream(55, 0)
@@ -129,7 +132,7 @@ def test_full_minus_simplified_residual_tracks_separation_variance():
         pw = pw + pw.T
         vals = pw[~np.eye(L, dtype=bool)]
         full = iz.surrogate_uncertainty_full(pw, kappa, K)
-        simp = iz.surrogate_uncertainty_simplified(vals.mean(), kappa, K, L)
+        simp = _equal_distance_surrogate(vals.mean(), kappa, K, L)
         xs.append(vals.var())
         ys.append(abs(full - simp))
     xs, ys = np.asarray(xs), np.asarray(ys)
@@ -185,20 +188,28 @@ def test_full_surrogate_fuzz_stays_in_range(distances, kappa, num_sensors):
 # two-sided bounds
 
 
-def test_bound_offset_positive_and_known_at_one():
-    assert iz.bound_offset(1.0) == pytest.approx(1.0 - np.log(2.0), abs=1e-14)
+def test_bounds_gap_at_zero_distance_is_the_offset():
+    # at zero distance both surrogates are log L, so the gap is the upper
+    # bound's offset log(c e^(1/c) / (1 + c)): 1 - log 2 at c = 1, and > 0
+    lower, upper = iz.uncertainty_bounds(np.zeros((4, 4)), 1.0, 10, 6)
+    assert upper - lower == pytest.approx(1.0 - np.log(2.0), abs=1e-14)
     for c in np.logspace(-3, 3, 25):
-        assert iz.bound_offset(float(c)) > 0
+        lower, upper = iz.uncertainty_bounds(np.zeros((4, 4)), float(c), 10, 6)
+        assert upper - lower > 0
 
 
 def test_kappa_conventions():
-    assert iz.kappa_upper(10, 1.0) == pytest.approx(1.0 / 12.0)
-    assert iz.kappa_upper(4, 0.5) == pytest.approx(0.25)
+    # kappa = 1/2 below, and 1/(c M + 2) above plus log(c e^(1/c) / (1 + c))
+    pw = _equal_distance_matrix(5, 0.3)
+    for M, c, kappa in ((10, 1.0, 1.0 / 12.0), (4, 0.5, 0.25)):
+        lower, upper = iz.uncertainty_bounds(pw, c, 7, M)
+        offset = np.log(c * np.exp(1.0 / c) / (1.0 + c))
+        assert lower == iz.surrogate_uncertainty_full(pw, 0.5, 7)
+        full = iz.surrogate_uncertainty_full(pw, kappa, 7)
+        assert upper == pytest.approx(full + offset, abs=1e-14)
     for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            iz.kappa_upper(10, bad)
-        with pytest.raises(ValueError):
-            iz.bound_offset(bad)
+        with pytest.raises(ValueError, match="c must be positive"):
+            iz.uncertainty_bounds(pw, bad, 7, 10)
 
 
 def test_bounds_ordered_on_random_instances():
@@ -218,7 +229,7 @@ def test_bounds_ordered_on_random_instances():
 def test_bounds_collapse_at_zero_distance():
     lower, upper = iz.uncertainty_bounds(np.zeros((4, 4)), 1.0, 10, 6)
     assert lower == pytest.approx(np.log(4.0), abs=1e-12)
-    assert upper == pytest.approx(np.log(4.0) + iz.bound_offset(1.0), abs=1e-12)
+    assert upper == pytest.approx(np.log(4.0) + 1.0 - np.log(2.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +431,7 @@ def test_noisy_surrogate_decay_rate_under_proportional_power():
     ks = np.arange(20, 61, 4)
     ys = np.array(
         [
-            np.log(iz.surrogate_uncertainty_simplified(dbar * loss, kappa, int(k), 6))
+            np.log(_equal_distance_surrogate(dbar * loss, kappa, int(k), 6))
             for k in ks
         ]
     )
@@ -474,8 +485,14 @@ def test_expected_loss_scale_infinite_without_channel_noise():
 # exponential integral
 
 
+def _e1(x):
+    """E1(x) from the library's overflow-safe e^x E1(x), where e^-x is a
+    normal float."""
+    return iz.exp_integral_e1_scaled(x) * np.exp(-x)
+
+
 def test_exponential_integral_reference_value():
-    assert iz.exp_integral_e1(1.0) == pytest.approx(0.21938393439552029, abs=1e-9)
+    assert _e1(1.0) == pytest.approx(0.21938393439552029, abs=1e-9)
 
 
 def test_exponential_integral_against_quadrature():
@@ -484,13 +501,13 @@ def test_exponential_integral_against_quadrature():
             lambda t: np.exp(-t) / t, x, np.inf, limit=400, epsabs=1e-13, epsrel=1e-13
         )
         assert err < 1e-11
-        assert iz.exp_integral_e1(x) == pytest.approx(oracle, abs=1e-9)
+        assert _e1(x) == pytest.approx(oracle, abs=1e-9)
 
 
 def test_exponential_integral_classical_envelope():
     # (e^-x / 2) log(1 + 2/x)  <  E1(x)  <  e^-x log(1 + 1/x)
     for x in np.logspace(-3, 2, 50):
-        val = iz.exp_integral_e1(float(x))
+        val = _e1(float(x))
         assert 0.0 < val < np.exp(-x) * np.log1p(1.0 / x)
         assert val > 0.5 * np.exp(-x) * np.log1p(2.0 / x)
 
@@ -498,15 +515,13 @@ def test_exponential_integral_classical_envelope():
 def test_exponential_integral_rejects_nonpositive():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            iz.exp_integral_e1(bad)
-        with pytest.raises(ValueError):
             iz.exp_integral_e1_scaled(bad)
 
 
 def test_scaled_exponential_integral_survives_large_arguments():
     # e^x E1(x) ~ 1/x - 1/x^2 for large x; the plain form underflows to zero.
     assert iz.exp_integral_e1_scaled(1e8) == pytest.approx(1e-8, rel=1e-6)
-    assert iz.exp_integral_e1(800.0) == pytest.approx(0.0, abs=1e-300)
+    assert special.exp1(800.0) == pytest.approx(0.0, abs=1e-300)
     assert iz.exp_integral_e1_scaled(800.0) > 0.0
 
 

@@ -9,7 +9,6 @@ asymptotic laws.
 
 from .channel import (
     AggregationOutcome,
-    ChannelRealization,
     adaptive_receive,
     air_snrs,
     aircomp_effective_snr,
@@ -19,7 +18,7 @@ from .channel import (
     orth_snrs,
     orthogonal_effective_snr,
     orthogonal_receive,
-    realization_from_matrix,
+    principal_pair,
     sample_channel,
     zf_norms_sq,
 )

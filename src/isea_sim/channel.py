@@ -45,30 +45,6 @@ def rows_per_stack(row_floats):
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the N x K channel, or a stack of draws (..., N, K), with
-    its principal singular structure.
-
-    ``q1`` is the principal right singular vector of H (unit norm,
-    largest-magnitude entry made real positive) and ``lambda1`` the
-    largest eigenvalue of H^H H.  The receive beam v = H q1 / sqrt(lambda1)
-    is never needed: v^H h_k = sqrt(lambda1) conj(q1_k).
-    """
-
-    H: np.ndarray        # (..., N, K) complex
-    lambda1: float       # (...) for a stack
-    q1: np.ndarray       # (..., K) complex
-
-    @property
-    def num_antennas(self):
-        return self.H.shape[-2]
-
-    @property
-    def num_sensors(self):
-        return self.H.shape[-1]
-
-
-@dataclass(frozen=True, eq=False)
 class AircompSnr:
     """Effective SNR of over-the-air aggregation for one channel draw."""
 
@@ -142,18 +118,17 @@ def _principal_pairs(H, gram=None):
     return lam, q1 * (top.conj() / np.hypot(top.real, top.imag))[:, None]
 
 
-def realization_from_matrix(H):
-    """Attach the principal singular pair to an explicit channel matrix, or
-    to each matrix of a stack (..., N, K).
-
-    A stack gives ``lambda1`` of shape (...) and ``q1`` of shape (..., K),
-    each row equal to that matrix's own realization.
-    """
+def principal_pair(H):
+    """``(lambda1, q1)`` of one channel matrix H or of each matrix of a stack
+    (..., N, K), each row that matrix's own pair: lambda1 (...) is the largest
+    eigenvalue of H^H H and q1 (..., K) the principal right singular vector
+    (unit norm, largest-magnitude entry real positive).  The receive beam
+    v = H q1 / sqrt(lambda1) is never formed: v^H h_k = sqrt(lambda1) conj(q1_k)."""
     H = np.asarray(H, dtype=complex)
     if H.ndim < 2:
         raise ValueError("channel matrix must be at least two-dimensional")
     lam, q1 = _principal_pairs(H.reshape(-1, *H.shape[-2:]))
-    return ChannelRealization(H, lam.reshape(H.shape[:-2])[()], q1.reshape(*H.shape[:-2], -1))
+    return lam.reshape(H.shape[:-2])[()], q1.reshape(*H.shape[:-2], -1)
 
 
 def sample_channel(z):
@@ -165,34 +140,40 @@ def sample_channel(z):
     return H
 
 
-def min_beam_alignment(channel):
+def _alignment(H, lambda1, q1):
+    """lambda1 min_k |q1_k|^2 of H's principal pair; a sensor whose channel
+    column is exactly zero has no gain at all, and the eigensolver may still
+    leave a rounding-level q1_k there, so such a draw is answered with an
+    exact zero."""
+    align = lambda1 * np.min(np.abs(q1) ** 2, axis=-1)
+    return np.where(H.any(axis=-2).all(axis=-1), align, 0.0)[()]
+
+
+def min_beam_alignment(H):
     """min_k |v^H h_k|^2 = lambda1 min_k |q1_k|^2, the weakest sensor's gain
-    along the receive beam, of one draw or of each draw of a stack.
-
-    A sensor whose channel column is exactly zero has no gain at all; the
-    eigensolver may still leave a rounding-level q1_k there, so such a
-    column is answered with an exact zero.
-    """
-    align = channel.lambda1 * np.min(np.abs(channel.q1) ** 2, axis=-1)
-    return np.where(channel.H.any(axis=-2).all(axis=-1), align, 0.0)[()]
+    along the receive beam, of one draw H or of each draw of a stack."""
+    return _alignment(np.asarray(H), *principal_pair(H))
 
 
-def air_snrs(channel, scenario):
-    """``(gamma_air, degenerate)`` of one draw or of each draw of a stack:
-    gamma_air = 2 K^2 gamma min_k |v^H h_k|^2 / nu^2, and a draw whose
-    weakest alignment vanishes is degenerate with gamma_air = 0."""
-    align = min_beam_alignment(channel)
+def _air_snrs(align, num_sensors, scenario):
+    """gamma_air and the degenerate flag from weakest alignments."""
     degenerate = align <= 0
     gamma_air = np.zeros_like(align)
-    K = channel.num_sensors
-    scale = 2.0 * K**2 * scenario.transmit_snr / scenario.nu_sq
+    scale = 2.0 * num_sensors**2 * scenario.transmit_snr / scenario.nu_sq
     np.multiply(scale, align, out=gamma_air, where=~degenerate)
     return gamma_air[()], degenerate
 
 
-def aircomp_effective_snr(channel, scenario):
-    """:func:`air_snrs` of one draw as an :class:`AircompSnr`."""
-    gamma_air, degenerate = air_snrs(channel, scenario)
+def air_snrs(H, scenario):
+    """``(gamma_air, degenerate)`` of one draw H or of each draw of a stack:
+    gamma_air = 2 K^2 gamma min_k |v^H h_k|^2 / nu^2, and a draw whose
+    weakest alignment vanishes is degenerate with gamma_air = 0."""
+    return _air_snrs(min_beam_alignment(H), np.shape(H)[-1], scenario)
+
+
+def aircomp_effective_snr(H, scenario):
+    """:func:`air_snrs` of one draw H as an :class:`AircompSnr`."""
+    gamma_air, degenerate = air_snrs(H, scenario)
     return AircompSnr(gamma_air=float(gamma_air), degenerate=bool(degenerate))
 
 
@@ -213,9 +194,9 @@ def _receive_one(local_features, effective_snr, rng, resolved_mode=None):
     return AggregationOutcome(f_tilde, effective_snr, resolved_mode)
 
 
-def aircomp_receive(scenario, channel, local_features, rng):
-    """Aggregate sensor features over the air at gamma_air."""
-    return _receive_one(local_features, aircomp_effective_snr(channel, scenario).gamma_air, rng)
+def aircomp_receive(scenario, H, local_features, rng):
+    """Aggregate sensor features over the air at gamma_air of the draw H."""
+    return _receive_one(local_features, aircomp_effective_snr(H, scenario).gamma_air, rng)
 
 
 @one_blas_thread()
@@ -261,14 +242,14 @@ def orth_snrs(norms, scenario):
     return gamma * norms.shape[-1] ** 2 / (scenario.nu_sq * total_norm)
 
 
-def orthogonal_effective_snr(channel, scenario):
-    """gamma_aoa of one draw, by :func:`orth_snrs`."""
-    return float(orth_snrs(zf_norms_sq(channel.H), scenario))
+def orthogonal_effective_snr(H, scenario):
+    """gamma_aoa of one draw H, by :func:`orth_snrs`."""
+    return float(orth_snrs(zf_norms_sq(H), scenario))
 
 
-def orthogonal_receive(scenario, channel, local_features, rng):
-    """Aggregate via orthogonal access at gamma_aoa."""
-    return _receive_one(local_features, orthogonal_effective_snr(channel, scenario), rng)
+def orthogonal_receive(scenario, H, local_features, rng):
+    """Aggregate via orthogonal access at gamma_aoa of the draw H."""
+    return _receive_one(local_features, orthogonal_effective_snr(H, scenario), rng)
 
 
 def best_access(gamma_air, gamma_aoa):
@@ -282,12 +263,12 @@ def best_access(gamma_air, gamma_aoa):
     return np.where(air_wins, gamma_air, gamma_aoa)[()], air_wins
 
 
-def adaptive_receive(scenario, channel, local_features, rng):
+def adaptive_receive(scenario, H, local_features, rng):
     """Receive through the access mode with the larger effective SNR for
-    this draw, by :func:`best_access`; ``resolved_mode`` names the winner."""
-    gamma_air = aircomp_effective_snr(channel, scenario).gamma_air
-    feasible = channel.num_antennas >= channel.num_sensors
-    gamma_aoa = orthogonal_effective_snr(channel, scenario) if feasible else -np.inf
+    the draw H, by :func:`best_access`; ``resolved_mode`` names the winner."""
+    gamma_air = aircomp_effective_snr(H, scenario).gamma_air
+    feasible = H.shape[-2] >= H.shape[-1]
+    gamma_aoa = orthogonal_effective_snr(H, scenario) if feasible else -np.inf
     snr, air_wins = best_access(gamma_air, gamma_aoa)
     mode = "aircomp" if air_wins else "orthogonal"
     return _receive_one(local_features, float(snr), rng, mode)
@@ -299,7 +280,7 @@ def snr_pairs(H, scenario):
     where N < K, bit for bit as :func:`air_snrs` and :func:`orth_snrs` give
     them; where N > K the principal pair and the norms read one H^H H."""
     gram = _conj_t(H) @ H if H.shape[1] >= H.shape[2] else None
-    gamma_air, _ = air_snrs(ChannelRealization(H, *_principal_pairs(H, gram)), scenario)
+    gamma_air, _ = _air_snrs(_alignment(H, *_principal_pairs(H, gram)), H.shape[2], scenario)
     aoa = np.full_like(gamma_air, -np.inf) if gram is None else orth_snrs(_zf_diag(gram), scenario)
     return gamma_air, aoa
 
@@ -311,7 +292,7 @@ def _pipeline_snrs(scenario, pipeline, H):
     if pipeline == "orthogonal":
         return orth_snrs(zf_norms_sq(H), scenario), None
     if pipeline == "aircomp":
-        return air_snrs(realization_from_matrix(H), scenario)[0], None
+        return air_snrs(H, scenario)[0], None
     if pipeline != "adaptive":
         raise ValueError(f"unknown pipeline {pipeline!r}")
     return best_access(*snr_pairs(H, scenario))

@@ -34,7 +34,8 @@ def _build_parser():
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
     parser.add_argument("--trials", type=int, default=None, help="override mc_trials")
     parser.add_argument("--out", default="", help="CSV output path (default <experiment>.csv)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel worker count")
+    workers = "processes running trials; snr-dist, bnorm-dist, crossing and aloss use one"
+    parser.add_argument("--workers", type=int, default=1, help=workers)
     parser.add_argument(
         "--paper-scale",
         action="store_true",

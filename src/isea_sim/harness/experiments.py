@@ -24,7 +24,6 @@ from ..channel import (
     best_access,
     min_beam_alignment,
     orth_snrs,
-    realization_from_matrix,
     rows_per_stack,
     sample_channel,
     snr_pairs,
@@ -125,23 +124,28 @@ class ExperimentSpec:
 
 
 def _point_bytes(cfg, pipelines=()):
-    """Bytes of a point's scenario arrays (K M^2 + K L M floats) and one
-    complex N x K channel, and where ``pipelines`` run trials, of one
-    pipeline's results at a time (4 floats per trial, and integer copies of
-    2) with its standard errors' temporaries (2 floats per trial), the
-    largest of their stacks: its normals with three temporaries as large (4
-    rows x row floats) and the classifier's (2 rows L M floats), and 2 floats
-    per trial of the SNRs that adaptive takes from aircomp or orthogonal;
-    counted in floats so no count overflows."""
+    """Bytes of a point's scenario arrays (K M^2 + K L M floats) and of what
+    it holds besides, counted in floats so no count overflows.  A
+    channel-only point (no ``pipelines``) holds a stack of draws, each with
+    its normals, H and H^H (2 N K floats each) and at most three arrays the
+    size of the smaller complex Gram (2 min(N, K)^2 floats each), and per
+    draw at most 2 K + 2 M + 8 floats of results (bnorm-dist keeps two copies
+    of K norms, aloss two (draws, M) loss temporaries).  A trial point holds
+    one complex N x K channel, one pipeline's results at a time (4 floats
+    per trial) with its standard errors' temporaries (2), the 2 of the SNRs
+    adaptive takes from aircomp or orthogonal, and the largest stack: its
+    normals with three temporaries as large (4 rows x row floats) and the
+    classifier's (2 rows L M floats)."""
     K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
-    size = 8.0 * (K * M * M + K * L * M) + 16.0 * N * K
+    size = 8.0 * (K * M * M + K * L * M)
+    if not pipelines:
+        stack = 16.0 * rows_per_stack(2 * N * K) * (3 * N * K + 3 * min(N, K) ** 2)
+        return size + stack + 8.0 * (2 * K + 2 * M + 8) * cfg.mc_trials
     rows = [_row_floats(pipeline, M, N, K) for pipeline in pipelines]
-    if rows:
-        stack = max(8.0 * rows_per_stack(row) * (4 * row + 2 * L * M) for row in rows)
-        paired = "adaptive" in pipelines and {"aircomp", "orthogonal"} & set(pipelines)
-        size += (80.0 if paired else 64.0) * cfg.mc_trials + stack
-    return size
+    stack = max(8.0 * rows_per_stack(row) * (4 * row + 2 * L * M) for row in rows)
+    paired = "adaptive" in pipelines and {"aircomp", "orthogonal"} & set(pipelines)
+    return size + 16.0 * N * K + (64.0 if paired else 48.0) * cfg.mc_trials + stack
 
 
 @dataclass(frozen=True)
@@ -214,13 +218,13 @@ def _fmt(value):
 def run_experiment(spec, workers=1, paper_scale=False):
     """Execute an experiment spec, write its CSV, and return the report.
 
-    ``workers`` parallelizes Monte Carlo trials; results are bit-identical
-    for every worker count.  ``paper_scale`` enlarges grids or trial
-    counts toward publication scale instead of desk scale: an experiment
-    whose default grid is the config's own count also sweeps the doubles
-    of its values, every other one runs ten times the draws.  A grid or
-    output path that cannot be used raises :class:`ConfigError` before the
-    first point runs.
+    ``workers`` parallelizes Monte Carlo trials, and the channel-only
+    experiments run in one process; results are bit-identical for every
+    worker count.  ``paper_scale`` enlarges grids or trial counts toward
+    publication scale instead of desk scale: an experiment whose default
+    grid is the config's own count also sweeps the doubles of its values,
+    every other one runs ten times the draws.  A grid or output path that
+    cannot be used raises :class:`ConfigError` before the first point runs.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -315,10 +319,9 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
 
     This is the harness's only channel loop.  Each H is drawn from its own
     generator, in order, and ``stat`` runs on stacks (n, N, K) of
-    :func:`rows_per_stack` of them, returning one row per draw; one that
-    reads the principal pair builds it from H.  The benchmark's tracer
-    rebinds ``sample_channel`` in this module, so it is called through its
-    module-level name.
+    :func:`rows_per_stack` of them, returning one row per draw.  The
+    benchmark's tracer rebinds ``sample_channel`` in this module, so it is
+    called through its module-level name.
     """
     z = np.empty((rows_per_stack(2 * num_antennas * num_sensors), 2, num_antennas, num_sensors))
     rngs = iter(rngs)
@@ -360,9 +363,7 @@ def _alignment_ks(num_antennas, num_sensors, rngs):
     """K-scaled weakest alignments of one channel per generator in ``rngs``
     and their KS distance to the limiting exponential law at omega = N/K.
     Returns ``(ks, zeta)``."""
-    zeta = num_sensors * _per_draw(
-        lambda H: min_beam_alignment(realization_from_matrix(H)), num_antennas, num_sensors, rngs
-    )
+    zeta = num_sensors * _per_draw(min_beam_alignment, num_antennas, num_sensors, rngs)
     return ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
 
 
@@ -440,7 +441,7 @@ def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
     """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
     K, N = scen.num_sensors, scen.num_antennas
     streams = _draw_streams(spec, point, draws)
-    snrs = _per_draw(lambda H: air_snrs(realization_from_matrix(H), scen)[0], N, K, streams)
+    snrs = _per_draw(lambda H: air_snrs(H, scen)[0], N, K, streams)
     # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
     samples = np.zeros(draws)
     usable = snrs > 0

@@ -239,11 +239,17 @@ def run_trials(
     # a fork pool starts all its workers at once: no more than CPUs or stacks
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1, len(spans))
-    out = np.empty((4, trials))  # entropies, labels, predictions, effective SNRs
+    # entropies, labels, predictions and effective SNRs, each its own array
+    out = [np.empty(trials, dtype) for dtype in (float, np.int64, np.int64, float)]
+
+    def keep(a, b, parts):
+        for field, part in zip(out, parts):
+            field[a:b] = part
+
     with one_blas_thread():  # forked workers inherit the one thread
         if workers <= 1:
             for a, b in spans:
-                out[:, a:b] = stack(a, b)
+                keep(a, b, stack(a, b))
         else:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -254,7 +260,7 @@ def run_trials(
             with ProcessPoolExecutor(max_workers=workers - 1) as pool:
                 theirs = pool.map(stack, *zip(*pooled), chunksize=batch)
                 for a, b in spans[::workers]:
-                    out[:, a:b] = stack(a, b)
-                for (a, b), part in zip(pooled, theirs):
-                    out[:, a:b] = part
-    return TrialBatch(out[0], *out[1:3].astype(np.int64), out[3])
+                    keep(a, b, stack(a, b))
+                for (a, b), parts in zip(pooled, theirs):
+                    keep(a, b, parts)
+    return TrialBatch(*out)

@@ -114,7 +114,7 @@ def test_channel_kernels_take_one_thread_and_give_it_back(builds, monkeypatch):
     rng = numpy.random.default_rng(0)
     H = rng.standard_normal((3, K + 2, K)) + 1j * rng.standard_normal((3, K + 2, K))
     kernels = {
-        channel.realization_from_matrix: {"heevr_lwork", "heevr"},
+        channel.principal_pair: {"heevr_lwork", "heevr"},
         channel.zf_norms_sq: {"cholesky", "trtri"},
     }
     for kernel, names in kernels.items():

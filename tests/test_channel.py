@@ -34,11 +34,6 @@ def _channel(num_antennas, num_sensors, rng, draws=None):
     return iz.sample_channel(rng.standard_normal(shape if draws is None else (draws, *shape)))
 
 
-def _draw(num_antennas, num_sensors, rng):
-    """One channel draw with its principal pair."""
-    return iz.realization_from_matrix(_channel(num_antennas, num_sensors, rng))
-
-
 def _views(scen, label, rng):
     """One draw of the K sensor views of ``label``."""
     return iz.sample_local_features(
@@ -52,9 +47,10 @@ def _align_phase(x, ref):
     return x * np.exp(-1j * np.angle(inner))
 
 
-def _receive_beam(ch):
+def _receive_beam(H):
     """Oracle: the principal left singular vector v = H q1 / sqrt(lambda1)."""
-    return ch.H @ ch.q1 / np.sqrt(ch.lambda1)
+    lambda1, q1 = iz.principal_pair(H)
+    return H @ q1 / np.sqrt(lambda1)
 
 
 def _zf_matrix(H):
@@ -62,18 +58,18 @@ def _zf_matrix(H):
     return np.linalg.solve(H.conj().T @ H, H.conj().T).conj().T
 
 
-def _symbol_level_aircomp(scen, ch, local_features, rng):
+def _symbol_level_aircomp(scen, H, v, local_features, rng):
     """Oracle: simulate the over-the-air receiver symbol by symbol.
 
     Scaled complex antenna noise is projected onto the transmit-inversion
-    beam b = sqrt(nu^2 / min_k |v^H h_k|^2) v, with v and the alignment
-    formed here rather than taken from the library.
+    beam b = sqrt(nu^2 / min_k |v^H h_k|^2) v, with the receive beam v of
+    :func:`_receive_beam` and the alignment formed here rather than taken
+    from the library.
     """
-    K = ch.num_sensors
+    N, K = H.shape
     f_bar = iz.aggregate_noiseless(local_features)
-    v = _receive_beam(ch)
-    b = v * np.sqrt(scen.nu_sq / np.min(np.abs(v.conj() @ ch.H) ** 2))
-    shape = (ch.num_antennas, f_bar.shape[0])
+    b = v * np.sqrt(scen.nu_sq / np.min(np.abs(v.conj() @ H) ** 2))
+    shape = (N, f_bar.shape[0])
     Z = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(
         scen.sigma_sq / 2.0
     )
@@ -88,21 +84,21 @@ _SHAPES = [(2, 5), (5, 5), (9, 4), (1, 3), (6, 1), (6, 4), (3, 5), (12, 10), (20
 
 
 def test_scalar_channel_eigenstructure():
-    ch = _draw(1, 1, substream(0, 0))
-    h = ch.H[0, 0]
-    assert abs(ch.lambda1 - abs(h) ** 2) < 1e-12
+    H = _channel(1, 1, substream(0, 0))
+    lambda1, q1 = iz.principal_pair(H)
+    h = H[0, 0]
+    assert abs(lambda1 - abs(h) ** 2) < 1e-12
     # phase convention: the single entry of q1 is +1, so the receive beam
     # is the unit-modulus phase of h
-    np.testing.assert_allclose(ch.q1, [1.0 + 0j], atol=1e-12)
-    np.testing.assert_allclose(_receive_beam(ch), [h / abs(h)], atol=1e-12)
+    np.testing.assert_allclose(q1, [1.0 + 0j], atol=1e-12)
+    np.testing.assert_allclose(_receive_beam(H), [h / abs(h)], atol=1e-12)
 
 
 def test_entry_variance_is_unit():
     rng = substream(1, 0)
     acc = 0.0
     for _ in range(100):
-        ch = _draw(100, 100, rng)
-        acc += np.mean(np.abs(ch.H) ** 2)
+        acc += np.mean(np.abs(_channel(100, 100, rng)) ** 2)
     assert abs(acc / 100 - 1.0) < 0.01
 
 
@@ -123,29 +119,29 @@ def test_stacked_channels_match_each_draw_alone():
 
 def test_principal_pair_identity_up_to_phase():
     for i, (N, K) in enumerate([(2, 5), (5, 5), (9, 4), (1, 3), (6, 1)]):
-        ch = _draw(N, K, substream(2, 0, point_index=i))
-        v = _receive_beam(ch)
+        H = _channel(N, K, substream(2, 0, point_index=i))
+        lambda1, q1 = iz.principal_pair(H)
+        v = _receive_beam(H)
         assert abs(np.linalg.norm(v) - 1) < 1e-9
-        assert abs(np.linalg.norm(ch.q1) - 1) < 1e-9
+        assert abs(np.linalg.norm(q1) - 1) < 1e-9
         # H^H v = sqrt(lambda1) q1 closes the singular pair
-        rhs = np.sqrt(ch.lambda1) * ch.q1
-        assert np.max(np.abs(ch.H.conj().T @ v - rhs)) < 1e-7
+        assert np.max(np.abs(H.conj().T @ v - np.sqrt(lambda1) * q1)) < 1e-7
         # and v is the principal left singular vector of an independent SVD
-        U, svals, _ = np.linalg.svd(ch.H)
-        assert abs(svals[0] ** 2 - ch.lambda1) < 1e-9 * ch.lambda1
+        U, svals, _ = np.linalg.svd(H)
+        assert abs(svals[0] ** 2 - lambda1) < 1e-9 * lambda1
         assert np.max(np.abs(_align_phase(U[:, 0], v) - v)) < 1e-7
 
 
 def test_top_eigenvalue_dominates():
-    ch = _draw(6, 4, substream(3, 0))
-    evals = np.linalg.eigvalsh(ch.H.conj().T @ ch.H)
-    assert ch.lambda1 >= evals[-1] - 1e-9 * evals[-1]
+    H = _channel(6, 4, substream(3, 0))
+    evals = np.linalg.eigvalsh(H.conj().T @ H)
+    assert iz.principal_pair(H)[0] >= evals[-1] - 1e-9 * evals[-1]
 
 
 def test_large_matrix_eigenvalue_concentration():
     # lambda1 / K approaches (1 + sqrt(N/K))^2 = 4 for square matrices.
     rng = substream(20240, 31)
-    vals = np.array([_draw(200, 200, rng).lambda1 / 200 for _ in range(100)])
+    vals = np.array([iz.principal_pair(_channel(200, 200, rng))[0] / 200 for _ in range(100)])
     assert np.all(np.abs(vals / 4.0 - 1.0) < 0.10)
 
 
@@ -153,18 +149,16 @@ def _assert_rows_equal_draws_alone(H, scen, zero_forcing):
     """Every statistic of the stack H (n, N, K) against the same statistic
     of each H[i] taken alone, bit for bit; ``zero_forcing`` False leaves
     orthogonal access out (gamma_aoa = -inf), as for N < K."""
-    stack = iz.realization_from_matrix(H)
-    alignments = iz.min_beam_alignment(stack)
-    gamma_air, degenerate = iz.air_snrs(stack, scen)
+    alignments = iz.min_beam_alignment(H)
+    gamma_air, degenerate = iz.air_snrs(H, scen)
     gamma_aoa = np.full(H.shape[0], -np.inf)
     if zero_forcing:
         norms = iz.zf_norms_sq(H)
         gamma_aoa = iz.orth_snrs(norms, scen)
     best, air_wins = iz.best_access(gamma_air, gamma_aoa)
     for i, h in enumerate(H):
-        one = iz.realization_from_matrix(h)
-        assert iz.min_beam_alignment(one) == alignments[i]
-        air_one = iz.air_snrs(one, scen)
+        assert iz.min_beam_alignment(h) == alignments[i]
+        air_one = iz.air_snrs(h, scen)
         assert air_one == (gamma_air[i], degenerate[i])
         aoa_one = -np.inf
         if zero_forcing:
@@ -175,7 +169,7 @@ def _assert_rows_equal_draws_alone(H, scen, zero_forcing):
     return alignments, degenerate
 
 
-def test_realization_from_matrix_matches_sampler():
+def test_principal_pair_of_a_stack_matches_each_draw_alone():
     # the sampler returns H alone; a stack of draws, with any leading shape,
     # gets each draw's own principal pair bit for bit, also above the
     # full-eigensolver size (66-row Grams take the subset eigensolver), and
@@ -186,13 +180,13 @@ def test_realization_from_matrix_matches_sampler():
     for N, K in _SHAPES + [(70, 66), (66, 70)]:
         H = np.stack([_channel(N, K, rng) for _ in range(3)])
         assert H.shape == (3, N, K) and H.dtype == complex
-        stacked = iz.realization_from_matrix(H[:, None])
-        assert stacked.lambda1.shape == (3, 1) and stacked.q1.shape == (3, 1, K)
+        lambda1, q1 = iz.principal_pair(H[:, None])
+        assert lambda1.shape == (3, 1) and q1.shape == (3, 1, K)
         for i in range(3):
-            one = iz.realization_from_matrix(H[i])
-            assert isinstance(one.lambda1, float)
-            assert one.lambda1 == stacked.lambda1[i, 0]
-            np.testing.assert_array_equal(one.q1, stacked.q1[i, 0])
+            one = iz.principal_pair(H[i])
+            assert isinstance(one[0], float)
+            assert one[0] == lambda1[i, 0]
+            np.testing.assert_array_equal(one[1], q1[i, 0])
         scen = _scenario(num_sensors=K, num_antennas=N)
         _assert_rows_equal_draws_alone(H, scen, zero_forcing=N >= K)
         if K > 1:
@@ -200,7 +194,7 @@ def test_realization_from_matrix_matches_sampler():
             alignments, degenerate = _assert_rows_equal_draws_alone(H, scen, zero_forcing=False)
             assert alignments[1] == 0.0 and degenerate.tolist() == [False, True, False]
     with pytest.raises(ValueError):
-        iz.realization_from_matrix(np.ones(3))
+        iz.principal_pair(np.ones(3))
 
 
 def test_subset_eigensolver_has_the_bits_of_scipy_eigh():
@@ -222,9 +216,9 @@ def test_min_alignment_equals_projection_onto_receive_beam():
     rng = substream(24, 0)
     for N, K in _SHAPES:
         for _ in range(5):
-            ch = _draw(N, K, rng)
-            oracle = np.min(np.abs(_receive_beam(ch).conj() @ ch.H) ** 2)
-            assert iz.min_beam_alignment(ch) == pytest.approx(oracle, rel=1e-9)
+            H = _channel(N, K, rng)
+            oracle = np.min(np.abs(_receive_beam(H).conj() @ H) ** 2)
+            assert iz.min_beam_alignment(H) == pytest.approx(oracle, rel=1e-9)
 
 
 # --------------------------------------------------------- beam-aligned SNR
@@ -232,19 +226,19 @@ def test_min_alignment_equals_projection_onto_receive_beam():
 
 def test_scalar_link_effective_snr():
     scen = _scenario(num_sensors=1, num_antennas=1)
-    ch = _draw(1, 1, substream(5, 0))
-    snr = iz.aircomp_effective_snr(ch, scen)
+    H = _channel(1, 1, substream(5, 0))
+    snr = iz.aircomp_effective_snr(H, scen)
     gamma = 10.0
-    expected = 2 * gamma * abs(ch.H[0, 0]) ** 2 / scen.nu_sq
+    expected = 2 * gamma * abs(H[0, 0]) ** 2 / scen.nu_sq
     assert abs(snr.gamma_air - expected) / expected < 1e-9
 
 
 def test_effective_snr_quadratic_homogeneity():
     scen = _scenario(num_sensors=4, num_antennas=6)
-    ch = _draw(6, 4, substream(6, 0))
-    base = iz.aircomp_effective_snr(ch, scen).gamma_air
+    H = _channel(6, 4, substream(6, 0))
+    base = iz.aircomp_effective_snr(H, scen).gamma_air
     for c in (0.5, 2.0, 7.0):
-        scaled = iz.aircomp_effective_snr(iz.realization_from_matrix(c * ch.H), scen)
+        scaled = iz.aircomp_effective_snr(c * H, scen)
         assert abs(scaled.gamma_air - c * c * base) / (c * c * base) < 1e-9
 
 
@@ -257,10 +251,10 @@ def test_effective_snr_power_budget_identity():
         K = 2 + i % 7
         N = 1 + (i * 3) % 11
         scen = _scenario(num_sensors=K, num_antennas=N)
-        ch = _draw(N, K, rng)
-        snr = iz.aircomp_effective_snr(ch, scen)
-        v = _receive_beam(ch)
-        b_norm_sq = scen.nu_sq / np.min(np.abs(v.conj() @ ch.H) ** 2)
+        H = _channel(N, K, rng)
+        snr = iz.aircomp_effective_snr(H, scen)
+        v = _receive_beam(H)
+        b_norm_sq = scen.nu_sq / np.min(np.abs(v.conj() @ H) ** 2)
         alt = 2 * K * K / (scen.sigma_sq * b_norm_sq)
         assert abs(snr.gamma_air - alt) / alt < 1e-6
 
@@ -275,13 +269,12 @@ def test_degenerate_channel_flagged():
         for t in range(30):
             H = _channel(N, K, rng)
             H[:, t % K] = 0.0
-            ch = iz.realization_from_matrix(H)
-            assert iz.min_beam_alignment(ch) == 0.0
-            snr = iz.aircomp_effective_snr(ch, scen)
+            assert iz.min_beam_alignment(H) == 0.0
+            snr = iz.aircomp_effective_snr(H, scen)
             assert snr.degenerate
             assert snr.gamma_air == 0.0
     feats = _views(scen, 0, substream(8, 1))
-    out = iz.aircomp_receive(scen, ch, feats, substream(8, 2))
+    out = iz.aircomp_receive(scen, H, feats, substream(8, 2))
     assert out.effective_snr == 0.0
     assert np.all(np.isnan(out.f_tilde))
 
@@ -291,23 +284,38 @@ def test_degenerate_channel_flagged():
 
 def test_noiseless_channel_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
-    ch = _draw(12, 10, substream(9, 0))
+    H = _channel(12, 10, substream(9, 0))
     feats = _views(scen, 1, substream(9, 1))
-    out = iz.aircomp_receive(scen, ch, feats, substream(9, 2))
+    out = iz.aircomp_receive(scen, H, feats, substream(9, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
     assert out.effective_snr == np.inf
 
 
+def _aircomp_receives(scen, H, label, key, n, checked=100):
+    """f_tilde of n calls of ``aircomp_receive`` at the fixed channel H, each
+    on fresh views of ``label``, all drawn in turn from ``substream(*key)``.
+
+    A call's K M view normals and M noise normals are one row of the same
+    values, so the n calls are taken as one stacked draw, and the first
+    ``checked`` rows are compared with the calls themselves bit for bit.
+    """
+    K, M = scen.num_sensors, scen.feature_dim
+    z = substream(*key).standard_normal((n, K * M + M))
+    views = iz.sample_local_features(scen, np.full(n, label), z[:, :-M].reshape(n, K, M))
+    snrs = np.full(n, iz.aircomp_effective_snr(H, scen).gamma_air)
+    out = channel._receive(iz.aggregate_noiseless(views), snrs, z[:, -M:])
+    rng = substream(*key)
+    for row in out[:checked]:
+        call = iz.aircomp_receive(scen, H, _views(scen, label, rng), rng)
+        np.testing.assert_array_equal(row, call.f_tilde)
+    return out
+
+
 def test_receive_covariance_at_fixed_channel():
     scen = _scenario()
-    ch = _draw(12, 10, substream(10, 0))
-    gamma_air = iz.aircomp_effective_snr(ch, scen).gamma_air
-    rng = substream(10, 1)
-    n = 100000
-    out = np.empty((n, 5))
-    for i in range(n):
-        feats = _views(scen, 2, rng)
-        out[i] = iz.aircomp_receive(scen, ch, feats, rng).f_tilde
+    H = _channel(12, 10, substream(10, 0))
+    gamma_air = iz.aircomp_effective_snr(H, scen).gamma_air
+    out = _aircomp_receives(scen, H, 2, (10, 1), 100000)
     ref = scen.C / 10 + np.eye(5) / gamma_air
     S = np.cov(out, rowvar=False)
     assert np.linalg.norm(S - ref) / np.linalg.norm(ref) < 0.05
@@ -317,17 +325,15 @@ def test_literal_matrix_noise_matches_direct_draw():
     # The per-antenna complex noise pushed through the beamformer must be
     # distribution-identical to the direct isotropic draw.
     scen = _scenario(num_sensors=3, num_antennas=4)
-    ch = _draw(4, 3, substream(11, 0))
-    rng_a = substream(11, 1)
+    H = _channel(4, 3, substream(11, 0))
+    v = _receive_beam(H)
     rng_b = substream(11, 2)
     n = 100000
-    direct = np.empty((n, 5))
+    direct = _aircomp_receives(scen, H, 0, (11, 1), n)
     literal = np.empty((n, 5))
     for i in range(n):
-        feats = _views(scen, 0, rng_a)
-        direct[i] = iz.aircomp_receive(scen, ch, feats, rng_a).f_tilde
         feats_b = _views(scen, 0, rng_b)
-        literal[i] = _symbol_level_aircomp(scen, ch, feats_b, rng_b)
+        literal[i] = _symbol_level_aircomp(scen, H, v, feats_b, rng_b)
     Sd = np.cov(direct, rowvar=False)
     Sl = np.cov(literal, rowvar=False)
     assert np.linalg.norm(Sl - Sd) / np.linalg.norm(Sd) < 0.05
@@ -341,10 +347,8 @@ def test_zf_on_orthonormal_columns_returns_channel():
     rng = substream(12, 0)
     G = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     Q, _ = np.linalg.qr(G)
-    ch = iz.realization_from_matrix(Q)
-    B = _zf_matrix(ch.H)
-    np.testing.assert_allclose(B, Q, atol=1e-10)
-    np.testing.assert_allclose(iz.zf_norms_sq(ch.H), np.ones(4), atol=1e-10)
+    np.testing.assert_allclose(_zf_matrix(Q), Q, atol=1e-10)
+    np.testing.assert_allclose(iz.zf_norms_sq(Q), np.ones(4), atol=1e-10)
 
 
 def test_zf_defining_property():
@@ -352,14 +356,12 @@ def test_zf_defining_property():
     for i in range(20):
         K = 2 + i % 5
         N = K + i % 4  # includes the square case
-        ch = _draw(N, K, rng)
-        B = _zf_matrix(ch.H)
-        gram = B.conj().T @ ch.H
+        H = _channel(N, K, rng)
+        B = _zf_matrix(H)
+        gram = B.conj().T @ H
         assert np.max(np.abs(gram - np.eye(K))) < 1e-8
         # the Gram-inverse diagonal is the column norms of that B
-        np.testing.assert_allclose(
-            iz.zf_norms_sq(ch.H), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-9
-        )
+        np.testing.assert_allclose(iz.zf_norms_sq(H), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-9)
 
 
 def test_zf_norms_match_beam_columns_at_square_edge():
@@ -368,20 +370,18 @@ def test_zf_norms_match_beam_columns_at_square_edge():
     rng = substream(13, 1)
     for K in (1, 2, 5, 10, 30):
         for _ in range(5):
-            ch = _draw(K, K, rng)
-            B = _zf_matrix(ch.H)
-            assert np.max(np.abs(B.conj().T @ ch.H - np.eye(K))) < 1e-6
-            np.testing.assert_allclose(
-                iz.zf_norms_sq(ch.H), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-7
-            )
+            H = _channel(K, K, rng)
+            B = _zf_matrix(H)
+            assert np.max(np.abs(B.conj().T @ H - np.eye(K))) < 1e-6
+            np.testing.assert_allclose(iz.zf_norms_sq(H), np.sum(np.abs(B) ** 2, axis=0), rtol=1e-7)
 
 
 def test_zf_infeasible_when_undersized():
-    ch = _draw(3, 5, substream(14, 0))
+    H = _channel(3, 5, substream(14, 0))
     with pytest.raises(iz.InfeasibleAccessError):
-        iz.zf_norms_sq(ch.H)
+        iz.zf_norms_sq(H)
     with pytest.raises(iz.InfeasibleAccessError):
-        iz.orthogonal_effective_snr(ch, _scenario(num_sensors=5, num_antennas=3))
+        iz.orthogonal_effective_snr(H, _scenario(num_sensors=5, num_antennas=3))
 
 
 def test_zf_singular_gram_reported():
@@ -402,7 +402,7 @@ def test_shared_gram_changes_no_snr(K):
         H = _channel(N, K, rng, draws=3)
         scen = _scenario(num_sensors=K, num_antennas=N)
         gamma_air, gamma_aoa = channel.snr_pairs(H, scen)
-        alone = iz.air_snrs(iz.realization_from_matrix(H), scen)[0]
+        alone = iz.air_snrs(H, scen)[0]
         np.testing.assert_array_equal(gamma_air, alone)
         if N < K:
             np.testing.assert_array_equal(gamma_aoa, np.full(3, -np.inf))
@@ -451,9 +451,9 @@ def test_zf_norm_inverse_exponential_edge():
 
 def test_orthogonal_noiseless_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
-    ch = _draw(12, 10, substream(18, 0))
+    H = _channel(12, 10, substream(18, 0))
     feats = _views(scen, 3, substream(18, 1))
-    out = iz.orthogonal_receive(scen, ch, feats, substream(18, 2))
+    out = iz.orthogonal_receive(scen, H, feats, substream(18, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
 
 
@@ -483,11 +483,11 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
     scen = _scenario(num_sensors=10, num_antennas=5)
     rng = substream(20, 0)
     for _ in range(10):
-        ch = _draw(5, 10, rng)
+        H = _channel(5, 10, rng)
         feats = _views(scen, 0, rng)
-        out = iz.adaptive_receive(scen, ch, feats, rng)
+        out = iz.adaptive_receive(scen, H, feats, rng)
         assert out.resolved_mode == "aircomp"
-        assert out.effective_snr == iz.aircomp_effective_snr(ch, scen).gamma_air
+        assert out.effective_snr == iz.aircomp_effective_snr(H, scen).gamma_air
 
 
 def test_adaptive_selects_larger_snr():
@@ -495,12 +495,12 @@ def test_adaptive_selects_larger_snr():
     rng = substream(21, 0)
     seen = set()
     for _ in range(60):
-        ch = _draw(18, 10, rng)
-        ga = iz.aircomp_effective_snr(ch, scen).gamma_air
-        go = iz.orthogonal_effective_snr(ch, scen)
+        H = _channel(18, 10, rng)
+        ga = iz.aircomp_effective_snr(H, scen).gamma_air
+        go = iz.orthogonal_effective_snr(H, scen)
         assert iz.best_access(ga, go) == (max(ga, go), ga >= go)
         feats = _views(scen, 0, rng)
-        out = iz.adaptive_receive(scen, ch, feats, rng)
+        out = iz.adaptive_receive(scen, H, feats, rng)
         want = "aircomp" if ga >= go else "orthogonal"
         assert out.resolved_mode == want
         assert out.effective_snr == max(ga, go)
@@ -510,10 +510,10 @@ def test_adaptive_selects_larger_snr():
 
 def test_adaptive_mode_is_deterministic_per_draw():
     scen = _scenario(num_sensors=6, num_antennas=8)
-    ch = _draw(8, 6, substream(22, 0))
+    H = _channel(8, 6, substream(22, 0))
     feats = _views(scen, 1, substream(22, 1))
-    a = iz.adaptive_receive(scen, ch, feats, substream(22, 2))
-    b = iz.adaptive_receive(scen, ch, feats, substream(22, 2))
+    a = iz.adaptive_receive(scen, H, feats, substream(22, 2))
+    b = iz.adaptive_receive(scen, H, feats, substream(22, 2))
     assert a.resolved_mode == b.resolved_mode
     assert np.array_equal(a.f_tilde, b.f_tilde)
 
@@ -528,7 +528,7 @@ def test_adaptive_mean_snr_dominates_both_modes():
     for N in range(2, 21):
         scen = iz.build_scenario(dataclasses.replace(base, num_antennas=N))
         H = _channel(N, 10, rng, draws=1000)
-        air, _ = iz.air_snrs(iz.realization_from_matrix(H), scen)
+        air, _ = iz.air_snrs(H, scen)
         orth = iz.orth_snrs(iz.zf_norms_sq(H), scen) if N >= 10 else np.full(1000, -np.inf)
         ada, _ = iz.best_access(air, orth)
         best = max(air.mean(), orth.mean() if N >= 10 else -np.inf)

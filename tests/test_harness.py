@@ -327,17 +327,20 @@ def test_spec_rejects_a_point_that_is_not_a_valid_scenario(experiment, sweep, me
 
 def _largest_counts(cfg):
     """The largest K at the config's N for sweep-k, and N at its K for
-    bnorm-dist, whose scenario arrays (K M^2 + K L M floats) and complex
-    N x K channel fit in 2 GiB; sweep-k also holds eight 8-byte words per
-    trial (six of results, two of their standard errors' temporaries) and,
-    at so large a K, one-row stacks, an aircomp one the largest: its
-    K M + 2 N K + M normals, three temporaries as large and 2 L M
-    classifier floats."""
+    bnorm-dist, whose scenario arrays (K M^2 + K L M floats) fit in 2 GiB
+    with what the point holds.  sweep-k holds a complex N x K channel, six
+    8-byte words per trial (four of results, two of their standard errors'
+    temporaries) and, at so large a K, one-row stacks, an aircomp one the
+    largest: its K M + 2 N K + M normals, three temporaries as large and
+    2 L M classifier floats.  bnorm-dist holds, at so large an N, a stack of
+    one draw (3 N K + 3 K^2 complex words) and 2 K + 2 M + 8 words of
+    results per draw."""
     M, L, N, K = cfg.feature_dim, cfg.num_classes, cfg.num_antennas, cfg.num_sensors
     limit = 2 * 2**30
-    fixed = 64 * cfg.mc_trials + 8 * (4 * M + 2 * L * M)
+    fixed = 48 * cfg.mc_trials + 8 * (4 * M + 2 * L * M)
     largest_k = (limit - fixed) // (8 * (M * M + L * M) + 16 * N + 32 * (M + 2 * N))
-    return largest_k, (limit - 8 * K * (M * M + L * M)) // (16 * K)
+    fixed = 8 * K * (M * M + L * M) + 48 * K * K + 8 * (2 * K + 2 * M + 8) * cfg.mc_trials
+    return largest_k, (limit - fixed) // (48 * K)
 
 
 def test_spec_rejects_a_point_above_the_memory_limit():
@@ -358,12 +361,15 @@ def test_spec_rejects_a_point_above_the_memory_limit():
         ExperimentSpec("sweep-k", wide, sweep_values=(1,), pipelines=("noiseless",))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("sweep-n", wide, sweep_values=(2,), pipelines=("aircomp",))
-    # eight 8-byte words per trial, 5.8 TiB here
+    # six 8-byte words per trial, 4.4 TiB here
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("sweep-k", _cfg(mc_trials=10**11), sweep_values=(1,))
-    # a desk-scale point passes, and a channel-only experiment holds no trials
+    # a desk-scale point passes; a channel-only experiment keeps a few words
+    # of results per draw, 48 at K = M = 10, so 10^11 draws need 35 TiB
     ExperimentSpec("sweep-k", _cfg(feature_dim=100, num_classes=100), sweep_values=(1,))
-    ExperimentSpec("crossing", _cfg(mc_trials=10**11))
+    ExperimentSpec("crossing", _cfg(mc_trials=10**6))
+    with pytest.raises(ConfigError, match="above the 2 GiB limit"):
+        ExperimentSpec("crossing", _cfg(mc_trials=10**11))
     # a noiseless trial at K = 20,000 draws 1.6 MB of normals, so its stacks
     # hold one row and the point needs about 40 MiB, not a 512-row stack's
     # 0.8 GB of normals and as much again in each view-sized temporary
@@ -405,6 +411,34 @@ def test_point_bytes_bound_the_traced_peak_of_a_point(pipelines):
     assert (high - low) / 16000 <= (high_bound - low_bound) / 16000 + 1.0
 
 
+@pytest.mark.parametrize("experiment", ["snr-dist", "bnorm-dist", "crossing", "aloss"])
+def test_point_bytes_bound_the_traced_peak_of_a_channel_only_point(experiment):
+    # a channel-only point holds a stack of draws, each with its normals, H,
+    # H^H and up to three Gram-sized arrays, and its statistics' results.
+    # At K = 100, N = 101 one draw fills a stack and its Grams are as large
+    # as H; at K = 20, N = 25 and M = 30, bnorm-dist's 20 norms and aloss's
+    # 30-wide loss temporaries per draw grow with the draws.
+    def traced(K, N, M, draws):
+        cfg = _cfg(num_sensors=K, num_antennas=N, feature_dim=M, num_classes=2, mc_trials=draws)
+        value = {"snr-dist": K, "bnorm-dist": N, "crossing": N / K, "aloss": 10.0}[experiment]
+        point = experiments._EXPERIMENTS[experiment].config_at(cfg, value)
+        assert (point.num_sensors, point.num_antennas) == (K, N)
+        tracemalloc.start()
+        try:
+            run_experiment(ExperimentSpec(experiment, cfg, sweep_values=(value,)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak, experiments._point_bytes(point)
+
+    traced(20, 25, 30, 200)  # imports and numpy's caches, before the measured runs
+    peak, bound = traced(100, 101, 10, 100)
+    assert peak <= bound
+    (low, low_bound), (high, high_bound) = traced(20, 25, 30, 1000), traced(20, 25, 30, 4000)
+    assert low <= low_bound and high <= high_bound
+    assert (high - low) / 3000 <= (high_bound - low_bound) / 3000 + 1.0
+
+
 def _no_point_may_run(monkeypatch):
     """Make every sweep point fail the test: each one builds a scenario first."""
 
@@ -422,7 +456,7 @@ def test_paper_scale_checks_the_doubled_grid_before_the_first_point(monkeypatch)
     spec = ExperimentSpec("bnorm-dist", cfg, output_path=None, sweep_values=(largest_n,))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         run_experiment(spec, paper_scale=True)
-    # ten times 10^7 trials would need 6.4 GB of results and temporaries
+    # ten times 10^7 trials would need 4.8 GB of results and temporaries
     spec = ExperimentSpec("sweep-k", _cfg(mc_trials=10**7), sweep_values=(1,))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         run_experiment(spec, paper_scale=True)
@@ -840,7 +874,7 @@ def test_crossing_snrs_are_the_channel_statistics_taken_alone():
     def per_draw(stat):
         return experiments._per_draw(stat, 24, 16, experiments._draw_streams(spec, 0, 40))
 
-    air = per_draw(lambda H: iz.air_snrs(iz.realization_from_matrix(H), scen)[0])
+    air = per_draw(lambda H: iz.air_snrs(H, scen)[0])
     aoa = per_draw(lambda H: iz.orth_snrs(iz.zf_norms_sq(H), scen))
     assert rows["aircomp"].mean_effective_snr == air.mean()
     assert rows["orthogonal"].mean_effective_snr == aoa.mean()
@@ -960,11 +994,11 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
     # the span tags read these result fields
     scen = iz.build_scenario(iz.ScenarioConfig(num_sensors=4, num_antennas=6))
     rng = substream(1, 0)
-    ch = iz.realization_from_matrix(iz.sample_channel(rng.standard_normal((2, 6, 4))))
+    H = iz.sample_channel(rng.standard_normal((2, 6, 4)))
     features = iz.sample_local_features(scen, 0, rng.standard_normal((4, scen.feature_dim)))
     tags = {fn.__name__: tag for fn, (_, tag) in layers.items() if tag is not None}
-    assert tags["aircomp_effective_snr"](None, None, iz.aircomp_effective_snr(ch, scen)) is False
-    adaptive = iz.adaptive_receive(scen, ch, features, rng)
+    assert tags["aircomp_effective_snr"](None, None, iz.aircomp_effective_snr(H, scen)) is False
+    adaptive = iz.adaptive_receive(scen, H, features, rng)
     assert tags["adaptive_receive"](None, None, adaptive) in ("aircomp", "orthogonal")
     batch = iz.run_trials(scen, "noiseless", 3)
     assert tags["run_trials"]((scen, "noiseless", 3), {}, batch) == ("noiseless", 3)

@@ -572,7 +572,7 @@ def test_batch_summaries_match_arrays():
 # ------------------------------------------- stacked engine, per-draw oracle
 
 
-def _reference_realization(H):
+def _reference_pair(H):
     """One draw's principal pair computed on its own, as the one-draw code
     computed it: the top eigenpair of the smaller Gram matrix, the 1-D
     ``np.linalg.norm``, and the largest entry's phase divided out by its
@@ -586,26 +586,32 @@ def _reference_realization(H):
         q1 = V[:, -1]
     q1 = q1 / np.linalg.norm(q1)
     top = q1[np.argmax(np.abs(q1))]
-    return iz.ChannelRealization(H=H, lambda1=float(w[-1]), q1=q1 * (top.conjugate() / abs(top)))
+    return float(w[-1]), q1 * (top.conjugate() / abs(top))
 
 
 def _draw_trial(scenario, pipeline, rng):
-    """Reference route: one trial through the per-draw public functions, each
-    block of normals drawn with its own call, the channel formed through the
-    engine's own binding of ``sample_channel`` and its principal pair from
-    :func:`_reference_realization`."""
+    """Reference route: one trial through the per-draw functions, each block
+    of normals drawn with its own call and the channel formed through the
+    engine's own binding of ``sample_channel``.  gamma_air comes from the
+    principal pair of :func:`_reference_pair`, gamma_aoa from
+    ``orthogonal_effective_snr``, and the trial is received at the SNR of
+    its pipeline."""
     label = iz.sample_label(scenario.num_classes, rng)
     K, M, N = scenario.num_sensors, scenario.feature_dim, scenario.num_antennas
     features = iz.sample_local_features(scenario, label, rng.standard_normal((K, M)))
     if pipeline == "noiseless":
         return label, iz.aggregate_noiseless(features), np.inf, None
     H = inference.sample_channel(rng.standard_normal((2, N, K)))
-    receive = {
-        "aircomp": iz.aircomp_receive,
-        "orthogonal": iz.orthogonal_receive,
-        "adaptive": iz.adaptive_receive,
-    }[pipeline]
-    outcome = receive(scenario, _reference_realization(H), features, rng)
+    mode = None
+    if pipeline == "orthogonal":
+        snr = iz.orthogonal_effective_snr(H, scenario)
+    else:
+        snr = float(channel._air_snrs(channel._alignment(H, *_reference_pair(H)), K, scenario)[0])
+    if pipeline == "adaptive":
+        gamma_aoa = iz.orthogonal_effective_snr(H, scenario) if N >= K else -np.inf
+        snr, air_wins = iz.best_access(snr, gamma_aoa)
+        mode = "aircomp" if air_wins else "orthogonal"
+    outcome = channel._receive_one(features, float(snr), rng, mode)
     return label, outcome.f_tilde, outcome.effective_snr, outcome.resolved_mode
 
 

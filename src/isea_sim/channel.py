@@ -177,12 +177,12 @@ def aircomp_effective_snr(H, scenario):
     return AircompSnr(gamma_air=float(gamma_air), degenerate=bool(degenerate))
 
 
-def _receive(f_bar, effective_snrs, noise):
+def _receive(f_bar, snrs, noise):
     """The equivalent model every access mode reduces to: the noiseless
     averages (..., M) plus ``noise`` scaled to power 1/snr.  An SNR <= 0
     delivers an all-NaN vector; an infinite one delivers f_bar exactly."""
-    usable = effective_snrs > 0
-    scale = np.sqrt(1.0 / np.where(usable, effective_snrs, 1.0))
+    usable = snrs > 0
+    scale = np.sqrt(1.0 / np.where(usable, snrs, 1.0))
     return np.where(usable[..., None], f_bar + scale[..., None] * noise, np.nan)
 
 
@@ -287,12 +287,13 @@ def snr_pairs(H, scenario):
 
 def _pipeline_snrs(scenario, pipeline, H):
     """Effective SNRs (n,) of a stack of channel draws H (n, N, K) under an
-    access ``pipeline``, and for ``adaptive`` whether over the air won each
-    draw (else None)."""
+    access ``pipeline``, and for ``adaptive`` the (gamma_air, gamma_aoa)
+    pairs it chose from (else None)."""
     if pipeline == "orthogonal":
         return orth_snrs(zf_norms_sq(H), scenario), None
     if pipeline == "aircomp":
         return air_snrs(H, scenario)[0], None
     if pipeline != "adaptive":
         raise ValueError(f"unknown pipeline {pipeline!r}")
-    return best_access(*snr_pairs(H, scenario))
+    pairs = snr_pairs(H, scenario)
+    return best_access(*pairs)[0], pairs

@@ -129,23 +129,24 @@ def _point_bytes(cfg, pipelines=()):
     channel-only point (no ``pipelines``) holds a stack of draws, each with
     its normals, H and H^H (2 N K floats each) and at most three arrays the
     size of the smaller complex Gram (2 min(N, K)^2 floats each), and per
-    draw at most 2 K + 2 M + 8 floats of results (bnorm-dist keeps two copies
-    of K norms, aloss two (draws, M) loss temporaries).  A trial point holds
-    one complex N x K channel, one pipeline's results at a time (4 floats
-    per trial) with its standard errors' temporaries (2), the 2 of the SNRs
-    adaptive takes from aircomp or orthogonal, and the largest stack: its
-    normals with three temporaries as large (4 rows x row floats) and the
+    draw at most 4 floats of results: the two a draw keeps at most, and
+    their copies in the summaries.  A trial point holds one complex N x K
+    channel, one pipeline's results at a time (4 floats per trial) with its
+    standard errors' temporaries (2), the 2 M + 2 of the draws adaptive
+    keeps for aircomp or orthogonal, and the largest stack: its normals
+    with three temporaries as large (4 rows x row floats) and the
     classifier's (2 rows L M floats)."""
     K, N = float(cfg.num_sensors), float(cfg.num_antennas)
     M, L = cfg.feature_dim, cfg.num_classes
     size = 8.0 * (K * M * M + K * L * M)
     if not pipelines:
         stack = 16.0 * rows_per_stack(2 * N * K) * (3 * N * K + 3 * min(N, K) ** 2)
-        return size + stack + 8.0 * (2 * K + 2 * M + 8) * cfg.mc_trials
+        return size + stack + 32.0 * cfg.mc_trials
     rows = [_row_floats(pipeline, M, N, K) for pipeline in pipelines]
     stack = max(8.0 * rows_per_stack(row) * (4 * row + 2 * L * M) for row in rows)
-    paired = "adaptive" in pipelines and {"aircomp", "orthogonal"} & set(pipelines)
-    return size + 16.0 * N * K + (64.0 if paired else 48.0) * cfg.mc_trials + stack
+    shares = "adaptive" in pipelines and {"aircomp", "orthogonal"} & set(pipelines)
+    per_trial = 6 + (2 * M + 2 if shares else 0)
+    return size + 16.0 * N * K + 8.0 * per_trial * cfg.mc_trials + stack
 
 
 @dataclass(frozen=True)
@@ -261,19 +262,21 @@ def run_experiment(spec, workers=1, paper_scale=False):
 
 def _simulation_point(spec, point, value, scen, trials, workers):
     """Monte Carlo trials of each pipeline at one sensor or antenna count.
-    Adaptive runs last: after aircomp, and orthogonal or N < K, it takes the
-    :func:`best_access` SNRs of their draws.  Rows keep the requested order."""
+    Where adaptive runs with aircomp or a feasible orthogonal, it runs first
+    and keeps each trial's label, averaged views, receive noise and SNR
+    pair; those cells then draw nothing and receive its trials at their own
+    SNRs.  Rows keep the requested order."""
     L = scen.num_classes
     K = scen.num_sensors
     xi = asymptotic_separation(scen)
-    rows, snrs = {}, {"orthogonal": -np.inf} if scen.num_antennas < K else {}
-    for pipeline in sorted(spec.pipelines, key=lambda p: p == "adaptive"):
-        if pipeline == "orthogonal" and scen.num_antennas < K:
+    infeasible = {"orthogonal"} if scen.num_antennas < K else set()
+    partners = {"aircomp", "orthogonal"} & set(spec.pipelines) - infeasible
+    keep = "adaptive" in spec.pipelines and bool(partners)
+    rows, draws = {}, None
+    for pipeline in sorted(spec.pipelines, key=lambda p: p != "adaptive"):
+        if pipeline in infeasible:
             rows[pipeline] = SweepRow(sweep_value=value, pipeline=pipeline, feasible=INFEASIBLE)
             continue
-        paired = None
-        if pipeline == "adaptive" and {"aircomp", "orthogonal"} <= snrs.keys():
-            paired = best_access(snrs.pop("aircomp"), snrs.pop("orthogonal"))[0]
         batch = run_trials(
             scen,
             pipeline,
@@ -281,7 +284,8 @@ def _simulation_point(spec, point, value, scen, trials, workers):
             stream_id=_EXPERIMENTS[spec.experiment].stream_id,
             point_index=point,
             workers=workers,
-            effective_snrs=paired,
+            keep_draws=keep and pipeline == "adaptive",
+            draws=draws if pipeline in ("aircomp", "orthogonal") else None,
         )
         mean_snr = batch.mean_effective_snr  # inf for noiseless, where the loss is 1.0
         loss = channel_loss_factor(scen, mean_snr)
@@ -299,9 +303,8 @@ def _simulation_point(spec, point, value, scen, trials, workers):
             surrogate_upper=upper,
             asymptotic_prediction=(L - 1) * np.exp(-KAPPA_LOWER * xi * loss * K),
         )
-        # copied once the row's stderr temporaries are gone; the batch goes before the next run
-        if "adaptive" in spec.pipelines and pipeline in ("aircomp", "orthogonal"):
-            snrs[pipeline] = batch.effective_snrs.copy()
+        # the kept draws outlive their batch, which goes before the next run
+        draws = batch.draws or draws
         del batch
     return [rows[pipeline] for pipeline in spec.pipelines], ()
 
@@ -313,9 +316,9 @@ def _draw_streams(spec, point, draws):
     return trial_streams(spec.scenario.master_seed, stream_id, point, 0, draws)
 
 
-def _per_draw(stat, num_antennas, num_sensors, rngs):
-    """``stat`` of one channel matrix H per generator in ``rngs``, the
-    statistics of all draws concatenated along the first axis.
+def _per_draw(stat, num_antennas, num_sensors, rngs, draws):
+    """``stat`` of one channel matrix H for each of the first ``draws``
+    generators in ``rngs``, one row per draw of one preallocated array.
 
     This is the harness's only channel loop.  Each H is drawn from its own
     generator, in order, and ``stat`` runs on stacks (n, N, K) of
@@ -323,13 +326,18 @@ def _per_draw(stat, num_antennas, num_sensors, rngs):
     benchmark's tracer rebinds ``sample_channel`` in this module, so it is
     called through its module-level name.
     """
-    z = np.empty((rows_per_stack(2 * num_antennas * num_sensors), 2, num_antennas, num_sensors))
-    rngs = iter(rngs)
-    parts = []
-    # zip takes a row before a generator, so no generator is left undrawn
-    while n := len([rng.standard_normal(out=row) for row, rng in zip(z, rngs)]):
-        parts.append(stat(sample_channel(z[:n])))
-    return np.concatenate(parts)
+    step = rows_per_stack(2 * num_antennas * num_sensors)
+    z = np.empty((min(step, draws), 2, num_antennas, num_sensors))
+    rngs, out = iter(rngs), None
+    for a in range(0, draws, step):
+        n = min(step, draws - a)
+        for row, rng in zip(z[:n], rngs):
+            rng.standard_normal(out=row)
+        part = stat(sample_channel(z[:n]))
+        if out is None:
+            out = np.empty((draws, *part.shape[1:]), part.dtype)
+        out[a : a + n] = part
+    return out
 
 
 def _antennas_for(omega, num_sensors):
@@ -359,27 +367,34 @@ def _aloss_config(cfg, gamma_lin):
     return dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
 
 
-def _alignment_ks(num_antennas, num_sensors, rngs):
-    """K-scaled weakest alignments of one channel per generator in ``rngs``
-    and their KS distance to the limiting exponential law at omega = N/K.
-    Returns ``(ks, zeta)``."""
-    zeta = num_sensors * _per_draw(min_beam_alignment, num_antennas, num_sensors, rngs)
+def _alignment_ks(num_antennas, num_sensors, rngs, draws):
+    """K-scaled weakest alignments of one channel for each of the first
+    ``draws`` generators in ``rngs`` and their KS distance to the limiting
+    exponential law at omega = N/K.  Returns ``(ks, zeta)``."""
+    zeta = num_sensors * _per_draw(min_beam_alignment, num_antennas, num_sensors, rngs, draws)
     return ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
 
 
-def _zf_norm_ks(num_antennas, num_sensors, rngs):
-    """Zero-forcing beam norms ``||b_k||^2`` of one channel per generator
-    in ``rngs``, one row of K each, and the KS distance of the first column
-    to the scaled inverse chi-square law.  Returns ``(ks, norms)``."""
-    norms = _per_draw(zf_norms_sq, num_antennas, num_sensors, rngs)
-    return ks_statistic(norms[:, 0], zf_norm_cdf(num_antennas, num_sensors)), norms
+def _zf_norm_ks(scenario, rngs, draws):
+    """The first zero-forcing beam norm ``||b_1||^2`` and gamma_aoa of one
+    channel for each of the first ``draws`` generators in ``rngs``, two
+    floats of a draw's K norms, and the KS distance of the norms to the
+    scaled inverse chi-square law.  Returns ``(ks, first_norms, snrs)``."""
+    N, K = scenario.num_antennas, scenario.num_sensors
+
+    def first_and_snr(H):
+        norms = zf_norms_sq(H)
+        return np.column_stack((norms[:, 0], orth_snrs(norms, scenario)))
+
+    first, snrs = _per_draw(first_and_snr, N, K, rngs, draws).T
+    return ks_statistic(first, zf_norm_cdf(N, K)), first, snrs
 
 
 def _snr_dist_point(spec, point, value, scen, draws, workers):
     """K-scaled weakest alignment at N = round(omega K), omega the config's N/K."""
     K, N = scen.num_sensors, scen.num_antennas
     ratio = N / K  # the simulated ratio, which the row and note report
-    ks, zeta = _alignment_ks(N, K, _draw_streams(spec, point, draws))
+    ks, zeta = _alignment_ks(N, K, _draw_streams(spec, point, draws), draws)
     scale = 2.0 * K * scen.transmit_snr / scen.nu_sq
     row = SweepRow(
         sweep_value=K,
@@ -396,8 +411,7 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
     if N < K:
         row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
         return [row], [f"N={N}: infeasible (K={K})"]
-    ks, norms = _zf_norm_ks(N, K, _draw_streams(spec, point, draws))
-    snrs = orth_snrs(norms, scen)
+    ks, first, snrs = _zf_norm_ks(scen, _draw_streams(spec, point, draws), draws)
     prediction = scen.transmit_snr * K * (N - K) / scen.nu_sq if N > K else None
     row = SweepRow(
         sweep_value=N,
@@ -405,7 +419,7 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
         mean_effective_snr=float(snrs.mean()),
         asymptotic_prediction=prediction,
     )
-    return [row], [f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {norms[:, 0].mean():.6g}"]
+    return [row], [f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {first.mean():.6g}"]
 
 
 def _crossing_point(spec, point, value, scen, draws, workers):
@@ -414,7 +428,7 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     omega = N / K  # the simulated ratio, which the rows and notes report
 
     streams = _draw_streams(spec, point, draws)
-    air, aoa = _per_draw(lambda H: np.column_stack(snr_pairs(H, scen)), N, K, streams).T
+    air, aoa = _per_draw(lambda H: np.column_stack(snr_pairs(H, scen)), N, K, streams, draws).T
     best, wins = best_access(air, aoa)
     prob, prob_se = float(wins.mean()), _stderr(wins.astype(float))
     predicted = crossing_probability(K, omega)
@@ -440,12 +454,17 @@ def _crossing_point(spec, point, value, scen, draws, workers):
 def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
     """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
     K, N = scen.num_sensors, scen.num_antennas
+
+    def loss_and_snr(H):
+        snrs = air_snrs(H, scen)[0]
+        # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
+        samples = np.zeros(snrs.shape)
+        usable = snrs > 0
+        samples[usable] = channel_loss_factor(scen, snrs[usable])
+        return np.column_stack((samples, snrs))
+
     streams = _draw_streams(spec, point, draws)
-    snrs = _per_draw(lambda H: air_snrs(H, scen)[0], N, K, streams)
-    # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
-    samples = np.zeros(draws)
-    usable = snrs > 0
-    samples[usable] = channel_loss_factor(scen, snrs[usable])
+    samples, snrs = _per_draw(loss_and_snr, N, K, streams, draws).T
     e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, N / K))
     row = SweepRow(
         sweep_value=gamma_lin,

@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import _pipeline_snrs, _receive, rows_per_stack, sample_channel
+from .channel import _pipeline_snrs, _receive, best_access, rows_per_stack, sample_channel
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless, sample_label, sample_local_features
 from .streams import STREAM_TRIALS, trial_streams
@@ -79,13 +79,26 @@ class TrialRecord:
 
 
 @dataclass(frozen=True, eq=False)
+class TrialDraws:
+    """What an adaptive run keeps of its trials for the other access cells
+    of its point: the labels (n,) and, per trial, one row of the averaged
+    views f_bar (M), the M receive-noise normals, gamma_air and gamma_aoa
+    (-inf where N < K) in ``rows`` (n, 2 M + 2)."""
+
+    labels: np.ndarray
+    rows: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Aggregated per-trial arrays from :func:`run_trials`."""
+    """Aggregated per-trial arrays from :func:`run_trials`, and the kept
+    draws of a run asked to keep them."""
 
     entropies: np.ndarray
     labels: np.ndarray
     predictions: np.ndarray
-    effective_snrs: np.ndarray
+    snrs: np.ndarray
+    draws: TrialDraws | None = None
 
     @property
     def trials(self):
@@ -109,7 +122,7 @@ class TrialBatch:
 
     @property
     def mean_effective_snr(self):
-        return float(self.effective_snrs.mean())
+        return float(self.snrs.mean())
 
 
 def _stderr(values):
@@ -124,10 +137,10 @@ def _row_floats(pipeline, M, N, K):
     return K * M + (0 if pipeline == "noiseless" else 2 * N * K + M)
 
 
-def _draw_trials(scenario, pipeline, rngs, n, snrs=None):
-    """Labels, received vectors, effective SNRs and, for ``adaptive``,
-    whether over the air won (else None), of n trials: one generator each.
-    Given ``snrs``, the channel stage is skipped and no winner is named.
+def _draw_trials(scenario, pipeline, rngs, n, keep=False):
+    """Labels, received vectors, effective SNRs and, for an adaptive run
+    that ``keep``s them, the :class:`TrialDraws` rows of n trials (else
+    None): one generator each.
 
     Each trial draws its label, then one row of standard normals, the same
     values as one call per block: K M for the views, N K real and N K
@@ -145,11 +158,11 @@ def _draw_trials(scenario, pipeline, rngs, n, snrs=None):
     f_bar = aggregate_noiseless(local)
     if pipeline == "noiseless":
         return labels, f_bar, np.full(n, np.inf), None
-    air_wins = None
-    if snrs is None:
-        H = sample_channel(z[:, K * M : -M].reshape(n, 2, N, K))
-        snrs, air_wins = _pipeline_snrs(scenario, pipeline, H)
-    return labels, _receive(f_bar, snrs, z[:, -M:]), snrs, air_wins
+    H = sample_channel(z[:, K * M : -M].reshape(n, 2, N, K))
+    snrs, pairs = _pipeline_snrs(scenario, pipeline, H)
+    noise = z[:, -M:]
+    kept = np.column_stack((f_bar, noise, *pairs)) if keep and pairs is not None else None
+    return labels, _receive(f_bar, snrs, noise), snrs, kept
 
 
 def _classify(scenario, f_tilde, snrs):
@@ -170,11 +183,11 @@ def simulate_trial(scenario, pipeline, rng):
     With ``rng = substream(seed, stream_id, point_index, trial_index)`` this
     replays trial ``trial_index`` of the matching :func:`run_trials` call.
     """
-    labels, f_tilde, snrs, air_wins = _draw_trials(scenario, pipeline, [rng], 1)
+    labels, f_tilde, snrs, kept = _draw_trials(scenario, pipeline, [rng], 1, keep=True)
     entropies, posteriors, predictions = _classify(scenario, f_tilde, snrs)
     resolved = None
-    if air_wins is not None:
-        resolved = "aircomp" if air_wins[0] else "orthogonal"
+    if kept is not None:
+        resolved = "aircomp" if best_access(*kept[0, -2:])[1] else "orthogonal"
     return TrialRecord(
         label=int(labels[0]),
         predicted=int(predictions[0]),
@@ -185,13 +198,18 @@ def simulate_trial(scenario, pipeline, rng):
     )
 
 
-def _run_stack(scenario, pipeline, stream_id, point_index, snrs, start, stop):
-    """Draw and classify trials [start, stop), one stream each, in one step."""
-    rngs = trial_streams(scenario.config.master_seed, stream_id, point_index, start, stop)
-    snrs = None if snrs is None else snrs[start:stop]
-    labels, f_tilde, snrs, _ = _draw_trials(scenario, pipeline, rngs, stop - start, snrs)
+def _run_stack(scenario, pipeline, stream_id, point_index, keep, draws, start, stop):
+    """Draw and classify trials [start, stop), one stream each, in one step;
+    given kept ``draws``, classify theirs and draw nothing."""
+    if draws is None:
+        rngs = trial_streams(scenario.config.master_seed, stream_id, point_index, start, stop)
+        labels, f_tilde, snrs, kept = _draw_trials(scenario, pipeline, rngs, stop - start, keep)
+    else:  # f_bar plus the kept noise at this pipeline's SNR of the kept pair
+        M, rows, kept = scenario.feature_dim, draws.rows[start:stop], None
+        labels, snrs = draws.labels[start:stop], rows[:, 2 * M + (pipeline == "orthogonal")]
+        f_tilde = _receive(rows[:, :M], snrs, rows[:, M : 2 * M])
     entropies, _, predictions = _classify(scenario, f_tilde, snrs)
-    return entropies, labels, predictions, snrs
+    return entropies, labels, predictions, snrs, kept
 
 
 def run_trials(
@@ -202,7 +220,8 @@ def run_trials(
     stream_id=STREAM_TRIALS,
     point_index=0,
     workers=1,
-    effective_snrs=None,
+    keep_draws=False,
+    draws=None,
 ):
     """Run Monte Carlo trials of one access pipeline.
 
@@ -217,30 +236,41 @@ def run_trials(
     process runs every ``workers``-th stack and a pool of workers - 1
     forked processes the rest.  The returned :class:`TrialBatch` carries
     the uncertainty and accuracy estimates with their standard errors.
-    Given ``effective_snrs`` (trials,), the trials draw as always but skip
-    the channel stage and are received at those SNRs; the harness gives
-    adaptive the better of its point's aircomp and orthogonal SNRs.
+    With ``keep_draws`` an adaptive run also returns its trials'
+    :class:`TrialDraws`.  Given them as ``draws``, an aircomp or orthogonal
+    run draws nothing: it receives each kept trial at its own SNR of the
+    kept pair, which is what it would draw from the same streams.
     """
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
-    if effective_snrs is not None and np.shape(effective_snrs) != (trials,):
-        raise ValueError("effective_snrs must hold one SNR per trial")
+    if keep_draws and pipeline != "adaptive":
+        raise ValueError("only adaptive runs form both SNRs of a trial to keep")
+    if draws is not None and pipeline not in ("aircomp", "orthogonal"):
+        raise ValueError("only aircomp and orthogonal runs take kept draws")
+    M = scenario.feature_dim
+    if draws is not None and draws.rows.shape != (trials, 2 * M + 2):
+        raise ValueError("draws must hold one row of 2 M + 2 floats per trial")
     if pipeline == "orthogonal" and scenario.num_antennas < scenario.num_sensors:
         raise InfeasibleAccessError(
             "orthogonal access infeasible: "
             f"N={scenario.num_antennas} < K={scenario.num_sensors}"
         )
-    stack = partial(_run_stack, scenario, pipeline, stream_id, point_index, effective_snrs)
+    stack = partial(_run_stack, scenario, pipeline, stream_id, point_index, keep_draws, draws)
     dims = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
     step = rows_per_stack(_row_floats(pipeline, *dims))
     spans = [(a, min(a + step, trials)) for a in range(0, trials, step)]
     # a fork pool starts all its workers at once: no more than CPUs or stacks
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, cpus or 1, len(spans))
-    # entropies, labels, predictions and effective SNRs, each its own array
+    # entropies, labels, predictions and effective SNRs, each its own array,
+    # and the kept rows; a run given draws shares their labels
     out = [np.empty(trials, dtype) for dtype in (float, np.int64, np.int64, float)]
+    if draws is not None:
+        out[1] = draws.labels
+    if keep_draws:
+        out.append(np.empty((trials, 2 * M + 2)))
 
     def keep(a, b, parts):
         for field, part in zip(out, parts):
@@ -263,4 +293,4 @@ def run_trials(
                     keep(a, b, stack(a, b))
                 for (a, b), parts in zip(pooled, theirs):
                     keep(a, b, parts)
-    return TrialBatch(*out)
+    return TrialBatch(*out[:4], TrialDraws(out[1], out[4]) if keep_draws else None)

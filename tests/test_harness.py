@@ -181,18 +181,23 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
 def test_snr_distribution_check_rejects_small_sensor_count():
     # K = 5 is far from the large-system limit; the check must say so
     # rather than quietly passing.
-    ks, _ = _alignment_ks(5, 5, repeat(substream(20240, 25), 1000))
+    ks, _ = _alignment_ks(5, 5, repeat(substream(20240, 25)), 1000)
     assert ks == pytest.approx(0.1478, abs=2e-4)
     assert not ks < 0.03
     with pytest.raises(ValueError):
-        _alignment_ks(5, 5, repeat(substream(20240, 25), 5))
+        _alignment_ks(5, 5, repeat(substream(20240, 25)), 5)
 
 
 def test_zf_norm_check_runs_and_reports(tmp_path):
-    ks, norms = _zf_norm_ks(16, 10, repeat(substream(20240, 26), 1000))
+    scen = iz.build_scenario(_cfg(num_sensors=10, num_antennas=16))
+    ks, first, snrs = _zf_norm_ks(scen, repeat(substream(20240, 26)), 1000)
     assert 0.0 < ks < 0.1
-    assert norms.shape == (1000, 10)
-    assert norms[:, 0].mean() == pytest.approx(1.0 / 6.0, rel=0.15)
+    assert first.shape == snrs.shape == (1000,)
+    assert first.mean() == pytest.approx(1.0 / 6.0, rel=0.15)
+    # each draw keeps its first norm and gamma_aoa, the SNR of all K norms
+    H = iz.sample_channel(substream(20240, 26).standard_normal((2, 16, 10)))
+    norms = iz.zf_norms_sq(H)
+    assert (first[0], snrs[0]) == (norms[0], iz.orth_snrs(norms, scen))
 
 
 def test_snr_dist_experiment_emits_single_default_row(tmp_path):
@@ -333,13 +338,13 @@ def _largest_counts(cfg):
     temporaries) and, at so large a K, one-row stacks, an aircomp one the
     largest: its K M + 2 N K + M normals, three temporaries as large and
     2 L M classifier floats.  bnorm-dist holds, at so large an N, a stack of
-    one draw (3 N K + 3 K^2 complex words) and 2 K + 2 M + 8 words of
-    results per draw."""
+    one draw (3 N K + 3 K^2 complex words) and 4 words of results per
+    draw."""
     M, L, N, K = cfg.feature_dim, cfg.num_classes, cfg.num_antennas, cfg.num_sensors
     limit = 2 * 2**30
     fixed = 48 * cfg.mc_trials + 8 * (4 * M + 2 * L * M)
     largest_k = (limit - fixed) // (8 * (M * M + L * M) + 16 * N + 32 * (M + 2 * N))
-    fixed = 8 * K * (M * M + L * M) + 48 * K * K + 8 * (2 * K + 2 * M + 8) * cfg.mc_trials
+    fixed = 8 * K * (M * M + L * M) + 48 * K * K + 32 * cfg.mc_trials
     return largest_k, (limit - fixed) // (48 * K)
 
 
@@ -365,7 +370,7 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
         ExperimentSpec("sweep-k", _cfg(mc_trials=10**11), sweep_values=(1,))
     # a desk-scale point passes; a channel-only experiment keeps a few words
-    # of results per draw, 48 at K = M = 10, so 10^11 draws need 35 TiB
+    # of results per draw, 4 with their copies, so 10^11 draws need 2.9 TiB
     ExperimentSpec("sweep-k", _cfg(feature_dim=100, num_classes=100), sweep_values=(1,))
     ExperimentSpec("crossing", _cfg(mc_trials=10**6))
     with pytest.raises(ConfigError, match="above the 2 GiB limit"):
@@ -375,27 +380,26 @@ def test_spec_rejects_a_point_above_the_memory_limit():
     # 0.8 GB of normals and as much again in each view-sized temporary
     ExperimentSpec("sweep-k", cfg, sweep_values=(20000,), pipelines=("noiseless",))
     assert experiments._point_bytes(_cfg(num_sensors=20000), ("noiseless",)) < 48 * 2**20
-    # adaptive beside aircomp or orthogonal keeps their SNRs, two floats per
-    # trial; all three channel pipelines draw rows of one width
+    # adaptive beside aircomp or orthogonal keeps its draws for them, 2 M + 2
+    # floats per trial; all three channel pipelines draw rows of one width
     alone = experiments._point_bytes(cfg, ("adaptive",))
     assert experiments._point_bytes(cfg, ("aircomp",)) == alone
+    kept = 8 * (2 * cfg.feature_dim + 2) * cfg.mc_trials
     for partners in (("aircomp",), ("orthogonal",), ("aircomp", "orthogonal")):
         for pipelines in (partners + ("adaptive",), ("adaptive",) + partners):
-            assert experiments._point_bytes(cfg, pipelines) == alone + 16 * cfg.mc_trials
+            assert experiments._point_bytes(cfg, pipelines) == alone + kept
 
 
-@pytest.mark.parametrize(
-    "pipelines", [("noiseless",), ("noiseless", "aircomp"), ("aircomp", "orthogonal", "adaptive")]
-)
-def test_point_bytes_bound_the_traced_peak_of_a_point(pipelines):
-    # a point holds one pipeline's results at a time, with their standard
-    # errors' temporaries and the SNRs adaptive takes: its traced peak stays
-    # below the pre-check's count, and grows per trial by no more than it.
-    # Rows of one to four floats (M = K = N = 1) keep the stacks small and the
-    # runs short; caches of small blocks add a few kB that do not grow with
-    # the trials, so the growth per trial gets a byte of slack.
+def _assert_point_bytes_bound_the_traced_peak(pipelines, feature_dim):
+    # traced peak of one sweep-n point at K = N = 1: it stays below the
+    # pre-check's count, and grows per trial by no more than it.  Rows of a
+    # few floats keep the stacks small and the runs short; caches of small
+    # blocks add a few kB that do not grow with the trials, so the growth
+    # per trial gets a byte of slack.
     def traced(trials):
-        cfg = _cfg(feature_dim=1, num_classes=2, num_sensors=1, num_antennas=1, mc_trials=trials)
+        cfg = _cfg(
+            feature_dim=feature_dim, num_classes=2, num_sensors=1, num_antennas=1, mc_trials=trials
+        )
         spec = ExperimentSpec("sweep-n", cfg, sweep_values=(1,), pipelines=pipelines)
         tracemalloc.start()
         try:
@@ -409,6 +413,22 @@ def test_point_bytes_bound_the_traced_peak_of_a_point(pipelines):
     (low, low_bound), (high, high_bound) = traced(4000), traced(20000)
     assert low <= low_bound and high <= high_bound
     assert (high - low) / 16000 <= (high_bound - low_bound) / 16000 + 1.0
+
+
+@pytest.mark.parametrize(
+    "pipelines", [("noiseless",), ("noiseless", "aircomp"), ("aircomp", "orthogonal", "adaptive")]
+)
+def test_point_bytes_bound_the_traced_peak_of_a_point(pipelines):
+    # a point holds one pipeline's results at a time, with their standard
+    # errors' temporaries and the draws adaptive keeps (M = 1)
+    _assert_point_bytes_bound_the_traced_peak(pipelines, 1)
+
+
+def test_point_bytes_bound_the_traced_peak_of_a_shared_point():
+    # adaptive's kept draws grow with M, 2 M + 2 floats per trial, which
+    # M = 1 cannot tell from a constant: at M = 6 an under-count by M floats
+    # per trial exceeds the byte of slack
+    _assert_point_bytes_bound_the_traced_peak(("aircomp", "orthogonal", "adaptive"), 6)
 
 
 @pytest.mark.parametrize("experiment", ["snr-dist", "bnorm-dist", "crossing", "aloss"])
@@ -872,7 +892,7 @@ def test_crossing_snrs_are_the_channel_statistics_taken_alone():
     assert (scen.num_antennas, scen.num_sensors) == (24, 16)
 
     def per_draw(stat):
-        return experiments._per_draw(stat, 24, 16, experiments._draw_streams(spec, 0, 40))
+        return experiments._per_draw(stat, 24, 16, experiments._draw_streams(spec, 0, 40), 40)
 
     air = per_draw(lambda H: iz.air_snrs(H, scen)[0])
     aoa = per_draw(lambda H: iz.orth_snrs(iz.zf_norms_sq(H), scen))
@@ -883,18 +903,19 @@ def test_crossing_snrs_are_the_channel_statistics_taken_alone():
 
 
 # ---------------------------------------------------------------------------
-# adaptive SNRs taken from the paired cells
+# adaptive's draws handed to the other access cells of its point
 
 
 def _traced_sweep_n(monkeypatch, pipelines, workers, sweep=(8, 12)):
     """sweep-n rows of ``pipelines`` on CONFIG_TEXT (K = 10, 200 trials),
-    and for each run_trials call its pipeline, whether it was given SNRs and
-    its batch."""
+    and for each run_trials call its pipeline, whether it kept its draws or
+    was given them, and its batch."""
     calls = []
 
     def spy(scen, pipeline, trials, **kwargs):
         batch = iz.run_trials(scen, pipeline, trials, **kwargs)
-        calls.append((pipeline, kwargs["effective_snrs"] is not None, batch))
+        role = "keeps" if kwargs["keep_draws"] else None if kwargs["draws"] is None else "given"
+        calls.append((pipeline, role, batch))
         return batch
 
     monkeypatch.setattr(experiments, "run_trials", spy)
@@ -904,51 +925,60 @@ def _traced_sweep_n(monkeypatch, pipelines, workers, sweep=(8, 12)):
     return run_experiment(spec, workers=workers).rows, calls
 
 
-def _adaptive_csv(rows):
-    return SweepReport("sweep-n", tuple(r for r in rows if r.pipeline == "adaptive")).to_csv_text()
+def _csv_of(rows, pipeline):
+    return SweepReport("sweep-n", tuple(r for r in rows if r.pipeline == pipeline)).to_csv_text()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_adaptive_rows_do_not_depend_on_their_partners(monkeypatch, workers):
-    # N = 8 < K pairs adaptive with aircomp alone, N = 12 with aircomp and
-    # orthogonal.  200 trials are two stacks at N = 8 and three at N = 12,
-    # which two workers on two usable CPUs split with a pool.
+    # N = 8 < K shares adaptive's draws with aircomp alone, N = 12 with
+    # aircomp and orthogonal.  200 trials are two stacks at N = 8 and three
+    # at N = 12, which two workers on two usable CPUs split with a pool.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    alone, calls = _traced_sweep_n(monkeypatch, ("adaptive",), workers)
-    assert [(pipeline, given) for pipeline, given, _ in calls] == [("adaptive", False)] * 2
+    alone, calls = {}, {}
+    for pipeline in ("aircomp", "orthogonal", "adaptive"):
+        alone[pipeline], calls[pipeline] = _traced_sweep_n(monkeypatch, (pipeline,), workers)
+    assert [(pipeline, role) for pipeline, role, _ in calls["adaptive"]] == [("adaptive", None)] * 2
     all_access = ("aircomp", "orthogonal", "adaptive")
     for pipelines in (all_access, ("adaptive", "aircomp", "orthogonal")):
         rows, calls = _traced_sweep_n(monkeypatch, pipelines, workers)
         assert [row.pipeline for row in rows] == list(pipelines) * 2
-        assert _adaptive_csv(rows) == _adaptive_csv(alone)
-        assert [(pipeline, given) for pipeline, given, _ in calls] == [
-            ("aircomp", False), ("adaptive", True),
-            ("aircomp", False), ("orthogonal", False), ("adaptive", True),
+        for pipeline in all_access:
+            assert _csv_of(rows, pipeline) == _csv_of(alone[pipeline], pipeline)
+        assert [(pipeline, role) for pipeline, role, _ in calls] == [
+            ("adaptive", "keeps"), ("aircomp", "given"),
+            ("adaptive", "keeps"), ("aircomp", "given"), ("orthogonal", "given"),
         ]
-    # trials on either side of a stack edge replay on their own, at the
-    # better of the paired SNRs
+    # trials on either side of a stack edge replay on their own, adaptive's
+    # at the better of the handed-on SNRs
     batches = [batch for _, _, batch in calls]
     cfg = iz.parse_config_text(CONFIG_TEXT)
-    for point, (N, air, aoa, adaptive) in enumerate(
-        [(8, batches[0], None, batches[1]), (12, *batches[2:])]
+    for point, (N, adaptive, air, aoa) in enumerate(
+        [(8, *batches[:2], None), (12, *batches[2:])]
     ):
         scen = iz.build_scenario(dataclasses.replace(cfg, num_antennas=N))
         for t in (0, 92, 93, 121, 199):
             rec = iz.simulate_trial(scen, "adaptive", substream(20240, 12, point, t))
-            gamma_aoa = -np.inf if aoa is None else aoa.effective_snrs[t]
-            assert rec.effective_snr == adaptive.effective_snrs[t]
-            assert rec.effective_snr == max(air.effective_snrs[t], gamma_aoa)
-            air_wins = air.effective_snrs[t] >= gamma_aoa
+            gamma_aoa = -np.inf if aoa is None else aoa.snrs[t]
+            assert rec.effective_snr == adaptive.snrs[t]
+            assert rec.effective_snr == max(air.snrs[t], gamma_aoa)
+            air_wins = air.snrs[t] >= gamma_aoa
             assert rec.resolved_mode == ("aircomp" if air_wins else "orthogonal")
             assert (rec.label, rec.predicted) == (adaptive.labels[t], adaptive.predictions[t])
             assert rec.entropy == adaptive.entropies[t]
+            for pipeline, batch in (("aircomp", air), ("orthogonal", aoa)):
+                if batch is not None:
+                    rec = iz.simulate_trial(scen, pipeline, substream(20240, 12, point, t))
+                    assert rec.effective_snr == batch.snrs[t]
+                    assert (rec.label, rec.predicted) == (batch.labels[t], batch.predictions[t])
+                    assert rec.entropy == batch.entropies[t]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_degenerate_draw_reaches_adaptive_from_aircomp(monkeypatch, workers):
+def test_a_degenerate_draw_reaches_aircomp_from_adaptive(monkeypatch, workers):
     # Sensor 0 silenced on the draws whose H[0, 0] has real part above 1:
     # aircomp gets gamma_air = 0 there, and at N = 8 < K so does adaptive,
-    # whether it takes that SNR from aircomp or forms it itself.
+    # whether aircomp takes that SNR from adaptive's draws or forms it itself.
     sample_channel = inference.sample_channel
 
     def silenced(z):
@@ -958,15 +988,45 @@ def test_a_degenerate_draw_reaches_adaptive_from_aircomp(monkeypatch, workers):
 
     monkeypatch.setattr(inference, "sample_channel", silenced)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    alone, _ = _traced_sweep_n(monkeypatch, ("adaptive",), workers, sweep=(8,))
+    alone, _ = _traced_sweep_n(monkeypatch, ("aircomp",), workers, sweep=(8,))
     rows, calls = _traced_sweep_n(monkeypatch, ("aircomp", "adaptive"), workers, sweep=(8,))
-    assert [(pipeline, given) for pipeline, given, _ in calls] == [
-        ("aircomp", False), ("adaptive", True)
+    assert [(pipeline, role) for pipeline, role, _ in calls] == [
+        ("adaptive", "keeps"), ("aircomp", "given")
     ]
-    snrs = calls[1][2].effective_snrs
+    snrs = calls[1][2].snrs
     assert 0 < (snrs == 0).sum() < snrs.size
-    np.testing.assert_array_equal(snrs, calls[0][2].effective_snrs)
-    assert _adaptive_csv(rows) == _adaptive_csv(alone)
+    np.testing.assert_array_equal(snrs, calls[0][2].snrs)
+    assert _csv_of(rows, "aircomp") == _csv_of(alone, "aircomp")
+
+
+def test_a_shared_point_draws_each_trial_once(monkeypatch):
+    # at workers 1 a point that shares adaptive's draws takes one generator
+    # per trial, where one run per pipeline took one per trial and pipeline,
+    # and only adaptive's cell forms channels
+    streams, channels = Counter(), []
+    trial_streams, sample_channel = inference.trial_streams, inference.sample_channel
+
+    def counted_streams(seed, stream_id, point, start, stop):
+        for rng in trial_streams(seed, stream_id, point, start, stop):
+            streams[point] += 1
+            yield rng
+
+    def counted_channels(z):
+        channels.append(z.shape[0])
+        return sample_channel(z)
+
+    monkeypatch.setattr(inference, "trial_streams", counted_streams)
+    monkeypatch.setattr(inference, "sample_channel", counted_channels)
+    _, calls = _traced_sweep_n(monkeypatch, ("aircomp", "orthogonal", "adaptive"), 1)
+    assert streams == {0: 200, 1: 200}
+    assert sum(channels) == 400
+    assert [(pipeline, role) for pipeline, role, _ in calls][:2] == [
+        ("adaptive", "keeps"), ("aircomp", "given")
+    ]
+    # where no later cell reads them, nothing is kept
+    _, calls = _traced_sweep_n(monkeypatch, ("adaptive", "orthogonal"), 1, sweep=(8,))
+    assert [(pipeline, role) for pipeline, role, _ in calls] == [("adaptive", None)]
+    assert calls[0][2].draws is None
 
 
 # ---------------------------------------------------------------------------
@@ -1099,24 +1159,24 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     assert counts["feature_model.sample"] == 60 + 2
     for name in ("channel.receive", "channel.air_snr", "channel.orth_snr"):
         assert counts[name] == 0, name
-    # beside aircomp, and orthogonal or N < K, adaptive takes their SNRs
-    # and forms no channel: one stack each of aircomp at N = 8 and 12 and of
-    # orthogonal at N = 12, and still one run_trials call per feasible cell
+    # beside aircomp or orthogonal, adaptive draws each trial once and hands
+    # its draws on, so only its one stack at N = 8 and at N = 12 draws, and
+    # still one run_trials call per feasible cell
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n-all",
         ["sweep-n", "--config", str(config), "--sweep", "8,12",
          "--pipelines", "aircomp,orthogonal,adaptive"],
     )
-    assert counts["channel.sample"] == 3
-    assert counts["feature_model.sample"] == 5 * (30 + 1)
+    assert counts["channel.sample"] == 2
+    assert counts["feature_model.sample"] == 2 * (30 + 1)
     assert counts["inference.run_trials"] == 5
     # the benchmark's traced mc-access run requires one pool per feasible
     # cell: at 600 trials (four stacks at N = 8, six at N = 12) and two
     # workers on two usable CPUs, the calling process runs the even stacks
     # and a pool the odd ones; orthogonal at N = 8 < K is not run.  The
-    # calling process forms the channels of its two aircomp stacks at N = 8
-    # and its three aircomp and three orthogonal stacks at N = 12.
+    # calling process forms the channels of its two adaptive stacks at N = 8
+    # and its three at N = 12.
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n-pool",
@@ -1126,8 +1186,9 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     )
     assert counts["inference.pool"] == 5
     assert counts["inference.run_trials"] == 5
-    assert counts["channel.sample"] == 2 + 3 + 3
-    # adaptive without aircomp forms its own channels
+    assert counts["channel.sample"] == 2 + 3
+    # orthogonal at N = 12 takes adaptive's draws; at N = 8 < K it is not
+    # run, and adaptive keeps nothing
     counts = _traced_span_counts(
         tmp_path,
         "sweep-n-pool-orthogonal",
@@ -1137,7 +1198,7 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     )
     assert counts["inference.pool"] == 3
     assert counts["inference.run_trials"] == 3
-    assert counts["channel.sample"] == 3 + 2 + 3
+    assert counts["channel.sample"] == 2 + 3
     # two substreams for each point's scenario build, and one per point that
     # the re-keyed trial_streams generator of its draws starts from
     counts = _traced_span_counts(

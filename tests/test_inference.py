@@ -340,7 +340,7 @@ def test_worker_split_is_invisible(monkeypatch):
         pooled = iz.run_trials(scen, "aircomp", trials, workers=2)
         assert np.array_equal(serial.entropies, pooled.entropies)
         assert np.array_equal(serial.predictions, pooled.predictions)
-        assert np.array_equal(serial.effective_snrs, pooled.effective_snrs)
+        assert np.array_equal(serial.snrs, pooled.snrs)
 
 
 def _record_pool_sizes(monkeypatch):
@@ -372,7 +372,7 @@ def test_pool_starts_no_more_workers_than_stacks(monkeypatch):
     serial = iz.run_trials(scen, "aircomp", 200)
     pooled = iz.run_trials(scen, "aircomp", 200, workers=3)
     assert sizes == [1]
-    for field in ("entropies", "labels", "predictions", "effective_snrs"):
+    for field in ("entropies", "labels", "predictions", "snrs"):
         np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
 
 
@@ -389,7 +389,7 @@ def test_calling_process_runs_its_share_of_the_stacks(monkeypatch, pipeline):
     serial = iz.run_trials(scen, pipeline, 1100, stream_id=6, point_index=1)
     for workers in (2, 3):
         pooled = iz.run_trials(scen, pipeline, 1100, stream_id=6, point_index=1, workers=workers)
-        for field in ("entropies", "labels", "predictions", "effective_snrs"):
+        for field in ("entropies", "labels", "predictions", "snrs"):
             np.testing.assert_array_equal(getattr(serial, field), getattr(pooled, field))
     assert sizes == [1, 2]
 
@@ -415,23 +415,36 @@ def test_workers_are_bounded_by_the_usable_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("num_antennas", [8, 12])
-def test_given_snrs_replace_the_channel_stage(num_antennas):
-    # each channel pipeline given its own SNRs draws and classifies its
-    # trials as it does alone; where N < K adaptive's SNRs are aircomp's
+def test_kept_draws_replace_a_partners_draws(monkeypatch, num_antennas):
+    # an adaptive run that keeps its draws runs as it does alone, and each
+    # other access pipeline given them classifies its trials as it does
+    # alone, drawing nothing; where N < K adaptive's SNRs are aircomp's
     scen = iz.build_scenario(_config(num_antennas=num_antennas))
-    air = iz.run_trials(scen, "aircomp", 300, stream_id=6, point_index=1)
     feasible = num_antennas >= scen.num_sensors
-    for pipeline in ("aircomp", "orthogonal")[: 1 + feasible] + ("adaptive",):
-        alone = iz.run_trials(scen, pipeline, 300, stream_id=6, point_index=1)
-        given = iz.run_trials(
-            scen, pipeline, 300, stream_id=6, point_index=1, effective_snrs=alone.effective_snrs
-        )
-        for field in ("entropies", "labels", "predictions", "effective_snrs"):
-            np.testing.assert_array_equal(getattr(alone, field), getattr(given, field))
+    partners = ("aircomp", "orthogonal")[: 1 + feasible]
+    alone = {p: iz.run_trials(scen, p, 300, stream_id=6, point_index=1) for p in partners}
+    adaptive = iz.run_trials(scen, "adaptive", 300, stream_id=6, point_index=1)
+    keeps = iz.run_trials(scen, "adaptive", 300, stream_id=6, point_index=1, keep_draws=True)
+    assert adaptive.draws is None and keeps.draws.labels is keeps.labels
+    assert keeps.draws.rows.shape == (300, 2 * scen.feature_dim + 2)
+    for field in ("entropies", "labels", "predictions", "snrs"):
+        np.testing.assert_array_equal(getattr(adaptive, field), getattr(keeps, field))
+    monkeypatch.setattr(inference, "trial_streams", None)
+    monkeypatch.setattr(inference, "sample_channel", None)
+    for pipeline in partners:
+        given = iz.run_trials(scen, pipeline, 300, draws=keeps.draws)
+        for field in ("entropies", "labels", "predictions", "snrs"):
+            np.testing.assert_array_equal(getattr(alone[pipeline], field), getattr(given, field))
     if not feasible:
-        np.testing.assert_array_equal(alone.effective_snrs, air.effective_snrs)
-    with pytest.raises(ValueError, match="one SNR per trial"):
-        iz.run_trials(scen, "adaptive", 300, effective_snrs=air.effective_snrs[:299])
+        np.testing.assert_array_equal(keeps.snrs, alone["aircomp"].snrs)
+        np.testing.assert_array_equal(keeps.draws.rows[:, -1], np.full(300, -np.inf))
+    with pytest.raises(ValueError, match="one row"):
+        iz.run_trials(scen, "aircomp", 299, draws=keeps.draws)
+    for pipeline in ("noiseless", "adaptive"):
+        with pytest.raises(ValueError, match="take kept draws"):
+            iz.run_trials(scen, pipeline, 300, draws=keeps.draws)
+    with pytest.raises(ValueError, match="to keep"):
+        iz.run_trials(scen, "aircomp", 300, keep_draws=True)
 
 
 def test_paired_uncertainty_decreases_with_snr():
@@ -464,7 +477,7 @@ def test_simulate_trial_replays_run_trials(pipeline):
         assert rec.label == batch.labels[i]
         assert rec.predicted == batch.predictions[i]
         assert rec.entropy == batch.entropies[i]
-        assert rec.effective_snr == batch.effective_snrs[i]
+        assert rec.effective_snr == batch.snrs[i]
         assert abs(rec.posterior.sum() - 1.0) < 1e-12
         assert int(np.argmax(rec.posterior)) == rec.predicted
 
@@ -504,7 +517,7 @@ def test_stack_size_does_not_change_results(monkeypatch, pipeline):
     for stack_bytes in (channel._STACK_BYTES, 7 * 8 * 295):
         monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
         batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
-    for field in ("entropies", "labels", "predictions", "effective_snrs"):
+    for field in ("entropies", "labels", "predictions", "snrs"):
         np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))
 
 
@@ -632,7 +645,7 @@ def _assert_engine_matches_oracle(scenario, pipeline, trials=530):
     # channel stacks 394, 306 and 229 at N = 4, 6 and 9 (K = 6)
     batch = iz.run_trials(scenario, pipeline, trials, stream_id=5, point_index=2)
     want, modes = _oracle_batch(scenario, pipeline, trials, 5, 2)
-    for field, expected in zip(("entropies", "labels", "predictions", "effective_snrs"), want):
+    for field, expected in zip(("entropies", "labels", "predictions", "snrs"), want):
         np.testing.assert_array_equal(getattr(batch, field), expected, err_msg=field)
     return batch, modes
 
@@ -688,7 +701,7 @@ def test_zero_column_trials_alone_get_zero_snr(monkeypatch, pipeline, num_antenn
         for t in range(batch.trials)
     ])
     assert 0 < zeroed.sum() < batch.trials
-    np.testing.assert_array_equal(batch.effective_snrs == 0, zeroed)
+    np.testing.assert_array_equal(batch.snrs == 0, zeroed)
     np.testing.assert_array_equal(batch.entropies[zeroed], np.log(scen.num_classes))
 
 

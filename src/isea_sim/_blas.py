@@ -6,6 +6,10 @@ too small to split: on a two-core host two threads make ``crossing`` at
 K = 100 four times slower and double its CPU time.  The thread count
 changes how fast LAPACK runs, never what it returns, so every result is
 the same at any count.
+
+The CLI starts both builds at one thread through ``OPENBLAS_NUM_THREADS``
+(see ``harness.cli``), and there ``one_blas_thread`` finds nothing to
+change; it serves library callers, whose builds start at the default.
 """
 
 from __future__ import annotations

@@ -4,20 +4,30 @@ Usage: ``isea-sim <experiment> --config <file> [--seed U64] [--trials N]
 [--out PATH] [--workers N] [--paper-scale] [--sweep V1,V2,...]
 [--pipelines P1,P2,...]``.  Exit codes: 0 on success,
 2 for configuration problems, 3 for numerical failures.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless the caller
+set it, before numpy or scipy loads: their OpenBLAS builds read it once, at
+load, and then start no helper threads, whose spinning would compete with
+the import and the single-threaded trial loops.  A caller's value wins.
+The thread count changes no result.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from ..errors import ConfigError, InfeasibleAccessError, NumericalError
-from ..inference import PIPELINES
-from ..scenario import load_config
-from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
+# numpy and scipy load below, after the thread count is set
+import numpy as np  # noqa: E402
+
+from ..errors import ConfigError, InfeasibleAccessError, NumericalError  # noqa: E402
+from ..inference import PIPELINES  # noqa: E402
+from ..scenario import load_config  # noqa: E402
+from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -107,7 +107,12 @@ class ExperimentSpec:
             )
         simulated = {}
         for value in values:
-            point = record.config_at(cfg, value)
+            try:
+                point = record.config_at(cfg, value)
+                size = _point_bytes(point, pipelines if record.run is _simulation_point else ())
+            except OverflowError:  # a count beyond any float
+                message = f"{self.experiment}: a count is too large to size its arrays"
+                raise ConfigError(message) from None
             K, N = point.num_sensors, point.num_antennas
             if point in simulated:
                 raise ConfigError(
@@ -115,7 +120,6 @@ class ExperimentSpec:
                     f"simulate K={K}, N={N}, transmit_snr_db={point.transmit_snr_db:g}"
                 )
             simulated[point] = value
-            size = _point_bytes(point, pipelines if record.run is _simulation_point else ())
             if size > _MAX_POINT_BYTES:
                 raise ConfigError(
                     f"{self.experiment} at K={K:g}, N={N:g} needs {size / 2**30:.3g} GiB of "

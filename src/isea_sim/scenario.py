@@ -105,7 +105,7 @@ def parse_config_text(text):
             values[key] = parse(value)
         except ValueError:
             raise ConfigError(f"line {lineno}: {key} expects {expected}, got {value!r}") from None
-        if not np.isfinite(float(values[key])):
+        if parse is float and not np.isfinite(values[key]):
             raise ConfigError(f"line {lineno}: {key} must be finite")
     return ScenarioConfig(**values)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special
 
 from .errors import NumericalError
 
@@ -172,6 +171,8 @@ def exp_integral_e1_scaled(x):
     if not x > 0:
         raise ValueError("E1 requires x > 0")
     if x < 700.0:
+        import scipy.special  # on use, so importing theory does not load it
+
         return float(np.exp(x) * scipy.special.exp1(x))
     y = 1.0 / x
     return sum((-1) ** n * math.factorial(n) * y ** (n + 1) for n in range(7))
@@ -200,6 +201,8 @@ def zf_norm_cdf(num_antennas, num_sensors):
     m = num_antennas - num_sensors + 1
     if m < 1:
         raise ValueError("requires num_antennas >= num_sensors")
+
+    import scipy.special  # on use, as in exp_integral_e1_scaled
 
     def cdf(x):
         x = np.asarray(x, dtype=float)

@@ -656,6 +656,13 @@ def test_cli_rejects_empty_sweep(tmp_path, capsys):
          "covariance inverse fails the identity check"),
         (["sweep-k", "--sweep", "2,1e12"], "", "above the 2 GiB limit"),
         (["sweep-n", "--sweep", "1e12"], "", "above the 2 GiB limit"),
+        # counts beyond any float: in the config, and through --trials for a
+        # trial experiment and a channel-only one
+        (["sweep-n", "--sweep", "12"], ("mc_trials = 200", "mc_trials = " + "9" * 400),
+         "a count is too large to size its arrays"),
+        (["sweep-n", "--sweep", "12", "--trials", "9" * 400], "",
+         "a count is too large to size its arrays"),
+        (["crossing", "--trials", "9" * 400], "", "a count is too large to size its arrays"),
     ],
 )
 def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message):

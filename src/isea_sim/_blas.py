@@ -1,4 +1,5 @@
-"""One OpenBLAS thread for the library's LAPACK-heavy loops.
+"""One OpenBLAS thread for the library's LAPACK-heavy loops, and the three
+LAPACK routines they call.
 
 numpy and scipy each ship their own OpenBLAS build, and each starts one
 thread per core.  The channel matrices here are at most a few hundred rows,
@@ -10,19 +11,32 @@ the same at any count.
 The CLI starts both builds at one thread through ``OPENBLAS_NUM_THREADS``
 (see ``harness.cli``), and there ``one_blas_thread`` finds nothing to
 change; it serves library callers, whose builds start at the default.
+
+``lapack_func`` gives the loops' three scipy LAPACK routines from scipy's
+f2py module, found by path as the OpenBLAS builds are: importing
+``scipy.linalg`` for them took two thirds of the CLI's start.  CPython
+initialises a single-phase extension once and hands later loads its
+function objects, so these are the very objects ``get_lapack_funcs`` gives.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.util
+import sys
 from contextlib import contextmanager
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 # symbol prefix and suffix of the thread-count entry points: numpy's ILP64
 # build exports scipy_openblas_set_num_threads64_, scipy's build
 # scipy_openblas_set_num_threads, and a plain OpenBLAS openblas_set_num_threads
 _NAME_FORMS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
+
+_FLAPACK = "scipy.linalg._flapack"
+# LAPACK routine prefix of each dtype the loops use, as scipy picks it
+_PREFIXES = {"D": "z", "d": "d"}  # complex128, float64
 
 
 @functools.cache
@@ -66,3 +80,28 @@ def one_blas_thread():
     finally:
         for set_, count in changed:
             set_(count)
+
+
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK module: the one ``scipy.linalg`` loaded, else
+    loaded here from its file and kept out of ``sys.modules``."""
+    import scipy
+
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        path = Path(scipy.__file__).resolve().parent / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}"
+        if not path.is_file():
+            raise ImportError(f"scipy's LAPACK module is missing: {path}")
+        spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # CPython files a single-phase extension in sys.modules as it loads it
+        sys.modules.pop(_FLAPACK, None)
+    return module
+
+
+def lapack_func(name, array):
+    """LAPACK routine ``name`` for ``array``'s dtype: the ``z`` routine for
+    complex128, the ``d`` one for float64, as ``get_lapack_funcs`` picks."""
+    return getattr(_flapack(), _PREFIXES[array.dtype.char] + name)

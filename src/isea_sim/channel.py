@@ -12,6 +12,8 @@ plus isotropic Gaussian noise of power 1/SNR, as receivers simulate them.
 Each statistic is one function of one draw or of a stack of draws
 (..., N, K), each row equal bit for bit to its draw taken alone, and runs
 at one BLAS thread; receivers and one-draw SNRs are one-row calls of them.
+The LAPACK routines beyond numpy's, heevr and trtri, are scipy's, looked up
+by ``_blas.lapack_func`` without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
-from ._blas import one_blas_thread
+from ._blas import lapack_func, one_blas_thread
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless
 
@@ -81,7 +82,7 @@ def _top_eigenpairs(G):
     if m <= _FULL_EIG_MAX:
         w, V = np.linalg.eigh(G)
         return w[:, -1], V[:, :, -1]
-    heevr, heevr_lwork = get_lapack_funcs(("heevr", "heevr_lwork"), (G,))
+    heevr, heevr_lwork = lapack_func("heevr", G), lapack_func("heevr_lwork", G)
     work = {k: int(v.real) for k, v in zip(("lwork", "lrwork", "liwork"), heevr_lwork(m, lower=1))}
     lam, V = np.empty(n), np.empty((n, m), dtype=G.dtype)
     for i, g in enumerate(G):
@@ -224,7 +225,7 @@ def _zf_diag(gram):
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise NumericalError("channel Gram matrix is singular") from None
-    trtri = get_lapack_funcs("trtri", (L,))
+    trtri = lapack_func("trtri", L)
     # each L^T is Fortran-ordered, so trtri inverts it in place: L becomes L^-1
     if any(trtri(u, lower=0, overwrite_c=1)[1] for u in L.reshape(-1, *gram.shape[-2:]).mT):
         raise NumericalError("channel Gram matrix is singular")

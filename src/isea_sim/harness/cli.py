@@ -10,16 +10,29 @@ set it, before numpy or scipy loads: their OpenBLAS builds read it once, at
 load, and then start no helper threads, whose spinning would compete with
 the import and the single-threaded trial loops.  A caller's value wins.
 The thread count changes no result.
+
+Where the C library has glibc's ``mallopt``, importing this module also
+keeps freed arrays in the heap: blocks under 32 MiB (the cap of glibc's own
+sliding threshold) come from the heap, not from mappings of their own, and
+its free top stays mapped up to 64 MiB.  Otherwise glibc hands the channel
+stage's temporaries (H, its conjugate transpose and the Grams, 160-640 KiB
+at K = 100) back after every stack, and the next faults them in again.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import os
 import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# mallopt(M_MMAP_THRESHOLD, ...), mallopt(M_TRIM_THRESHOLD, ...)
+if sys.platform == "linux" and hasattr(_libc := ctypes.CDLL(None), "mallopt"):
+    _libc.mallopt(-3, 32 << 20)
+    _libc.mallopt(-1, 64 << 20)
 
 # numpy and scipy load below, after the thread count is set
 import numpy as np  # noqa: E402
@@ -92,8 +105,8 @@ def main(argv=None):
         spec = ExperimentSpec(
             args.experiment,
             config,
-            sweep_values=_parse_sweep(args.sweep) if args.sweep else None,
-            pipelines=tuple(args.pipelines.split(",")) if args.pipelines else None,
+            sweep_values=None if args.sweep is None else _parse_sweep(args.sweep),
+            pipelines=None if args.pipelines is None else tuple(args.pipelines.split(",")),
             output_path=args.out or f"{args.experiment}.csv",
         )
         report = run_experiment(spec, workers=args.workers, paper_scale=args.paper_scale)

@@ -10,6 +10,7 @@ how trials are stacked, spread across workers or ordered.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily; here it counts as set-up)
 
 _MASK64 = (1 << 64) - 1
 

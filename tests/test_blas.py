@@ -1,4 +1,7 @@
-"""The one-OpenBLAS-thread block that the library's LAPACK loops run in."""
+"""The one-OpenBLAS-thread block that the library's LAPACK loops run in,
+and the lookup of their LAPACK routines."""
+
+import sys
 
 import numpy
 import pytest
@@ -101,14 +104,8 @@ def test_channel_kernels_take_one_thread_and_give_it_back(builds, monkeypatch):
 
         return call
 
-    lookup = channel.get_lapack_funcs
-
-    def recorded_lookup(names, arrays):
-        if isinstance(names, str):
-            return recording(names, lookup(names, arrays))
-        return [recording(name, fn) for name, fn in zip(names, lookup(names, arrays))]
-
-    monkeypatch.setattr(channel, "get_lapack_funcs", recorded_lookup)
+    lookup = channel.lapack_func
+    monkeypatch.setattr(channel, "lapack_func", lambda name, array: recording(name, lookup(name, array)))
     monkeypatch.setattr(numpy.linalg, "cholesky", recording("cholesky", numpy.linalg.cholesky))
     K = channel._FULL_EIG_MAX + 2  # the subset eigensolver's sizes
     rng = numpy.random.default_rng(0)
@@ -123,3 +120,11 @@ def test_channel_kernels_take_one_thread_and_give_it_back(builds, monkeypatch):
         assert {name for name, _ in seen} == names
         assert all(counts == [1, 1] for _, counts in seen)
         assert _counts(builds) == [2, 3]
+
+
+def test_lapack_lookup_names_a_missing_module(monkeypatch, tmp_path):
+    # scipy seems to live where no _flapack module sits in its linalg directory
+    monkeypatch.delitem(sys.modules, _blas._FLAPACK, raising=False)
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    with pytest.raises(ImportError, match="LAPACK module is missing: .*/scipy/linalg/_flapack"):
+        _blas._flapack.__wrapped__()  # past the cache

@@ -663,6 +663,9 @@ def test_cli_rejects_empty_sweep(tmp_path, capsys):
         (["sweep-n", "--sweep", "12", "--trials", "9" * 400], "",
          "a count is too large to size its arrays"),
         (["crossing", "--trials", "9" * 400], "", "a count is too large to size its arrays"),
+        # empty values are given, not absent: no default grid or pipelines
+        (["aloss", "--sweep", ""], "", "--sweep produced an empty grid"),
+        (["sweep-k", "--sweep", "1", "--pipelines", ""], "", "pipelines must be a nonempty subset"),
     ],
 )
 def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message):

@@ -5,6 +5,7 @@ and scipy.  Each child's environment is built here, without any
 ``*_NUM_THREADS`` variable this process may carry.
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -47,6 +48,83 @@ def test_importing_the_cli_leaves_scipy_special_unloaded():
         "print(json.dumps(['numpy' in sys.modules, 'scipy.special' in sys.modules]))"
     )
     assert loaded == [True, False]
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    loaded = _child(
+        "import json, sys; import isea_sim.harness.cli\n"
+        "print(json.dumps('scipy.linalg' in sys.modules))"
+    )
+    assert loaded is False
+
+
+# runs the CLI in-process at K = 10 > _FULL_EIG_MAX and N >= K, recording
+# each LAPACK routine the channel layer looks up
+_CLI_RUN = (
+    "import json, sys\n"
+    "{first}"
+    "from isea_sim import channel\n"
+    "from isea_sim.harness import cli\n"
+    "seen, lookup = set(), channel.lapack_func\n"
+    "channel.lapack_func = lambda name, array: seen.add(name) or lookup(name, array)\n"
+    "code = cli.main({args!r})\n"
+    "print(json.dumps([code, sorted(seen), 'scipy.linalg' in sys.modules]))"
+)
+
+
+@pytest.mark.parametrize("experiment, sweep", [("sweep-n", "10,12"), ("crossing", "1,1.5")])
+def test_cli_runs_leave_scipy_linalg_unloaded_and_write_its_bytes(tmp_path, experiment, sweep):
+    config = tmp_path / "scenario.cfg"
+    config.write_text("num_sensors = 10\nmc_trials = 40\n", encoding="utf-8")
+    written = {}
+    for first in ("", "import scipy.linalg\n"):
+        out = tmp_path / f"{experiment}-{bool(first)}.csv"
+        args = [experiment, "--config", str(config), "--sweep", sweep, "--out", str(out)]
+        code, seen, loaded = _child(_CLI_RUN.format(first=first, args=args))
+        assert (code, seen, loaded) == (0, ["heevr", "heevr_lwork", "trtri"], bool(first))
+        written[first] = out.read_bytes()
+    assert written[""] == written["import scipy.linalg\n"]
+
+
+@pytest.mark.parametrize("scipy_first", [False, True])
+def test_lapack_func_gives_scipys_own_routines(scipy_first):
+    first = "import scipy.linalg\n" if scipy_first else "lapack_func('trtri', np.zeros(1))\n"
+    checked = _child(
+        "import json, sys; import numpy as np; from isea_sim._blas import lapack_func\n"
+        + first
+        + "registered = 'scipy.linalg._flapack' in sys.modules\n"
+        "import scipy.linalg\n"
+        "routines = {complex: ('heevr', 'heevr_lwork', 'trtri'), float: ('syevr', 'trtri')}\n"
+        "same = [lapack_func(n, a) is scipy.linalg.get_lapack_funcs(n, (a,))\n"
+        "        for dtype, names in routines.items() for a in [np.ones((2, 2), dtype)] for n in names]\n"
+        "print(json.dumps([registered, same]))"
+    )
+    assert checked == [scipy_first, [True] * 5]
+
+
+def _has_mallinfo2():
+    return sys.platform == "linux" and hasattr(ctypes.CDLL(None), "mallinfo2")
+
+
+# glibc's mallinfo2().hblkhd, the bytes in blocks with mappings of their own,
+# grown by a 1 MiB and a 16 MiB array, each touched
+_MAPPED = (
+    "import ctypes, json; import numpy as np\n"
+    "names = 'arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost'\n"
+    "Info = type('Info', (ctypes.Structure,), {'_fields_': [(n, ctypes.c_size_t) for n in names.split()]})\n"
+    "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
+    "mallinfo2.restype = Info\n"
+    "before = mallinfo2().hblkhd\n"
+    "arrays = [np.ones(size >> 3) for size in (1 << 20, 16 << 20)]\n"
+    "print(json.dumps(mallinfo2().hblkhd - before))"
+)
+
+
+@pytest.mark.skipif(not _has_mallinfo2(), reason="the C library has no mallinfo2")
+@pytest.mark.parametrize("module, mapped", [("isea_sim.harness.cli", False), ("isea_sim.inference", True)])
+def test_only_the_cli_keeps_large_arrays_in_the_heap(module, mapped):
+    grown = _child(f"import {module}\n" + _MAPPED)
+    assert (grown > 0) == mapped
 
 
 def test_each_export_is_its_submodules_object():

@@ -57,7 +57,7 @@ def _build_parser():
     parser.add_argument("--seed", type=int, default=None, help="override master_seed")
     parser.add_argument("--trials", type=int, default=None, help="override mc_trials")
     parser.add_argument("--out", default="", help="CSV output path (default <experiment>.csv)")
-    workers = "processes running trials; snr-dist, bnorm-dist, crossing and aloss use one"
+    workers = "processes running the stacks of each sweep cell (default 1), at most the CPUs"
     parser.add_argument("--workers", type=int, default=1, help=workers)
     parser.add_argument(
         "--paper-scale",
@@ -78,18 +78,17 @@ def _build_parser():
 
 
 def _parse_sweep(text):
+    tokens = [token.strip() for token in text.split(",")]
+    if not any(tokens):
+        raise ConfigError("--sweep produced an empty grid")
     values = []
-    for token in text.split(","):
-        token = token.strip()
+    for token in tokens:
         if not token:
-            continue
+            raise ConfigError(f"--sweep {text!r} has an empty value")
         try:
-            number = float(token)
+            values.append(float(token))
         except ValueError:
             raise ConfigError(f"--sweep value {token!r} is not a number") from None
-        values.append(number)
-    if not values:
-        raise ConfigError("--sweep produced an empty grid")
     return tuple(values)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Callable
@@ -30,7 +31,7 @@ from ..channel import (
     zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
-from ..inference import PIPELINES, _row_floats, _stderr, run_trials
+from ..inference import PIPELINES, _row_floats, _stderr, run_stacks, run_trials
 from ..scenario import ScenarioConfig, build_scenario
 from ..streams import trial_streams
 from ..theory import (
@@ -223,13 +224,14 @@ def _fmt(value):
 def run_experiment(spec, workers=1, paper_scale=False):
     """Execute an experiment spec, write its CSV, and return the report.
 
-    ``workers`` parallelizes Monte Carlo trials, and the channel-only
-    experiments run in one process; results are bit-identical for every
-    worker count.  ``paper_scale`` enlarges grids or trial counts toward
-    publication scale instead of desk scale: an experiment whose default
-    grid is the config's own count also sweeps the doubles of its values,
-    every other one runs ten times the draws.  A grid or output path that
-    cannot be used raises :class:`ConfigError` before the first point runs.
+    ``workers`` processes run the stacks of each cell, a pipeline's trials
+    at a point or a channel-only point's draws, by :func:`run_stacks`;
+    results are bit-identical for every worker count.  ``paper_scale``
+    enlarges grids or trial counts toward publication scale instead of desk
+    scale: an experiment whose default grid is the config's own count also
+    sweeps the doubles of its values, every other one runs ten times the
+    draws.  A grid or output path that cannot be used raises
+    :class:`ConfigError` before the first point runs.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -313,34 +315,27 @@ def _simulation_point(spec, point, value, scen, trials, workers):
     return [rows[pipeline] for pipeline in spec.pipelines], ()
 
 
-def _draw_streams(spec, point, draws):
-    """One counter-based generator per draw of a sweep point, each valid
-    until the next is taken."""
+def _point_streams(spec, point):
+    """The ``streams(a, b)`` factory of the draws of a channel-only point."""
     stream_id = _EXPERIMENTS[spec.experiment].stream_id
-    return trial_streams(spec.scenario.master_seed, stream_id, point, 0, draws)
+    return partial(trial_streams, spec.scenario.master_seed, stream_id, point)
 
 
-def _per_draw(stat, num_antennas, num_sensors, rngs, draws):
-    """``stat`` of one channel matrix H for each of the first ``draws``
-    generators in ``rngs``, one row per draw of one preallocated array.
+def _channel_stack(stat, streams, num_antennas, num_sensors, a, b):
+    """``stat`` of draws [a, b), one generator each; the tracer rebinds ``sample_channel``."""
+    z = np.empty((b - a, 2, num_antennas, num_sensors))
+    for row, rng in zip(z, streams(a, b)):
+        rng.standard_normal(out=row)
+    return stat(sample_channel(z))
 
-    This is the harness's only channel loop.  Each H is drawn from its own
-    generator, in order, and ``stat`` runs on stacks (n, N, K) of
-    :func:`rows_per_stack` of them, returning one row per draw.  The
-    benchmark's tracer rebinds ``sample_channel`` in this module, so it is
-    called through its module-level name.
-    """
-    step = rows_per_stack(2 * num_antennas * num_sensors)
-    z = np.empty((min(step, draws), 2, num_antennas, num_sensors))
-    rngs, out = iter(rngs), None
-    for a in range(0, draws, step):
-        n = min(step, draws - a)
-        for row, rng in zip(z[:n], rngs):
-            rng.standard_normal(out=row)
-        part = stat(sample_channel(z[:n]))
-        if out is None:
-            out = np.empty((draws, *part.shape[1:]), part.dtype)
-        out[a : a + n] = part
+
+def _per_draw(stat, fields, num_antennas, num_sensors, streams, draws, workers=1):
+    """The ``fields`` arrays ``stat`` returns as a tuple for stacks of ``draws``
+    channels, by :func:`run_stacks`; at one worker the stacks run in order,
+    so a ``streams`` handing out one generator draws from it in sequence."""
+    out = [np.empty(draws) for _ in range(fields)]
+    stack = partial(_channel_stack, stat, streams, num_antennas, num_sensors)
+    run_stacks(stack, draws, 2 * num_antennas * num_sensors, out, workers)
     return out
 
 
@@ -371,26 +366,38 @@ def _aloss_config(cfg, gamma_lin):
     return dataclasses.replace(cfg, transmit_snr_db=10.0 * np.log10(gamma_lin))
 
 
-def _alignment_ks(num_antennas, num_sensors, rngs, draws):
-    """K-scaled weakest alignments of one channel for each of the first
-    ``draws`` generators in ``rngs`` and their KS distance to the limiting
-    exponential law at omega = N/K.  Returns ``(ks, zeta)``."""
-    zeta = num_sensors * _per_draw(min_beam_alignment, num_antennas, num_sensors, rngs, draws)
-    return ks_statistic(zeta, scaled_alignment_cdf(num_antennas / num_sensors)), zeta
+def _weakest_alignment(H):
+    return (min_beam_alignment(H),)
 
 
-def _zf_norm_ks(scenario, rngs, draws):
-    """The first zero-forcing beam norm ``||b_1||^2`` and gamma_aoa of one
-    channel for each of the first ``draws`` generators in ``rngs``, two
-    floats of a draw's K norms, and the KS distance of the norms to the
-    scaled inverse chi-square law.  Returns ``(ks, first_norms, snrs)``."""
+def _first_norm_and_snr(scenario, H):
+    """Each draw's first zero-forcing norm ``||b_1||^2`` and gamma_aoa."""
+    norms = zf_norms_sq(H)
+    return norms[:, 0], orth_snrs(norms, scenario)
+
+
+def _loss_and_snr(scenario, H):
+    """Each draw's loss factor and gamma_air; a degenerate draw
+    (gamma_air = 0) passes nothing and loses everything."""
+    snrs = air_snrs(H, scenario)[0]
+    samples, usable = np.zeros(snrs.shape), snrs > 0
+    samples[usable] = channel_loss_factor(scenario, snrs[usable])
+    return samples, snrs
+
+
+def _alignment_ks(N, K, streams, draws, workers=1):
+    """K-scaled weakest alignments of ``draws`` N x K channels from ``streams``
+    and their KS distance to the limit law at omega = N/K: ``(ks, zeta)``."""
+    zeta = K * _per_draw(_weakest_alignment, 1, N, K, streams, draws, workers)[0]
+    return ks_statistic(zeta, scaled_alignment_cdf(N / K)), zeta
+
+
+def _zf_norm_ks(scenario, streams, draws, workers=1):
+    """First zero-forcing norms ``||b_1||^2``, gamma_aoa and the norms' KS distance to
+    the scaled inverse chi-square law, of ``draws`` channels: ``(ks, first, snrs)``."""
     N, K = scenario.num_antennas, scenario.num_sensors
-
-    def first_and_snr(H):
-        norms = zf_norms_sq(H)
-        return np.column_stack((norms[:, 0], orth_snrs(norms, scenario)))
-
-    first, snrs = _per_draw(first_and_snr, N, K, rngs, draws).T
+    stat = partial(_first_norm_and_snr, scenario)
+    first, snrs = _per_draw(stat, 2, N, K, streams, draws, workers)
     return ks_statistic(first, zf_norm_cdf(N, K)), first, snrs
 
 
@@ -398,7 +405,7 @@ def _snr_dist_point(spec, point, value, scen, draws, workers):
     """K-scaled weakest alignment at N = round(omega K), omega the config's N/K."""
     K, N = scen.num_sensors, scen.num_antennas
     ratio = N / K  # the simulated ratio, which the row and note report
-    ks, zeta = _alignment_ks(N, K, _draw_streams(spec, point, draws), draws)
+    ks, zeta = _alignment_ks(N, K, _point_streams(spec, point), draws, workers)
     scale = 2.0 * K * scen.transmit_snr / scen.nu_sq
     row = SweepRow(
         sweep_value=K,
@@ -415,7 +422,7 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
     if N < K:
         row = SweepRow(sweep_value=N, pipeline="orthogonal", feasible=INFEASIBLE)
         return [row], [f"N={N}: infeasible (K={K})"]
-    ks, first, snrs = _zf_norm_ks(scen, _draw_streams(spec, point, draws), draws)
+    ks, first, snrs = _zf_norm_ks(scen, _point_streams(spec, point), draws, workers)
     prediction = scen.transmit_snr * K * (N - K) / scen.nu_sq if N > K else None
     row = SweepRow(
         sweep_value=N,
@@ -430,9 +437,8 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     """How often over-the-air access beats orthogonal access at N = round(omega K)."""
     K, N = scen.num_sensors, scen.num_antennas
     omega = N / K  # the simulated ratio, which the rows and notes report
-
-    streams = _draw_streams(spec, point, draws)
-    air, aoa = _per_draw(lambda H: np.column_stack(snr_pairs(H, scen)), N, K, streams, draws).T
+    stat, streams = partial(snr_pairs, scenario=scen), _point_streams(spec, point)
+    air, aoa = _per_draw(stat, 2, N, K, streams, draws, workers)
     best, wins = best_access(air, aoa)
     prob, prob_se = float(wins.mean()), _stderr(wins.astype(float))
     predicted = crossing_probability(K, omega)
@@ -458,17 +464,8 @@ def _crossing_point(spec, point, value, scen, draws, workers):
 def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
     """Channel-induced loss factor at the linear transmit SNR ``gamma_lin``."""
     K, N = scen.num_sensors, scen.num_antennas
-
-    def loss_and_snr(H):
-        snrs = air_snrs(H, scen)[0]
-        # A degenerate draw (gamma_air = 0) passes nothing and loses everything.
-        samples = np.zeros(snrs.shape)
-        usable = snrs > 0
-        samples[usable] = channel_loss_factor(scen, snrs[usable])
-        return np.column_stack((samples, snrs))
-
-    streams = _draw_streams(spec, point, draws)
-    samples, snrs = _per_draw(loss_and_snr, N, K, streams, draws).T
+    stat, streams = partial(_loss_and_snr, scen), _point_streams(spec, point)
+    samples, snrs = _per_draw(stat, 2, N, K, streams, draws, workers)
     e1_form, log_form = expected_loss_factor_bounds(expected_loss_r(scen, N / K))
     row = SweepRow(
         sweep_value=gamma_lin,

@@ -229,13 +229,10 @@ def run_trials(
     (master_seed, stream_id, point_index, trial_index), so the result is
     independent of ``workers`` and of scheduling, and pipelines evaluated
     with the same stream coordinates see identical labels, features, and
-    channels (paired comparisons).  Trials run in stacks of
-    :func:`rows_per_stack` rows of a trial's normals, each drawn and
-    classified in one step.
-    With ``workers`` bounded by the usable CPUs and the stacks, the calling
-    process runs every ``workers``-th stack and a pool of workers - 1
-    forked processes the rest.  The returned :class:`TrialBatch` carries
-    the uncertainty and accuracy estimates with their standard errors.
+    channels (paired comparisons).  :func:`run_stacks` runs the trials on
+    ``workers`` processes in stacks, each drawn and classified in one step.
+    The returned :class:`TrialBatch` carries the uncertainty and accuracy
+    estimates with their standard errors.
     With ``keep_draws`` an adaptive run also returns its trials'
     :class:`TrialDraws`.  Given them as ``draws``, an aircomp or orthogonal
     run draws nothing: it receives each kept trial at its own SNR of the
@@ -249,21 +246,12 @@ def run_trials(
         raise ValueError("only adaptive runs form both SNRs of a trial to keep")
     if draws is not None and pipeline not in ("aircomp", "orthogonal"):
         raise ValueError("only aircomp and orthogonal runs take kept draws")
-    M = scenario.feature_dim
+    M, N, K = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
     if draws is not None and draws.rows.shape != (trials, 2 * M + 2):
         raise ValueError("draws must hold one row of 2 M + 2 floats per trial")
-    if pipeline == "orthogonal" and scenario.num_antennas < scenario.num_sensors:
-        raise InfeasibleAccessError(
-            "orthogonal access infeasible: "
-            f"N={scenario.num_antennas} < K={scenario.num_sensors}"
-        )
+    if pipeline == "orthogonal" and N < K:
+        raise InfeasibleAccessError(f"orthogonal access infeasible: N={N} < K={K}")
     stack = partial(_run_stack, scenario, pipeline, stream_id, point_index, keep_draws, draws)
-    dims = scenario.feature_dim, scenario.num_antennas, scenario.num_sensors
-    step = rows_per_stack(_row_floats(pipeline, *dims))
-    spans = [(a, min(a + step, trials)) for a in range(0, trials, step)]
-    # a fork pool starts all its workers at once: no more than CPUs or stacks
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, cpus or 1, len(spans))
     # entropies, labels, predictions and effective SNRs, each its own array,
     # and the kept rows; a run given draws shares their labels
     out = [np.empty(trials, dtype) for dtype in (float, np.int64, np.int64, float)]
@@ -271,6 +259,22 @@ def run_trials(
         out[1] = draws.labels
     if keep_draws:
         out.append(np.empty((trials, 2 * M + 2)))
+    run_stacks(stack, trials, _row_floats(pipeline, M, N, K), out, workers)
+    return TrialBatch(*out[:4], TrialDraws(out[1], out[4]) if keep_draws else None)
+
+
+def run_stacks(stack, count, row_floats, out, workers=1):
+    """Fill the arrays ``out`` with the parts ``stack(a, b)`` returns for the
+    items [a, b) of ``count``, in stacks of :func:`rows_per_stack` rows of
+    ``row_floats``.  At ``workers``, bounded by the usable CPUs and stacks,
+    the caller runs every ``workers``-th stack and one fork pool the rest."""
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    step = rows_per_stack(row_floats)
+    spans = [(a, min(a + step, count)) for a in range(0, count, step)]
+    # a fork pool starts all its workers at once: no more than CPUs or stacks
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1, len(spans))
 
     def keep(a, b, parts):
         for field, part in zip(out, parts):
@@ -280,17 +284,15 @@ def run_trials(
         if workers <= 1:
             for a, b in spans:
                 keep(a, b, stack(a, b))
-        else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # the calling process runs every workers-th stack and the pool the
-            # rest, in one message per worker: four cost mc-access 12 % of its time
-            pooled = [span for i, span in enumerate(spans) if i % workers]
-            batch = -(-len(pooled) // (workers - 1))
-            with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-                theirs = pool.map(stack, *zip(*pooled), chunksize=batch)
-                for a, b in spans[::workers]:
-                    keep(a, b, stack(a, b))
-                for (a, b), parts in zip(pooled, theirs):
-                    keep(a, b, parts)
-    return TrialBatch(*out[:4], TrialDraws(out[1], out[4]) if keep_draws else None)
+            return
+        from concurrent.futures import ProcessPoolExecutor
+        # the calling process runs every workers-th stack and the pool the
+        # rest, in one message per worker: four cost mc-access 12 % of its time
+        pooled = [span for i, span in enumerate(spans) if i % workers]
+        batch = -(-len(pooled) // (workers - 1))
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            theirs = pool.map(stack, *zip(*pooled), chunksize=batch)
+            for a, b in spans[::workers]:
+                keep(a, b, stack(a, b))
+            for (a, b), parts in zip(pooled, theirs):
+                keep(a, b, parts)

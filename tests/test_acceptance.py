@@ -10,6 +10,7 @@ import dataclasses
 import os
 import time
 from contextlib import contextmanager
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -29,6 +30,12 @@ from isea_sim.harness.experiments import (
 from isea_sim.streams import substream
 
 MASTER_SEED = 20240
+
+
+def in_order(rng):
+    """A ``streams(a, b)`` factory that hands out ``rng`` for every draw:
+    the in-process stacks of one worker draw from it in sequence."""
+    return lambda a, b: repeat(rng, b - a)
 
 
 @contextmanager
@@ -144,7 +151,7 @@ def test_03_exponential_uncertainty_decay():
 def test_04_scaled_snr_limit_law():
     # the K-scaled weakest alignment follows its limiting exponential law
     with criterion(4, "weakest-alignment limit law", budget_s=180):
-        ks, _ = _alignment_ks(100, 100, repeat(substream(MASTER_SEED, 13)), 10000)
+        ks, _ = _alignment_ks(100, 100, in_order(substream(MASTER_SEED, 13)), 10000)
         assert ks == pytest.approx(0.0271, abs=2e-4)
         assert ks < 0.03
 
@@ -157,7 +164,7 @@ def test_04_scaled_snr_limit_law_paper_scale():
     # doubling K tightens the fit to the limit law
     with criterion(4, "weakest-alignment limit law at K=200"):
         rng = substream(MASTER_SEED, 13, point_index=1)
-        ks, _ = _alignment_ks(200, 200, repeat(rng), 20000)
+        ks, _ = _alignment_ks(200, 200, in_order(rng), 20000)
         assert ks < 0.02
         assert ks < 0.0271  # tighter than the K=100 distance above
 
@@ -166,7 +173,7 @@ def test_05_zf_beam_norm_law():
     # zero-forcing beam norms follow the scaled inverse chi-square law
     with criterion(5, "zero-forcing norm law", budget_s=30):
         scen = iz.build_scenario(_config(num_sensors=10, num_antennas=16))
-        ks, first, _ = _zf_norm_ks(scen, repeat(substream(MASTER_SEED, 14)), 10000)
+        ks, first, _ = _zf_norm_ks(scen, in_order(substream(MASTER_SEED, 14)), 10000)
         assert ks == pytest.approx(0.0089, abs=2e-4)
         assert ks < 0.02
         assert first.mean() == pytest.approx(1.0 / 6.0, rel=0.05)  # observed 0.40% off
@@ -249,8 +256,7 @@ def test_08_crossing_probability_formula():
         sc = iz.build_scenario(_config(num_sensors=K, num_antennas=N))
         rng = substream(MASTER_SEED, 16)
 
-        pairs = _per_draw(lambda H: np.column_stack(snr_pairs(H, sc)), N, K, repeat(rng), 10000)
-        air, aoa = pairs.T
+        air, aoa = _per_draw(partial(snr_pairs, scenario=sc), 2, N, K, in_order(rng), 10000)
         empirical = np.mean(iz.best_access(air, aoa)[1])
         predicted = theory.crossing_probability(K, omega)
         assert abs(empirical - predicted) < 0.05  # observed 0.0185

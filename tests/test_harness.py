@@ -53,6 +53,12 @@ def _cfg(**overrides):
     return iz.ScenarioConfig(**{"mc_trials": 500, **overrides})
 
 
+def in_order(rng):
+    """A ``streams(a, b)`` factory that hands out ``rng`` for every draw:
+    the in-process stacks of one worker draw from it in sequence."""
+    return lambda a, b: repeat(rng, b - a)
+
+
 @pytest.fixture(scope="module")
 def sweep_k_report(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweepk") / "sweep-k.csv"
@@ -174,6 +180,28 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
     assert texts[0] == texts[1]
 
 
+@pytest.mark.parametrize(
+    "experiment, sweep",
+    [("snr-dist", (10, 12)), ("bnorm-dist", (10, 16)), ("crossing", (1.0, 1.5)), ("aloss", (1, 10))],
+)
+def test_channel_only_csv_bytes_do_not_depend_on_workers(monkeypatch, experiment, sweep):
+    # 300 draws at N K = 100 to 196 are two to four stacks of 83 to 163, so
+    # at two workers on two usable CPUs every point forks a pool
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = iz.parse_config_text(CONFIG_TEXT.replace("mc_trials = 200", "mc_trials = 300"))
+    spec = ExperimentSpec(experiment, cfg, output_path=None, sweep_values=sweep)
+    one, two = (run_experiment(spec, workers=w).to_csv_text() for w in (1, 2))
+    assert one == two
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_per_draw_rejects_a_worker_count_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        experiments._per_draw(
+            experiments._weakest_alignment, 1, 4, 3, in_order(substream(1, 0)), 10, workers
+        )
+
+
 # ---------------------------------------------------------------------------
 # distribution checks
 
@@ -181,16 +209,16 @@ def test_worker_count_does_not_change_csv_bytes(tmp_path):
 def test_snr_distribution_check_rejects_small_sensor_count():
     # K = 5 is far from the large-system limit; the check must say so
     # rather than quietly passing.
-    ks, _ = _alignment_ks(5, 5, repeat(substream(20240, 25)), 1000)
+    ks, _ = _alignment_ks(5, 5, in_order(substream(20240, 25)), 1000)
     assert ks == pytest.approx(0.1478, abs=2e-4)
     assert not ks < 0.03
     with pytest.raises(ValueError):
-        _alignment_ks(5, 5, repeat(substream(20240, 25)), 5)
+        _alignment_ks(5, 5, in_order(substream(20240, 25)), 5)
 
 
 def test_zf_norm_check_runs_and_reports(tmp_path):
     scen = iz.build_scenario(_cfg(num_sensors=10, num_antennas=16))
-    ks, first, snrs = _zf_norm_ks(scen, repeat(substream(20240, 26)), 1000)
+    ks, first, snrs = _zf_norm_ks(scen, in_order(substream(20240, 26)), 1000)
     assert 0.0 < ks < 0.1
     assert first.shape == snrs.shape == (1000,)
     assert first.mean() == pytest.approx(1.0 / 6.0, rel=0.15)
@@ -666,6 +694,7 @@ def test_cli_rejects_empty_sweep(tmp_path, capsys):
         # empty values are given, not absent: no default grid or pipelines
         (["aloss", "--sweep", ""], "", "--sweep produced an empty grid"),
         (["sweep-k", "--sweep", "1", "--pipelines", ""], "", "pipelines must be a nonempty subset"),
+        (["aloss", "--sweep", "2,,3"], "", "--sweep '2,,3' has an empty value"),
     ],
 )
 def test_cli_input_errors_exit_two(tmp_path, capsys, args, config_extra, message):
@@ -902,7 +931,8 @@ def test_crossing_snrs_are_the_channel_statistics_taken_alone():
     assert (scen.num_antennas, scen.num_sensors) == (24, 16)
 
     def per_draw(stat):
-        return experiments._per_draw(stat, 24, 16, experiments._draw_streams(spec, 0, 40), 40)
+        streams = experiments._point_streams(spec, 0)
+        return experiments._per_draw(lambda H: (stat(H),), 1, 24, 16, streams, 40)[0]
 
     air = per_draw(lambda H: iz.air_snrs(H, scen)[0])
     aoa = per_draw(lambda H: iz.orth_snrs(iz.zf_norms_sq(H), scen))
@@ -1115,8 +1145,8 @@ def test_harness_binds_no_private_name_of_channel():
 
 
 def _traced_span_counts(tmp_path, name, cli_args, cpus=None):
-    """Run one CLI call under ``bench/child.py --trace``, where run_trials
-    sees ``cpus`` usable CPUs if given; count its spans by name."""
+    """Run one CLI call under ``bench/child.py --trace``, where the stack
+    runner sees ``cpus`` usable CPUs if given; count its spans by name."""
     child = Path(__file__).resolve().parents[1] / "bench" / "child.py"
     spans = tmp_path / f"{name}.spans.tsv"
     # run child.py as ``python3 child.py`` would, with sched_getaffinity replaced
@@ -1230,3 +1260,19 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
         assert counts["streams.substream"] == 2 * points + 2, experiment
         for name in ("channel.air_snr", "channel.orth_snr"):
             assert counts[name] == 0, (experiment, name)
+
+
+def test_channel_only_point_forks_one_pool(tmp_path):
+    # 300 draws at K = 10: at two workers on two usable CPUs each point of
+    # two or more stacks forks one pool; a point of one stack (N K <= 54,
+    # as crossing's N = 5 and snr-dist's K = N = 2) or of no draws
+    # (bnorm-dist's infeasible N = 8) forks none, nor does one worker
+    config = _write_config(tmp_path, CONFIG_TEXT.replace("mc_trials = 200", "mc_trials = 300"))
+    for experiment, sweep in (
+        ("crossing", "0.5,4"), ("snr-dist", "2,10"), ("bnorm-dist", "8,12"), ("aloss", "1"),
+    ):
+        args = [experiment, "--config", str(config), "--sweep", sweep, "--workers", "2"]
+        counts = _traced_span_counts(tmp_path, experiment, args, cpus=2)
+        assert counts["inference.pool"] == 1, experiment
+    args = ["crossing", "--config", str(config), "--sweep", "0.5,4", "--workers", "1"]
+    assert _traced_span_counts(tmp_path, "crossing-1", args, cpus=2)["inference.pool"] == 0

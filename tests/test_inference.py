@@ -323,6 +323,13 @@ def test_unknown_pipeline_rejected():
         iz.run_trials(scen, "telepathy", 200)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_count_below_one_rejected(workers):
+    scen = iz.build_scenario(_config())
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        iz.run_trials(scen, "aircomp", 10, workers=workers)
+
+
 def test_orthogonal_trials_infeasible_without_antennas():
     scen = iz.build_scenario(_config(num_antennas=4))
     with pytest.raises(iz.InfeasibleAccessError):

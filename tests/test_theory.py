@@ -15,7 +15,7 @@ from scipy import integrate, special
 
 import isea_sim as iz
 from isea_sim import theory
-from isea_sim.harness.experiments import _per_draw
+from isea_sim.harness.experiments import _per_draw, _weakest_alignment
 from isea_sim.streams import substream
 
 
@@ -585,7 +585,8 @@ def test_min_alignment_mean_near_asymptotic_scale():
     # is moderately large; omega = 4 keeps the hard-edge bias small.
     for point, (K, N), seen in ((0, (50, 200), 1.0033), (1, (200, 800), 0.9599)):
         rng = substream(20240, 21, point_index=point)
-        draws = K * _per_draw(iz.min_beam_alignment, N, K, repeat(rng), 1000)
+        (align,) = _per_draw(_weakest_alignment, 1, N, K, lambda a, b: repeat(rng, b - a), 1000)
+        draws = K * align
         ratio = draws.mean() / (1.0 + np.sqrt(N / K)) ** 2
         assert ratio == pytest.approx(seen, abs=2e-4)
         assert abs(ratio - 1.0) < 0.10

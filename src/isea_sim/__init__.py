@@ -15,9 +15,8 @@ import importlib
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
-    "channel": "AggregationOutcome adaptive_receive air_snrs aircomp_effective_snr "
-    "aircomp_receive best_access min_beam_alignment orth_snrs orthogonal_effective_snr "
-    "orthogonal_receive principal_pair sample_channel zf_norms_sq",
+    "channel": "air_snrs best_access min_beam_alignment orth_snrs principal_pair "
+    "sample_channel zf_norms_sq",
     "errors": "ConfigError InfeasibleAccessError NumericalError",
     "feature_model": "aggregate_noiseless sample_label sample_local_features",
     "inference": "PIPELINES TrialBatch TrialRecord run_trials simulate_trial",

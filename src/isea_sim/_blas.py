@@ -12,11 +12,12 @@ The CLI starts both builds at one thread through ``OPENBLAS_NUM_THREADS``
 (see ``harness.cli``), and there ``one_blas_thread`` finds nothing to
 change; it serves library callers, whose builds start at the default.
 
-``lapack_func`` gives the loops' three scipy LAPACK routines from scipy's
-f2py module, found by path as the OpenBLAS builds are: importing
-``scipy.linalg`` for them took two thirds of the CLI's start.  CPython
-initialises a single-phase extension once and hands later loads its
-function objects, so these are the very objects ``get_lapack_funcs`` gives.
+``lapack_func`` gives the loops' three scipy LAPACK routines, all complex,
+from scipy's f2py module, found by path as the OpenBLAS builds are:
+importing ``scipy.linalg`` for them took two thirds of the CLI's start.
+CPython initialises a single-phase extension once and hands later loads
+its function objects, so these are the very objects ``get_lapack_funcs``
+gives.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from pathlib import Path
 _NAME_FORMS = (("scipy_", "64_"), ("scipy_", ""), ("", "64_"), ("", ""))
 
 _FLAPACK = "scipy.linalg._flapack"
-# LAPACK routine prefix of each dtype the loops use, as scipy picks it
-_PREFIXES = {"D": "z", "d": "d"}  # complex128, float64
 
 
 @functools.cache
@@ -101,7 +100,7 @@ def _flapack():
     return module
 
 
-def lapack_func(name, array):
-    """LAPACK routine ``name`` for ``array``'s dtype: the ``z`` routine for
-    complex128, the ``d`` one for float64, as ``get_lapack_funcs`` picks."""
-    return getattr(_flapack(), _PREFIXES[array.dtype.char] + name)
+def lapack_func(name):
+    """The complex128 LAPACK routine ``name``: the ``z`` routine that
+    ``get_lapack_funcs`` picks for a complex128 array."""
+    return getattr(_flapack(), "z" + name)

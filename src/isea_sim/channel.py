@@ -9,15 +9,16 @@ slot with a zero-forcing receive beam b_k, trading noise amplification for
 isolation; its SNR needs only ||b_k||^2, the diagonal of (H^H H)^-1, which
 the Cholesky factor of H^H H gives.  Both reduce to the noiseless average
 plus isotropic Gaussian noise of power 1/SNR, as receivers simulate them.
-Each statistic is one function of one draw or of a stack of draws
-(..., N, K), each row equal bit for bit to its draw taken alone, and runs
-at one BLAS thread; receivers and one-draw SNRs are one-row calls of them.
-The LAPACK routines beyond numpy's, heevr and trtri, are scipy's, looked up
-by ``_blas.lapack_func`` without importing ``scipy.linalg``.
+Each statistic takes one draw or any stack (..., N, K), real or complex, by
+one rule (:func:`_any_stack`), and runs at one BLAS thread; each row equals
+its draw taken alone bit for bit.  Receivers and one-draw SNRs are one-row
+calls of them.  heevr and trtri are scipy's complex LAPACK routines, looked
+up by ``_blas.lapack_func`` without importing ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,18 +32,6 @@ from .feature_model import aggregate_noiseless
 # top pair beats numpy's stacked full eigh from 9 rows on: per matrix 14
 # against 16 us at 10 rows, 22 against 44 at 16 and 235 against 575 at 64.
 _FULL_EIG_MAX = 8
-# Trials and channel statistics run on stacks of at most _STACK_ROWS rows and
-# _STACK_BYTES of standard normals, which bounds the views', the channel
-# stage's and the classifier's (rows, L, M) temporaries at any K, N or L M;
-# stacking changes no value.
-_STACK_ROWS = 512
-_STACK_BYTES = 2**18
-
-
-def rows_per_stack(row_floats):
-    """Rows per stack: at most _STACK_ROWS and as many rows of ``row_floats``
-    standard normals as fit in _STACK_BYTES, at least one."""
-    return min(_STACK_ROWS, max(1, _STACK_BYTES // (8 * row_floats)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +57,24 @@ class AggregationOutcome:
     resolved_mode: str | None = None
 
 
+def _any_stack(stat):
+    """Let ``stat`` of a complex128 stack H (n, N, K) take one draw or any
+    stack (..., N, K), real or complex; each array it returns (n, ...) comes
+    back with the draws' leading shape in place of n."""
+
+    @functools.wraps(stat)
+    def stacked(H, *args, **kwargs):
+        H = np.asarray(H)
+        if H.ndim < 2:
+            raise ValueError("channel matrix must be at least two-dimensional")
+        out = stat(H.astype(complex, copy=False).reshape(-1, *H.shape[-2:]), *args, **kwargs)
+        many = isinstance(out, tuple)
+        parts = tuple(x.reshape(H.shape[:-2] + x.shape[1:])[()] for x in (out if many else (out,)))
+        return parts if many else parts[0]
+
+    return stacked
+
+
 def _conj_t(H):
     """Conjugate transpose of each matrix of a stack; a fresh copy each call,
     so no copy outlives the product it feeds."""
@@ -82,7 +89,7 @@ def _top_eigenpairs(G):
     if m <= _FULL_EIG_MAX:
         w, V = np.linalg.eigh(G)
         return w[:, -1], V[:, :, -1]
-    heevr, heevr_lwork = lapack_func("heevr", G), lapack_func("heevr_lwork", G)
+    heevr, heevr_lwork = lapack_func("heevr"), lapack_func("heevr_lwork")
     work = {k: int(v.real) for k, v in zip(("lwork", "lrwork", "liwork"), heevr_lwork(m, lower=1))}
     lam, V = np.empty(n), np.empty((n, m), dtype=G.dtype)
     for i, g in enumerate(G):
@@ -99,10 +106,9 @@ def _principal_pairs(H, gram=None):
     equal bit for bit to the same matrix taken on its own.
 
     The eigendecomposition runs on the smaller Gram matrix: H H^H when
-    N <= K, else H^H H (``gram`` if given).  q1 is scaled to unit norm,
-    each row's squared norm being two dot products of its strided real
-    and imaginary parts, and its largest-magnitude entry is made real
-    positive with that entry's scalar modulus (``np.hypot``).
+    N <= K, else H^H H (``gram`` if given).  q1 has unit norm, from two dot
+    products of its strided real and imaginary parts, and its largest entry
+    is made real positive by that entry's ``np.hypot``.
     """
     wide = H.shape[1] <= H.shape[2]
     if wide or gram is None:
@@ -119,17 +125,14 @@ def _principal_pairs(H, gram=None):
     return lam, q1 * (top.conj() / np.hypot(top.real, top.imag))[:, None]
 
 
+@_any_stack
 def principal_pair(H):
     """``(lambda1, q1)`` of one channel matrix H or of each matrix of a stack
-    (..., N, K), each row that matrix's own pair: lambda1 (...) is the largest
-    eigenvalue of H^H H and q1 (..., K) the principal right singular vector
-    (unit norm, largest-magnitude entry real positive).  The receive beam
-    v = H q1 / sqrt(lambda1) is never formed: v^H h_k = sqrt(lambda1) conj(q1_k)."""
-    H = np.asarray(H, dtype=complex)
-    if H.ndim < 2:
-        raise ValueError("channel matrix must be at least two-dimensional")
-    lam, q1 = _principal_pairs(H.reshape(-1, *H.shape[-2:]))
-    return lam.reshape(H.shape[:-2])[()], q1.reshape(*H.shape[:-2], -1)
+    (..., N, K): lambda1 (...) is the largest eigenvalue of H^H H and q1
+    (..., K) the principal right singular vector (unit norm, largest entry
+    real positive).  The receive beam v = H q1 / sqrt(lambda1) is never
+    formed: v^H h_k = sqrt(lambda1) conj(q1_k)."""
+    return _principal_pairs(H)
 
 
 def sample_channel(z):
@@ -147,13 +150,14 @@ def _alignment(H, lambda1, q1):
     leave a rounding-level q1_k there, so such a draw is answered with an
     exact zero."""
     align = lambda1 * np.min(np.abs(q1) ** 2, axis=-1)
-    return np.where(H.any(axis=-2).all(axis=-1), align, 0.0)[()]
+    return np.where(H.any(axis=-2).all(axis=-1), align, 0.0)
 
 
+@_any_stack
 def min_beam_alignment(H):
     """min_k |v^H h_k|^2 = lambda1 min_k |q1_k|^2, the weakest sensor's gain
     along the receive beam, of one draw H or of each draw of a stack."""
-    return _alignment(np.asarray(H), *principal_pair(H))
+    return _alignment(H, *_principal_pairs(H))
 
 
 def _air_snrs(align, num_sensors, scenario):
@@ -200,16 +204,14 @@ def aircomp_receive(scenario, H, local_features, rng):
     return _receive_one(local_features, aircomp_effective_snr(H, scenario).gamma_air, rng)
 
 
+@_any_stack
 @one_blas_thread()
 def zf_norms_sq(H):
     """Squared norms ||b_k||^2 (..., K) of the zero-forcing receive beams
-    B = H (H^H H)^-1 of one channel matrix or a stack H (..., N, K): the
-    real diagonal of (H^H H)^-1, from its Cholesky factor (:func:`_zf_diag`).
-
-    B itself is never formed.  Requires at least as many antennas as
-    sensors; raises :class:`InfeasibleAccessError` otherwise and
-    :class:`NumericalError` when a Gram matrix is singular.
-    """
+    B = H (H^H H)^-1 of one draw or a stack H (..., N, K), never forming B:
+    the diagonal of (H^H H)^-1, by :func:`_zf_diag`.  Raises
+    :class:`InfeasibleAccessError` where N < K and :class:`NumericalError`
+    where a Gram matrix is singular."""
     N, K = H.shape[-2:]
     if N < K:
         raise InfeasibleAccessError(
@@ -225,7 +227,7 @@ def _zf_diag(gram):
         L = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise NumericalError("channel Gram matrix is singular") from None
-    trtri = lapack_func("trtri", L)
+    trtri = lapack_func("trtri")
     # each L^T is Fortran-ordered, so trtri inverts it in place: L becomes L^-1
     if any(trtri(u, lower=0, overwrite_c=1)[1] for u in L.reshape(-1, *gram.shape[-2:]).mT):
         raise NumericalError("channel Gram matrix is singular")
@@ -266,20 +268,19 @@ def best_access(gamma_air, gamma_aoa):
 
 def adaptive_receive(scenario, H, local_features, rng):
     """Receive through the access mode with the larger effective SNR for
-    the draw H, by :func:`best_access`; ``resolved_mode`` names the winner."""
-    gamma_air = aircomp_effective_snr(H, scenario).gamma_air
-    feasible = H.shape[-2] >= H.shape[-1]
-    gamma_aoa = orthogonal_effective_snr(H, scenario) if feasible else -np.inf
-    snr, air_wins = best_access(gamma_air, gamma_aoa)
+    the draw H, by :func:`snr_pairs` and :func:`best_access`;
+    ``resolved_mode`` names the winner."""
+    snr, air_wins = best_access(*snr_pairs(H, scenario))
     mode = "aircomp" if air_wins else "orthogonal"
     return _receive_one(local_features, float(snr), rng, mode)
 
 
+@_any_stack
 @one_blas_thread()
 def snr_pairs(H, scenario):
-    """``(gamma_air, gamma_aoa)`` of each draw of a stack H (n, N, K), -inf
-    where N < K, bit for bit as :func:`air_snrs` and :func:`orth_snrs` give
-    them; where N > K the principal pair and the norms read one H^H H."""
+    """``(gamma_air, gamma_aoa)`` of one draw H or of each draw of a stack,
+    -inf where N < K, bit for bit as :func:`air_snrs` and :func:`orth_snrs`
+    give them; where N > K the principal pair and the norms read one H^H H."""
     gram = _conj_t(H) @ H if H.shape[1] >= H.shape[2] else None
     gamma_air, _ = _air_snrs(_alignment(H, *_principal_pairs(H, gram)), H.shape[2], scenario)
     aoa = np.full_like(gamma_air, -np.inf) if gram is None else orth_snrs(_zf_diag(gram), scenario)

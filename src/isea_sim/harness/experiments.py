@@ -25,13 +25,12 @@ from ..channel import (
     best_access,
     min_beam_alignment,
     orth_snrs,
-    rows_per_stack,
     sample_channel,
     snr_pairs,
     zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
-from ..inference import PIPELINES, _row_floats, _stderr, run_stacks, run_trials
+from ..inference import PIPELINES, _row_floats, _stderr, rows_per_stack, run_stacks, run_trials
 from ..scenario import ScenarioConfig, build_scenario
 from ..streams import trial_streams
 from ..theory import (
@@ -98,7 +97,9 @@ class ExperimentSpec:
             raise ConfigError(f"pipelines must be a nonempty subset of {PIPELINES}")
         if len(set(pipelines)) != len(pipelines):
             raise ConfigError(f"pipelines must not repeat, got {','.join(pipelines)}")
-        if record.fixed_pipelines and set(pipelines) != set(record.pipelines):
+        # a channel-only point's rows come from its draws alone and cover its pipelines
+        channel_only = record.run is not _simulation_point
+        if channel_only and set(pipelines) != set(record.pipelines):
             fixed = ",".join(record.pipelines)
             raise ConfigError(f"{self.experiment} always runs pipelines {fixed}")
         object.__setattr__(self, "pipelines", pipelines)
@@ -110,7 +111,7 @@ class ExperimentSpec:
         for value in values:
             try:
                 point = record.config_at(cfg, value)
-                size = _point_bytes(point, pipelines if record.run is _simulation_point else ())
+                size = _point_bytes(point, () if channel_only else pipelines)
             except OverflowError:  # a count beyond any float
                 message = f"{self.experiment}: a count is too large to size its arrays"
                 raise ConfigError(message) from None
@@ -444,7 +445,7 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     predicted = crossing_probability(K, omega)
     mean_snrs = (air.mean(), aoa.mean() if N >= K else None, best.mean())
     rows = []
-    for pipeline, mean_snr in zip(("aircomp", "orthogonal", "adaptive"), mean_snrs):
+    for pipeline, mean_snr in zip(_ALL_ACCESS, mean_snrs):
         if mean_snr is None:
             rows.append(SweepRow(sweep_value=omega, pipeline=pipeline, feasible=INFEASIBLE))
             continue
@@ -493,7 +494,6 @@ class _Experiment:
     pipelines: tuple  # the default pipelines
     count_field: str | None = None  # the config count a sweep value sets
     grid: tuple | None = None  # the default sweep; None sweeps the config's count_field
-    fixed_pipelines: bool = False  # rows come from channel draws alone and cover `pipelines`
     min_draws: int = 1  # a KS distance needs at least 100 draws
     simulates: Callable | None = None  # a point's config, if not the count sweep's
 
@@ -510,18 +510,16 @@ _EXPERIMENTS = {
     "sweep-k": _Experiment(11, _simulation_point, ("noiseless", "aircomp"), "num_sensors", _K_GRID),
     "sweep-n": _Experiment(12, _simulation_point, _ALL_ACCESS, "num_antennas", tuple(range(2, 21))),
     "snr-dist": _Experiment(
-        13, _snr_dist_point, ("aircomp",), "num_sensors", None, True, 100, _snr_dist_config
+        13, _snr_dist_point, ("aircomp",), "num_sensors", None, 100, _snr_dist_config
     ),
-    "bnorm-dist": _Experiment(
-        14, _bnorm_dist_point, ("orthogonal",), "num_antennas", None, True, 100
-    ),
+    "bnorm-dist": _Experiment(14, _bnorm_dist_point, ("orthogonal",), "num_antennas", None, 100),
     "bounds": _Experiment(15, _simulation_point, ("noiseless",), "num_sensors", _K_GRID),
     "crossing": _Experiment(
-        16, _crossing_point, _ALL_ACCESS, None, (0.25, 0.5, 0.75, 1.0, 1.21, 1.44, 1.96, 4.0), True,
+        16, _crossing_point, _ALL_ACCESS, None, (0.25, 0.5, 0.75, 1.0, 1.21, 1.44, 1.96, 4.0),
         simulates=_crossing_config,
     ),
     "aloss": _Experiment(
-        17, _aloss_point, ("aircomp",), None, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0), True,
+        17, _aloss_point, ("aircomp",), None, (0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0),
         simulates=_aloss_config,
     ),
 }

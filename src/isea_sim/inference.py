@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import _pipeline_snrs, _receive, best_access, rows_per_stack, sample_channel
+from .channel import _pipeline_snrs, _receive, best_access, sample_channel
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless, sample_label, sample_local_features
 from .streams import STREAM_TRIALS, trial_streams
@@ -29,6 +29,11 @@ from .streams import STREAM_TRIALS, trial_streams
 PIPELINES = ("noiseless", "aircomp", "orthogonal", "adaptive")
 
 _COND_LIMIT = 1e12
+# A stack of trials or channel draws holds at most _STACK_ROWS rows and
+# _STACK_BYTES of standard normals, which bounds its temporaries at any K, N
+# or L M (:func:`rows_per_stack`); stacking changes no value.
+_STACK_ROWS = 512
+_STACK_BYTES = 2**18
 
 
 def _posterior_logits(scenario, f_tilde, noise_power):
@@ -261,6 +266,12 @@ def run_trials(
         out.append(np.empty((trials, 2 * M + 2)))
     run_stacks(stack, trials, _row_floats(pipeline, M, N, K), out, workers)
     return TrialBatch(*out[:4], TrialDraws(out[1], out[4]) if keep_draws else None)
+
+
+def rows_per_stack(row_floats):
+    """Rows per stack: at most _STACK_ROWS and as many rows of ``row_floats``
+    standard normals as fit in _STACK_BYTES, at least one."""
+    return min(_STACK_ROWS, max(1, _STACK_BYTES // (8 * row_floats)))
 
 
 def run_stacks(stack, count, row_floats, out, workers=1):

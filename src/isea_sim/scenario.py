@@ -17,6 +17,11 @@ import numpy as np
 from .errors import ConfigError
 from .streams import STREAM_CENTROIDS, STREAM_OBSERVATION, substream
 
+# projections are drawn and checked in chunks of at most 1 MiB of M x M
+# blocks, so their temporaries stay small beside P's K M^2 floats
+_CHUNK_BYTES = 2**20
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Free parameters of a sensing scenario.
@@ -128,20 +133,24 @@ def generate_centroids(feature_dim, num_classes, centroid_scale, rng):
     return centroid_scale * rng.standard_normal((num_classes, feature_dim))
 
 
-def generate_observation_matrix(feature_dim, rank, rng):
-    """Draw one rank-r orthogonal projection.
+def _chunks(K, M):
+    """Slices of the K sensors in order, _CHUNK_BYTES of M x M blocks or one block each."""
+    step = max(1, _CHUNK_BYTES // (8 * M * M))
+    return [slice(k, k + step) for k in range(0, K, step)]
 
-    The projection is U U^T where U holds the top-r left singular vectors
-    of an i.i.d. standard normal feature_dim x feature_dim matrix, so its
-    range is a uniformly random r-dimensional subspace.
-    """
-    if not 1 <= rank <= feature_dim:
-        raise ValueError(f"rank must lie in [1, {feature_dim}], got {rank}")
-    G = rng.standard_normal((feature_dim, feature_dim))
-    U, _, _ = np.linalg.svd(G)
-    basis = U[:, :rank]
-    P = basis @ basis.T
-    return 0.5 * (P + P.T)
+
+def generate_observation_matrix(z, rank):
+    """Rank-r orthogonal projections U U^T (..., M, M) from standard normals
+    z (..., M, M), U the top-r left singular vectors of each M x M block, so
+    each range is a uniformly random r-dimensional subspace; each block's
+    projection has the bits it has alone."""
+    M = np.shape(z)[-1]
+    if np.shape(z)[-2:] != (M, M) or not 1 <= rank <= M:
+        raise ValueError(f"need square blocks and a rank in [1, M], got {np.shape(z)} and {rank}")
+    # a copy of the basis lets the singular vectors go before the products
+    basis = np.linalg.svd(z)[0][..., :rank].copy()
+    P = basis @ basis.mT
+    return 0.5 * (P + P.mT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +212,7 @@ def build_scenario(config, centroids=None, covariance=None):
             only expresses the isotropic case; overrides are for tests
             that need structured covariances or pinned class geometry.
     """
-    M = config.feature_dim
-    L = config.num_classes
-    K = config.num_sensors
+    M, L, K, r = config.feature_dim, config.num_classes, config.num_sensors, config.observation_rank
 
     if centroids is None:
         rng = substream(config.master_seed, STREAM_CENTROIDS)
@@ -229,10 +236,11 @@ def build_scenario(config, centroids=None, covariance=None):
         raise ConfigError("sensing covariance is not positive definite") from None
     C_evals, C_evecs = np.linalg.eigh(C)
 
+    # one block of M x M normals per sensor, each chunk's call continuing the stream
     rng = substream(config.master_seed, STREAM_OBSERVATION)
     P = np.empty((K, M, M))
-    for k in range(K):
-        P[k] = generate_observation_matrix(M, config.observation_rank, rng)
+    for chunk in _chunks(K, M):
+        P[chunk] = generate_observation_matrix(rng.standard_normal(P[chunk].shape), r)
     P_bar = P.mean(axis=0)
 
     centered = centroids - centroids.mean(axis=0)
@@ -240,9 +248,9 @@ def build_scenario(config, centroids=None, covariance=None):
     # validate_scenario rejects
     with np.errstate(over="ignore"):
         centroid_cov = centered.T @ centered / L
-    # trace(P_k Sigma P_k) = trace(P_k Sigma) for idempotent P_k
-    sensor_power = np.einsum("kij,ji->k", P, centroid_cov)
-    nu_sq = float((np.trace(C) * K + sensor_power.sum()) / (K * M))
+        # trace(P_k Sigma P_k) = trace(P_k Sigma) for idempotent P_k
+        sensor_power = np.einsum("kij,ji->k", P, centroid_cov)
+        nu_sq = float((np.trace(C) * K + sensor_power.sum()) / (K * M))
 
     sigma_sq = float(10.0 ** (-config.transmit_snr_db / 10.0))
 
@@ -272,16 +280,21 @@ def validate_scenario(scenario):
     the covariance inverse, and a finite, positive transmit variance.
     """
     P = scenario.P
-    r = scenario.config.observation_rank
-    M = scenario.config.feature_dim
-    for k in range(P.shape[0]):
-        Pk = P[k]
-        if not np.max(np.abs(Pk - Pk.T)) < 1e-12:
-            raise ConfigError(f"projection {k} is not symmetric")
-        if not np.max(np.abs(Pk @ Pk - Pk)) < 1e-9:
-            raise ConfigError(f"projection {k} is not idempotent")
-        if not abs(np.trace(Pk) - r) < 1e-9:
-            raise ConfigError(f"projection {k} does not have trace {r}")
+    r, M = scenario.config.observation_rank, scenario.config.feature_dim
+    # a chunk of projections at once, the first failing one named by its
+    # first failing check; a NaN fails
+    for chunk in _chunks(len(P), M):
+        Pc = P[chunk]
+        checks = {
+            "is not symmetric": np.abs(Pc - Pc.mT).max(axis=(-2, -1)) < 1e-12,
+            "is not idempotent": np.abs(Pc @ Pc - Pc).max(axis=(-2, -1)) < 1e-9,
+            f"does not have trace {r}": np.abs(np.trace(Pc, axis1=-2, axis2=-1) - r) < 1e-9,
+        }
+        failed = ~np.logical_and.reduce(list(checks.values()))
+        if failed.any():
+            k = int(np.argmax(failed))
+            failure = next(m for m, ok in checks.items() if not ok[k])
+            raise ConfigError(f"projection {chunk.start + k} {failure}")
     if not np.max(np.abs(P.mean(axis=0) - scenario.P_bar)) < 1e-12:
         raise ConfigError("P_bar is not the mean of the sensor projections")
     V = scenario.C_evecs

@@ -32,7 +32,9 @@ def surrogate_uncertainty_full(pairwise, kappa, num_sensors):
     L = pw.shape[0]
     if pw.shape != (L, L):
         raise ValueError("pairwise must be a square matrix")
-    exponents = -kappa * num_sensors * pw
+    # a separation past the largest float saturates to -inf and adds exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        exponents = -kappa * num_sensors * pw
     # the diagonal term exp(0) = 1 is the "1 +" of each row's sum
     np.fill_diagonal(exponents, 0.0)
     return float(np.logaddexp.reduce(exponents, axis=1).mean())
@@ -83,7 +85,9 @@ def mean_separation(scenario, snr=np.inf):
     each entry equals the call at that SNR alone bit for bit.
     """
     spread = _pair_spread(scenario.proj_centroids_eig)
-    gain = np.sum(spread * _noise_weights(scenario, snr), axis=-1)
+    # a gain beyond the largest float saturates to inf
+    with np.errstate(over="ignore"):
+        gain = np.sum(spread * _noise_weights(scenario, snr), axis=-1)
     return float(gain) if gain.ndim == 0 else gain
 
 
@@ -118,17 +122,19 @@ def channel_loss_factor(scenario, snr):
     D_bar(snr) / D_bar(inf).
 
     ``snr`` may be an array of SNRs; the result then has its shape.
-    Infinite SNR gives exactly 1.0.
+    Infinite SNR gives exactly 1.0, also where D_bar saturates to inf.
 
     Raises:
         ValueError: if an SNR is not positive.
         NumericalError: if the noiseless mean separation is zero.
     """
-    degraded = mean_separation(scenario, snr)
+    snr = np.asarray(snr, dtype=float)
+    degraded = np.asarray(mean_separation(scenario, snr))
     d_bar = mean_separation(scenario)
     if d_bar <= 0:
         raise NumericalError("mean separation is zero; loss factor undefined")
-    return degraded / d_bar
+    loss = np.divide(degraded, d_bar, out=np.ones_like(degraded), where=snr != np.inf)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def expected_loss_factor_bounds(r):

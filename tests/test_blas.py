@@ -105,7 +105,7 @@ def test_channel_kernels_take_one_thread_and_give_it_back(builds, monkeypatch):
         return call
 
     lookup = channel.lapack_func
-    monkeypatch.setattr(channel, "lapack_func", lambda name, array: recording(name, lookup(name, array)))
+    monkeypatch.setattr(channel, "lapack_func", lambda name: recording(name, lookup(name)))
     monkeypatch.setattr(numpy.linalg, "cholesky", recording("cholesky", numpy.linalg.cholesky))
     K = channel._FULL_EIG_MAX + 2  # the subset eigensolver's sizes
     rng = numpy.random.default_rng(0)

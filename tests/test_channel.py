@@ -227,7 +227,7 @@ def test_min_alignment_equals_projection_onto_receive_beam():
 def test_scalar_link_effective_snr():
     scen = _scenario(num_sensors=1, num_antennas=1)
     H = _channel(1, 1, substream(5, 0))
-    snr = iz.aircomp_effective_snr(H, scen)
+    snr = channel.aircomp_effective_snr(H, scen)
     gamma = 10.0
     expected = 2 * gamma * abs(H[0, 0]) ** 2 / scen.nu_sq
     assert abs(snr.gamma_air - expected) / expected < 1e-9
@@ -236,9 +236,9 @@ def test_scalar_link_effective_snr():
 def test_effective_snr_quadratic_homogeneity():
     scen = _scenario(num_sensors=4, num_antennas=6)
     H = _channel(6, 4, substream(6, 0))
-    base = iz.aircomp_effective_snr(H, scen).gamma_air
+    base = channel.aircomp_effective_snr(H, scen).gamma_air
     for c in (0.5, 2.0, 7.0):
-        scaled = iz.aircomp_effective_snr(c * H, scen)
+        scaled = channel.aircomp_effective_snr(c * H, scen)
         assert abs(scaled.gamma_air - c * c * base) / (c * c * base) < 1e-9
 
 
@@ -252,7 +252,7 @@ def test_effective_snr_power_budget_identity():
         N = 1 + (i * 3) % 11
         scen = _scenario(num_sensors=K, num_antennas=N)
         H = _channel(N, K, rng)
-        snr = iz.aircomp_effective_snr(H, scen)
+        snr = channel.aircomp_effective_snr(H, scen)
         v = _receive_beam(H)
         b_norm_sq = scen.nu_sq / np.min(np.abs(v.conj() @ H) ** 2)
         alt = 2 * K * K / (scen.sigma_sq * b_norm_sq)
@@ -270,11 +270,11 @@ def test_degenerate_channel_flagged():
             H = _channel(N, K, rng)
             H[:, t % K] = 0.0
             assert iz.min_beam_alignment(H) == 0.0
-            snr = iz.aircomp_effective_snr(H, scen)
+            snr = channel.aircomp_effective_snr(H, scen)
             assert snr.degenerate
             assert snr.gamma_air == 0.0
     feats = _views(scen, 0, substream(8, 1))
-    out = iz.aircomp_receive(scen, H, feats, substream(8, 2))
+    out = channel.aircomp_receive(scen, H, feats, substream(8, 2))
     assert out.effective_snr == 0.0
     assert np.all(np.isnan(out.f_tilde))
 
@@ -286,7 +286,7 @@ def test_noiseless_channel_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
     H = _channel(12, 10, substream(9, 0))
     feats = _views(scen, 1, substream(9, 1))
-    out = iz.aircomp_receive(scen, H, feats, substream(9, 2))
+    out = channel.aircomp_receive(scen, H, feats, substream(9, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
     assert out.effective_snr == np.inf
 
@@ -302,11 +302,11 @@ def _aircomp_receives(scen, H, label, key, n, checked=100):
     K, M = scen.num_sensors, scen.feature_dim
     z = substream(*key).standard_normal((n, K * M + M))
     views = iz.sample_local_features(scen, np.full(n, label), z[:, :-M].reshape(n, K, M))
-    snrs = np.full(n, iz.aircomp_effective_snr(H, scen).gamma_air)
+    snrs = np.full(n, channel.aircomp_effective_snr(H, scen).gamma_air)
     out = channel._receive(iz.aggregate_noiseless(views), snrs, z[:, -M:])
     rng = substream(*key)
     for row in out[:checked]:
-        call = iz.aircomp_receive(scen, H, _views(scen, label, rng), rng)
+        call = channel.aircomp_receive(scen, H, _views(scen, label, rng), rng)
         np.testing.assert_array_equal(row, call.f_tilde)
     return out
 
@@ -314,7 +314,7 @@ def _aircomp_receives(scen, H, label, key, n, checked=100):
 def test_receive_covariance_at_fixed_channel():
     scen = _scenario()
     H = _channel(12, 10, substream(10, 0))
-    gamma_air = iz.aircomp_effective_snr(H, scen).gamma_air
+    gamma_air = channel.aircomp_effective_snr(H, scen).gamma_air
     out = _aircomp_receives(scen, H, 2, (10, 1), 100000)
     ref = scen.C / 10 + np.eye(5) / gamma_air
     S = np.cov(out, rowvar=False)
@@ -381,7 +381,7 @@ def test_zf_infeasible_when_undersized():
     with pytest.raises(iz.InfeasibleAccessError):
         iz.zf_norms_sq(H)
     with pytest.raises(iz.InfeasibleAccessError):
-        iz.orthogonal_effective_snr(H, _scenario(num_sensors=5, num_antennas=3))
+        channel.orthogonal_effective_snr(H, _scenario(num_sensors=5, num_antennas=3))
 
 
 def test_zf_singular_gram_reported():
@@ -414,6 +414,47 @@ def test_shared_gram_changes_no_snr(K):
         for i in range(3):
             one = channel.snr_pairs(H[i : i + 1], scen)
             assert (one[0][0], one[1][0]) == (gamma_air[i], gamma_aoa[i])
+
+
+# each channel statistic as a function of H and a scenario
+_STATISTICS = {
+    "principal_pair": lambda H, scen: iz.principal_pair(H),
+    "min_beam_alignment": lambda H, scen: iz.min_beam_alignment(H),
+    "air_snrs": iz.air_snrs,
+    "zf_norms_sq": lambda H, scen: iz.zf_norms_sq(H),
+    "snr_pairs": channel.snr_pairs,
+}
+
+
+def _parts(out):
+    return out if isinstance(out, tuple) else (out,)
+
+
+@pytest.mark.parametrize("N, K", [(6, 4), (3, 5), (12, 10), (9, 11)])
+@pytest.mark.parametrize("name", sorted(_STATISTICS))
+def test_every_statistic_takes_one_draw_or_any_stack(name, N, K):
+    # one rule for every statistic: one draw (N, K) and a (2, 3, N, K) stack
+    # give the bits of the (6, N, K) call in their own leading shape, and a
+    # real stack is taken as the complex one, at N >= K and N < K, with
+    # Grams on both sides of the eigensolver switch
+    stat, scen = _STATISTICS[name], _scenario(num_sensors=K, num_antennas=N)
+    z = substream(30, K).standard_normal((2, 3, 2, N, K))
+    H, real = iz.sample_channel(z), z[:, :, 0]
+    if name == "zf_norms_sq" and N < K:
+        for draws in (H[0, 0], H, real):
+            with pytest.raises(iz.InfeasibleAccessError):
+                stat(draws, scen)
+        return
+    flat = _parts(stat(H.reshape(6, N, K), scen))
+    for part, whole in zip(_parts(stat(H, scen)), flat):
+        assert part.shape == (2, 3) + whole.shape[1:]
+        np.testing.assert_array_equal(part.reshape(whole.shape), whole)
+    for i, h in enumerate(H.reshape(6, N, K)):
+        for part, whole in zip(_parts(stat(h, scen)), flat):
+            assert np.shape(part) == whole.shape[1:]
+            np.testing.assert_array_equal(part, whole[i])
+    for part, whole in zip(_parts(stat(real, scen)), _parts(stat(real.astype(complex), scen))):
+        np.testing.assert_array_equal(part, whole)
 
 
 def test_zf_norms_match_the_inverse_diagonal():
@@ -452,7 +493,7 @@ def test_orthogonal_noiseless_receive_is_exact():
     scen = _scenario(transmit_snr_db=float("inf"))
     H = _channel(12, 10, substream(18, 0))
     feats = _views(scen, 3, substream(18, 1))
-    out = iz.orthogonal_receive(scen, H, feats, substream(18, 2))
+    out = channel.orthogonal_receive(scen, H, feats, substream(18, 2))
     assert np.array_equal(out.f_tilde, iz.aggregate_noiseless(feats))
 
 
@@ -484,9 +525,9 @@ def test_adaptive_falls_back_when_orthogonal_infeasible():
     for _ in range(10):
         H = _channel(5, 10, rng)
         feats = _views(scen, 0, rng)
-        out = iz.adaptive_receive(scen, H, feats, rng)
+        out = channel.adaptive_receive(scen, H, feats, rng)
         assert out.resolved_mode == "aircomp"
-        assert out.effective_snr == iz.aircomp_effective_snr(H, scen).gamma_air
+        assert out.effective_snr == channel.aircomp_effective_snr(H, scen).gamma_air
 
 
 def test_adaptive_selects_larger_snr():
@@ -495,11 +536,11 @@ def test_adaptive_selects_larger_snr():
     seen = set()
     for _ in range(60):
         H = _channel(18, 10, rng)
-        ga = iz.aircomp_effective_snr(H, scen).gamma_air
-        go = iz.orthogonal_effective_snr(H, scen)
+        ga = channel.aircomp_effective_snr(H, scen).gamma_air
+        go = channel.orthogonal_effective_snr(H, scen)
         assert iz.best_access(ga, go) == (max(ga, go), ga >= go)
         feats = _views(scen, 0, rng)
-        out = iz.adaptive_receive(scen, H, feats, rng)
+        out = channel.adaptive_receive(scen, H, feats, rng)
         want = "aircomp" if ga >= go else "orthogonal"
         assert out.resolved_mode == want
         assert out.effective_snr == max(ga, go)
@@ -511,8 +552,8 @@ def test_adaptive_mode_is_deterministic_per_draw():
     scen = _scenario(num_sensors=6, num_antennas=8)
     H = _channel(8, 6, substream(22, 0))
     feats = _views(scen, 1, substream(22, 1))
-    a = iz.adaptive_receive(scen, H, feats, substream(22, 2))
-    b = iz.adaptive_receive(scen, H, feats, substream(22, 2))
+    a = channel.adaptive_receive(scen, H, feats, substream(22, 2))
+    b = channel.adaptive_receive(scen, H, feats, substream(22, 2))
     assert a.resolved_mode == b.resolved_mode
     assert np.array_equal(a.f_tilde, b.f_tilde)
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import isea_sim as iz
-from isea_sim import _blas, inference
+from isea_sim import _blas, channel, inference
 from isea_sim.errors import ConfigError, NumericalError
 from isea_sim.harness import cli, experiments
 from isea_sim.harness.experiments import (
@@ -610,6 +610,21 @@ def test_cli_runs_an_aloss_point_at_1e_minus_50(tmp_path):
     assert dict(zip(CSV_COLUMNS, lines[1].split(",")))["sweep_value"] == "1e-50"
 
 
+def test_cli_runs_a_sweep_whose_discriminant_gain_saturates(tmp_path):
+    # centroids at 5e153 push D_bar past the largest float; the noiseless
+    # loss factor D_bar(inf) / D_bar(inf) is still 1, so every cell is finite
+    text = "feature_dim = 4\nnum_classes = 3\ncentroid_scale = 5e153\nmc_trials = 200\n"
+    config = _write_config(tmp_path, text)
+    out = tmp_path / "sweep-k.csv"
+    assert cli.main(["sweep-k", "--config", str(config), "--out", str(out), "--sweep", "1,2"]) == 0
+    rows = [dict(zip(CSV_COLUMNS, line.split(","))) for line in out.read_text().splitlines()[1:]]
+    assert [(r["sweep_value"], r["pipeline"]) for r in rows] == [
+        (k, p) for k in ("1", "2") for p in ("noiseless", "aircomp")
+    ]
+    for row in rows:
+        assert np.isfinite(float(row["asymptotic_prediction"]))
+
+
 def test_cli_rejects_a_config_that_is_not_utf8(tmp_path, capsys):
     config = tmp_path / "latin1.cfg"
     config.write_bytes(CONFIG_TEXT.encode("utf-8") + b"# caf\xff\n")
@@ -1097,8 +1112,9 @@ def test_benchmark_trace_layers_resolve(monkeypatch):
     H = iz.sample_channel(rng.standard_normal((2, 6, 4)))
     features = iz.sample_local_features(scen, 0, rng.standard_normal((4, scen.feature_dim)))
     tags = {fn.__name__: tag for fn, (_, tag) in layers.items() if tag is not None}
-    assert tags["aircomp_effective_snr"](None, None, iz.aircomp_effective_snr(H, scen)) is False
-    adaptive = iz.adaptive_receive(scen, H, features, rng)
+    air = channel.aircomp_effective_snr(H, scen)
+    assert tags["aircomp_effective_snr"](None, None, air) is False
+    adaptive = channel.adaptive_receive(scen, H, features, rng)
     assert tags["adaptive_receive"](None, None, adaptive) in ("aircomp", "orthogonal")
     batch = iz.run_trials(scen, "noiseless", 3)
     assert tags["run_trials"]((scen, "noiseless", 3), {}, batch) == ("noiseless", 3)
@@ -1124,8 +1140,6 @@ def test_theory_binds_no_function_of_another_layer():
 def test_harness_binds_no_private_name_of_channel():
     # the channel-only experiments take every statistic from the public,
     # stacked functions that the trial engine uses
-    from isea_sim import channel
-
     private = {
         name: value
         for name, value in vars(channel).items()

@@ -341,8 +341,8 @@ def test_worker_split_is_invisible(monkeypatch):
     # two-worker run exercises the pool path and must reproduce the serial
     # arrays; 200 one-row stacks reach the pool's 100 in one batch.
     scen = iz.build_scenario(_config())
-    for stack_bytes, trials in ((channel._STACK_BYTES, 600), (1, 200)):
-        monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
+    for stack_bytes, trials in ((inference._STACK_BYTES, 600), (1, 200)):
+        monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
         serial = iz.run_trials(scen, "aircomp", trials)
         pooled = iz.run_trials(scen, "aircomp", trials, workers=2)
         assert np.array_equal(serial.entropies, pooled.entropies)
@@ -521,8 +521,8 @@ def test_stack_size_does_not_change_results(monkeypatch, pipeline):
     # every stack edge, and 7 and 41 divide neither 600 nor the defaults.
     scen = iz.build_scenario(_config())
     batches = []
-    for stack_bytes in (channel._STACK_BYTES, 7 * 8 * 295):
-        monkeypatch.setattr(channel, "_STACK_BYTES", stack_bytes)
+    for stack_bytes in (inference._STACK_BYTES, 7 * 8 * 295):
+        monkeypatch.setattr(inference, "_STACK_BYTES", stack_bytes)
         batches.append(iz.run_trials(scen, pipeline, 600, stream_id=7, point_index=3))
     for field in ("entropies", "labels", "predictions", "snrs"):
         np.testing.assert_array_equal(getattr(batches[0], field), getattr(batches[1], field))
@@ -532,10 +532,10 @@ def test_stacks_hold_at_most_512_rows_and_stack_bytes_of_normals(monkeypatch):
     # rows_per_stack is the engine's one batching rule: the largest count up
     # to 512 whose rows of a trial's normals fit in _STACK_BYTES, at least one
     for row in (1, 64, 65, 295, 350, 1000, 2**15, 2**15 + 1, 10**6):
-        rows = channel.rows_per_stack(row)
+        rows = inference.rows_per_stack(row)
         assert 1 <= rows <= 512
-        assert rows == 1 or 8 * rows * row <= channel._STACK_BYTES
-        assert rows == 512 or 8 * (rows + 1) * row > channel._STACK_BYTES
+        assert rows == 1 or 8 * rows * row <= inference._STACK_BYTES
+        assert rows == 512 or 8 * (rows + 1) * row > inference._STACK_BYTES
     # the engine's stacks follow it; a noiseless trial draws K M = 1,000
     # normals and no channel, so its stacks ignore N K and hold 32 rows
     # where a channel stack (81,010 normals) holds one
@@ -566,7 +566,7 @@ def test_a_stack_holds_about_stack_bytes_at_any_k():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * channel._STACK_BYTES
+    assert peak < 8 * inference._STACK_BYTES
 
 
 def test_trial_records_have_consistent_fields():
@@ -624,11 +624,11 @@ def _draw_trial(scenario, pipeline, rng):
     H = inference.sample_channel(rng.standard_normal((2, N, K)))
     mode = None
     if pipeline == "orthogonal":
-        snr = iz.orthogonal_effective_snr(H, scenario)
+        snr = channel.orthogonal_effective_snr(H, scenario)
     else:
         snr = float(channel._air_snrs(channel._alignment(H, *_reference_pair(H)), K, scenario)[0])
     if pipeline == "adaptive":
-        gamma_aoa = iz.orthogonal_effective_snr(H, scenario) if N >= K else -np.inf
+        gamma_aoa = channel.orthogonal_effective_snr(H, scenario) if N >= K else -np.inf
         snr, air_wins = iz.best_access(snr, gamma_aoa)
         mode = "aircomp" if air_wins else "orthogonal"
     outcome = channel._receive_one(features, float(snr), rng, mode)

@@ -1,12 +1,14 @@
 """Scenario construction: projections, centroids, analytic symbol variance."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import isea_sim as iz
-from isea_sim.streams import substream
+from isea_sim import scenario
+from isea_sim.streams import STREAM_OBSERVATION, substream
 
 
 def _config(**overrides):
@@ -28,35 +30,38 @@ def _config(**overrides):
 
 
 def test_full_rank_projection_is_identity():
-    P = iz.generate_observation_matrix(3, 3, substream(0, 0))
+    P = iz.generate_observation_matrix(substream(0, 0).standard_normal((3, 3)), 3)
     np.testing.assert_allclose(P, np.eye(3), atol=1e-12)
 
 
 def test_projection_algebra_large():
-    P = iz.generate_observation_matrix(100, 50, substream(7, 0))
+    P = iz.generate_observation_matrix(substream(7, 0).standard_normal((100, 100)), 50)
     assert abs(np.trace(P) - 50) < 1e-9
     assert np.max(np.abs(P @ P - P)) < 1e-9
     assert np.max(np.abs(P - P.T)) < 1e-12
 
 
 def test_projection_rank_bounds_rejected():
-    rng = substream(0, 0)
+    z = substream(0, 0).standard_normal((5, 5))
     with pytest.raises(ValueError):
-        iz.generate_observation_matrix(5, 6, rng)
+        iz.generate_observation_matrix(z, 6)
     with pytest.raises(ValueError):
-        iz.generate_observation_matrix(5, 0, rng)
+        iz.generate_observation_matrix(z, 0)
+    with pytest.raises(ValueError, match="square blocks"):
+        iz.generate_observation_matrix(z[:, :4], 1)
 
 
 def test_random_subspace_mean_is_isotropic():
     # E[P] = (r/M) I by rotation invariance of the subspace draw.
+    # the normals of 100,000 blocks in stacks of 10,000
     rng = substream(11, 0)
     n = 100000
     acc = np.zeros((5, 5))
     sq = np.zeros((5, 5))
-    for _ in range(n):
-        P = iz.generate_observation_matrix(5, 1, rng)
-        acc += P
-        sq += P * P
+    for _ in range(n // 10000):
+        P = iz.generate_observation_matrix(rng.standard_normal((10000, 5, 5)), 1)
+        acc += P.sum(axis=0)
+        sq += (P * P).sum(axis=0)
     mean = acc / n
     var = sq / n - mean * mean
     se = np.sqrt(var / n)
@@ -109,6 +114,69 @@ def test_validator_rejects_a_scaled_projection():
     stretched = dataclasses.replace(scen, P=scen.P * (1.0 + 1e-6))
     with pytest.raises(iz.ConfigError, match="not idempotent"):
         iz.validate_scenario(stretched)
+
+
+@pytest.mark.parametrize("chunk_blocks", [None, 2])
+def test_validator_names_the_first_failing_projection_and_check(monkeypatch, chunk_blocks):
+    # a chunk of projections is checked at once; a failure still names the
+    # first failing projection and its first failing check: symmetric,
+    # idempotent, trace r, and a NaN fails the first.  Chunks of two blocks
+    # put the failures in later chunks.
+    scen = iz.build_scenario(_config(num_sensors=6))
+    if chunk_blocks:
+        monkeypatch.setattr(scenario, "_CHUNK_BYTES", chunk_blocks * 8 * 5 * 5)
+    rank_two = iz.generate_observation_matrix(substream(5, 0).standard_normal((5, 5)), 2)
+    stretched = scen.P[3] * (1.0 + 1e-6)
+    asymmetric = scen.P[1].copy()
+    asymmetric[0, 1] += 1e-6
+    cases = [
+        ({4: rank_two}, "projection 4 does not have trace 1"),
+        ({4: rank_two, 3: stretched}, "projection 3 is not idempotent"),
+        ({4: rank_two, 3: stretched, 1: asymmetric}, "projection 1 is not symmetric"),
+        ({5: np.full((5, 5), np.nan)}, "projection 5 is not symmetric"),
+    ]
+    for replaced, message in cases:
+        P = scen.P.copy()
+        for k, Pk in replaced.items():
+            P[k] = Pk
+        with pytest.raises(iz.ConfigError, match=f"^{message}$"):
+            iz.validate_scenario(dataclasses.replace(scen, P=P))
+
+
+@pytest.mark.parametrize("chunk_blocks", [None, 1, 2])
+def test_build_draws_each_projection_from_its_own_block(monkeypatch, chunk_blocks):
+    # the chunks' standard_normal calls continue one stream, so sensor k's
+    # projection has the bits of the k-th of K one-block draws
+    if chunk_blocks:
+        monkeypatch.setattr(scenario, "_CHUNK_BYTES", chunk_blocks * 8 * 5 * 5)
+    cfg = _config(num_sensors=5, observation_rank=2)
+    rng = substream(cfg.master_seed, STREAM_OBSERVATION)
+    blocks = [iz.generate_observation_matrix(rng.standard_normal((5, 5)), 2) for _ in range(5)]
+    np.testing.assert_array_equal(iz.build_scenario(cfg).P, np.stack(blocks))
+
+
+def test_build_peak_stays_near_the_counted_scenario_arrays():
+    # the point pre-check counts 8 (K M^2 + K L M) bytes for a scenario;
+    # drawing and checking the projections in chunks keeps the build's
+    # traced peak near that at large K (one stack of K blocks, their
+    # singular vectors and products held at once came to about 2.9 times)
+    K, M, L = 8000, 20, 3
+    iz.build_scenario(_config(feature_dim=M, num_classes=L, num_sensors=20))  # numpy's caches
+    tracemalloc.start()
+    try:
+        iz.build_scenario(_config(feature_dim=M, num_classes=L, num_sensors=K))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (K * M * M + K * L * M)
+
+
+def test_build_scenario_rejects_an_overflowing_symbol_variance_without_a_warning():
+    # at K = 300 the sum of the sensors' symbol powers passes the largest
+    # float; the suite turns any RuntimeWarning into a failure
+    cfg = _config(feature_dim=4, num_classes=3, num_sensors=300, centroid_scale=2e153)
+    with pytest.raises(iz.ConfigError, match="transmit symbol variance inf is not finite"):
+        iz.build_scenario(cfg)
 
 
 def test_validator_rejects_a_nan_covariance_inverse():
@@ -256,8 +324,8 @@ def test_expected_observation_converges_to_isotropic():
     n = 100000
     rng = substream(6, 0)
     est = np.zeros((10, 10))
-    for _ in range(n):
-        est += iz.generate_observation_matrix(10, 2, rng)
+    for _ in range(n // 10000):  # in stacks of 10,000 blocks
+        est += iz.generate_observation_matrix(rng.standard_normal((10000, 10, 10)), 2).sum(axis=0)
     est /= n
     # Per-entry standard errors at this sample size are below 4e-4 (the
     # largest single-draw entry variance is about 0.014 on the diagonal).

@@ -302,8 +302,8 @@ def test_asymptotic_separation_matches_sampled_projection_mean():
     rng = substream(20240, 24)
     n = 100000
     ep = np.zeros((6, 6))
-    for _ in range(n):
-        ep += iz.generate_observation_matrix(6, 3, rng)
+    for _ in range(n // 10000):  # in stacks of 10,000 blocks
+        ep += iz.generate_observation_matrix(rng.standard_normal((10000, 6, 6)), 3).sum(axis=0)
     ep /= n
     D = _pair_outer_mean(sc.centroids)
     empirical = float(np.trace(ep @ np.linalg.inv(sc.C) @ ep @ D))
@@ -324,6 +324,35 @@ def test_loss_factor_limits_and_monotonicity():
     assert all(a < b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         iz.channel_loss_factor(sc, 0.0)
+
+
+def test_loss_factor_is_one_at_infinite_snr_where_the_gain_saturates():
+    # centroids at 5e153 push D_bar past the largest float: D_bar(inf) is
+    # inf, and the loss at infinite SNR is still exactly 1, with no warning;
+    # at an SNR small enough for a finite D_bar(snr) it is 0
+    sc = _scenario(
+        feature_dim=4, num_classes=3, num_sensors=1, observation_rank=1, centroid_scale=5e153
+    )
+    assert iz.mean_separation(sc) == np.inf
+    assert iz.channel_loss_factor(sc, np.inf) == 1.0
+    snrs = np.array([np.inf, 1e-300])
+    np.testing.assert_array_equal(iz.channel_loss_factor(sc, snrs), [1.0, 0.0])
+
+
+def test_surrogate_saturates_without_a_warning():
+    # at K = 300 the exponents -kappa K D pass the largest float; each
+    # saturates to -inf and adds nothing, so the lower bound is exactly 0
+    sc = _scenario(
+        feature_dim=4,
+        num_classes=3,
+        num_sensors=300,
+        observation_rank=1,
+        centroid_scale=1e153,
+        master_seed=20240,
+    )
+    pw = iz.pairwise_separation_matrix(sc)
+    offset = float(np.log(1.0) + 1.0 - np.log1p(1.0))
+    assert iz.uncertainty_bounds(pw, 1.0, 300, 4) == (0.0, offset)
 
 
 def test_loss_factor_accepts_an_array_of_snrs():

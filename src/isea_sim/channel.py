@@ -106,11 +106,11 @@ def _principal_pairs(H, gram=None):
     equal bit for bit to the same matrix taken on its own.
 
     The eigendecomposition runs on the smaller Gram matrix: H H^H when
-    N <= K, else H^H H (``gram`` if given).  q1 has unit norm, from two dot
-    products of its strided real and imaginary parts, and its largest entry
-    is made real positive by that entry's ``np.hypot``.
+    N < K, else H^H H (``gram`` if given), whose eigenvector is q1.  q1 has
+    unit norm, from two dot products of its strided real and imaginary
+    parts, and its largest entry is made real positive by its ``np.hypot``.
     """
-    wide = H.shape[1] <= H.shape[2]
+    wide = H.shape[1] < H.shape[2]
     if wide or gram is None:
         gram = H @ _conj_t(H) if wide else _conj_t(H) @ H
     lam, v = _top_eigenpairs(gram)
@@ -182,11 +182,19 @@ def aircomp_effective_snr(H, scenario):
     return AircompSnr(gamma_air=float(gamma_air), degenerate=bool(degenerate))
 
 
+def _delivers(snrs):
+    """Where an SNR delivers anything: it is positive and its noise power
+    1/snr is a float.  An SNR of 0, or one whose 1/snr overflows, does not."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return (snrs > 0) & (1.0 / snrs < np.inf)
+
+
 def _receive(f_bar, snrs, noise):
     """The equivalent model every access mode reduces to: the noiseless
-    averages (..., M) plus ``noise`` scaled to power 1/snr.  An SNR <= 0
-    delivers an all-NaN vector; an infinite one delivers f_bar exactly."""
-    usable = snrs > 0
+    averages (..., M) plus ``noise`` scaled to power 1/snr.  An SNR that
+    delivers nothing (:func:`_delivers`) gives an all-NaN vector; an
+    infinite one gives f_bar exactly."""
+    usable = _delivers(snrs)
     scale = np.sqrt(1.0 / np.where(usable, snrs, 1.0))
     return np.where(usable[..., None], f_bar + scale[..., None] * noise, np.nan)
 
@@ -237,12 +245,13 @@ def _zf_diag(gram):
 def orth_snrs(norms, scenario):
     """gamma_aoa = gamma K^2 / (nu^2 sum_k ||b_k||^2) of each draw, from its
     K zero-forcing norms (..., K); the norms grow as antennas shrink toward
-    the sensor count."""
+    the sensor count.  A gamma_aoa past the largest float saturates to inf."""
     total_norm = norms.sum(axis=-1)
     gamma = scenario.transmit_snr
     if gamma == np.inf:
         return np.full_like(total_norm, np.inf)[()]
-    return gamma * norms.shape[-1] ** 2 / (scenario.nu_sq * total_norm)
+    with np.errstate(over="ignore"):
+        return gamma * norms.shape[-1] ** 2 / (scenario.nu_sq * total_norm)
 
 
 def orthogonal_effective_snr(H, scenario):
@@ -280,7 +289,7 @@ def adaptive_receive(scenario, H, local_features, rng):
 def snr_pairs(H, scenario):
     """``(gamma_air, gamma_aoa)`` of one draw H or of each draw of a stack,
     -inf where N < K, bit for bit as :func:`air_snrs` and :func:`orth_snrs`
-    give them; where N > K the principal pair and the norms read one H^H H."""
+    give them; where N >= K the principal pair and the norms read one H^H H."""
     gram = _conj_t(H) @ H if H.shape[1] >= H.shape[2] else None
     gamma_air, _ = _air_snrs(_alignment(H, *_principal_pairs(H, gram)), H.shape[2], scenario)
     aoa = np.full_like(gamma_air, -np.inf) if gram is None else orth_snrs(_zf_diag(gram), scenario)

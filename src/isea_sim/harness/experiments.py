@@ -30,8 +30,9 @@ from ..channel import (
     zf_norms_sq,
 )
 from ..errors import ConfigError, NumericalError
-from ..inference import PIPELINES, _row_floats, _stderr, rows_per_stack, run_stacks, run_trials
-from ..scenario import ScenarioConfig, build_scenario
+from ..inference import PIPELINES, _mean, _row_floats, _stderr, rows_per_stack, run_stacks
+from ..inference import run_trials
+from ..scenario import ScenarioConfig, build_scenario, symbol_variance_bound
 from ..streams import trial_streams
 from ..theory import (
     KAPPA_LOWER,
@@ -127,6 +128,12 @@ class ExperimentSpec:
                     f"{self.experiment} at K={K:g}, N={N:g} needs {size / 2**30:.3g} GiB of "
                     f"arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
                 )
+            # a bound M L times below the largest float proves nu^2 finite,
+            # whatever the order of the build's sums; past it, the point's
+            # own build decides, and raises where nu^2 is not finite
+            room = np.finfo(float).max / (point.feature_dim * point.num_classes)
+            if not symbol_variance_bound(point) < room:
+                build_scenario(point)
 
 
 def _point_bytes(cfg, pipelines=()):
@@ -381,9 +388,7 @@ def _loss_and_snr(scenario, H):
     """Each draw's loss factor and gamma_air; a degenerate draw
     (gamma_air = 0) passes nothing and loses everything."""
     snrs = air_snrs(H, scenario)[0]
-    samples, usable = np.zeros(snrs.shape), snrs > 0
-    samples[usable] = channel_loss_factor(scenario, snrs[usable])
-    return samples, snrs
+    return channel_loss_factor(scenario, snrs), snrs
 
 
 def _alignment_ks(N, K, streams, draws, workers=1):
@@ -408,11 +413,13 @@ def _snr_dist_point(spec, point, value, scen, draws, workers):
     ratio = N / K  # the simulated ratio, which the row and note report
     ks, zeta = _alignment_ks(N, K, _point_streams(spec, point), draws, workers)
     scale = 2.0 * K * scen.transmit_snr / scen.nu_sq
+    with np.errstate(over="ignore"):  # past the largest float, an empty cell
+        prediction = scale * (1.0 + np.sqrt(ratio)) ** 2
     row = SweepRow(
         sweep_value=K,
         pipeline="aircomp",
-        mean_effective_snr=scale * zeta.mean(),
-        asymptotic_prediction=scale * (1.0 + np.sqrt(ratio)) ** 2,
+        mean_effective_snr=scale * _mean(zeta),
+        asymptotic_prediction=prediction,
     )
     return [row], [f"K={K} omega={ratio:g}: KS={ks:.4f} (threshold 0.03)"]
 
@@ -428,7 +435,7 @@ def _bnorm_dist_point(spec, point, value, scen, draws, workers):
     row = SweepRow(
         sweep_value=N,
         pipeline="orthogonal",
-        mean_effective_snr=float(snrs.mean()),
+        mean_effective_snr=_mean(snrs),
         asymptotic_prediction=prediction,
     )
     return [row], [f"N={N}: KS={ks:.4f} (threshold 0.02), mean norm {first.mean():.6g}"]
@@ -443,7 +450,7 @@ def _crossing_point(spec, point, value, scen, draws, workers):
     best, wins = best_access(air, aoa)
     prob, prob_se = float(wins.mean()), _stderr(wins.astype(float))
     predicted = crossing_probability(K, omega)
-    mean_snrs = (air.mean(), aoa.mean() if N >= K else None, best.mean())
+    mean_snrs = (_mean(air), _mean(aoa) if N >= K else None, _mean(best))
     rows = []
     for pipeline, mean_snr in zip(_ALL_ACCESS, mean_snrs):
         if mean_snr is None:
@@ -455,7 +462,7 @@ def _crossing_point(spec, point, value, scen, draws, workers):
                 pipeline=pipeline,
                 accuracy=prob,
                 accuracy_stderr=prob_se,
-                mean_effective_snr=float(mean_snr),
+                mean_effective_snr=mean_snr,
                 asymptotic_prediction=predicted,
             )
         )
@@ -473,7 +480,7 @@ def _aloss_point(spec, point, gamma_lin, scen, draws, workers):
         pipeline="aircomp",
         accuracy=float(samples.mean()),
         accuracy_stderr=_stderr(samples),
-        mean_effective_snr=float(snrs.mean()),
+        mean_effective_snr=_mean(snrs),
         surrogate_lower=log_form,
         surrogate_upper=e1_form,
         asymptotic_prediction=e1_form,

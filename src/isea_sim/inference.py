@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from ._blas import one_blas_thread
-from .channel import _pipeline_snrs, _receive, best_access, sample_channel
+from .channel import _delivers, _pipeline_snrs, _receive, best_access, sample_channel
 from .errors import InfeasibleAccessError, NumericalError
 from .feature_model import aggregate_noiseless, sample_label, sample_local_features
 from .streams import STREAM_TRIALS, trial_streams
@@ -62,8 +62,11 @@ def _posterior_logits(scenario, f_tilde, noise_power):
 def _entropies(logits):
     """Posterior entropy of each row of ``logits``, clamped at 0, and the
     posterior itself, from one max-shifted softmax.  A class of weight 0
-    adds 0 log 0 = 0, also when its logit is -inf."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    adds 0 log 0 = 0, also when its logit is -inf.  A row whose logits are
+    all -inf (every class distance overflowed) has no posterior to report:
+    its entropy is NaN, a numerical failure to the harness."""
+    with np.errstate(invalid="ignore"):
+        shifted = logits - logits.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
     total = np.add.reduce(weights, axis=-1)
     log_weights = np.where(weights > 0, shifted, 0.0)
@@ -127,7 +130,13 @@ class TrialBatch:
 
     @property
     def mean_effective_snr(self):
-        return float(self.snrs.mean())
+        return _mean(self.snrs)
+
+
+def _mean(values):
+    """The mean of ``values``; a sum past the largest float saturates it to inf."""
+    with np.errstate(over="ignore"):
+        return float(values.mean())
 
 
 def _stderr(values):
@@ -172,10 +181,11 @@ def _draw_trials(scenario, pipeline, rngs, n, keep=False):
 
 def _classify(scenario, f_tilde, snrs):
     """Entropies, posteriors and decisions for received vectors (n, M) at
-    effective SNRs (n,).  A trial with SNR <= 0 had no usable channel: its
-    posterior carries no information, so its logits are zero."""
+    effective SNRs (n,).  A trial whose SNR delivers nothing (SNR 0, or
+    one whose 1/snr overflows) had no usable channel: its posterior carries
+    no information, so its logits are zero."""
     logits = np.zeros((snrs.shape[0], scenario.num_classes))
-    usable = snrs > 0
+    usable = _delivers(snrs)
     if usable.any():
         # 1/snr is 0.0 at infinite SNR
         logits[usable] = _posterior_logits(scenario, f_tilde[usable], 1.0 / snrs[usable, None])

@@ -130,7 +130,10 @@ def generate_centroids(feature_dim, num_classes, centroid_scale, rng):
         raise ValueError("need at least two classes")
     if centroid_scale < 0:
         raise ValueError("centroid_scale must be nonnegative")
-    return centroid_scale * rng.standard_normal((num_classes, feature_dim))
+    # near the largest float an entry may overflow to inf, which
+    # build_scenario rejects
+    with np.errstate(over="ignore"):
+        return centroid_scale * rng.standard_normal((num_classes, feature_dim))
 
 
 def _chunks(K, M):
@@ -198,6 +201,24 @@ class Scenario:
         return np.inf if self.sigma_sq == 0 else 1.0 / self.sigma_sq
 
 
+def _seeded_centroids(config):
+    """The config's class centroids, drawn from their own stream."""
+    rng = substream(config.master_seed, STREAM_CENTROIDS)
+    return generate_centroids(config.feature_dim, config.num_classes, config.centroid_scale, rng)
+
+
+def symbol_variance_bound(config):
+    """K (tr C + tr Sigma_c), an upper bound on the sum K tr C +
+    sum_k tr(P_k Sigma_c) that nu^2 is over K M, from the seeded centroids
+    alone, since tr(P_k Sigma_c) <= tr Sigma_c for a projection P_k: no
+    projection is drawn.  Inf or NaN where the bound overflows."""
+    centroids = _seeded_centroids(config)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = centroids - centroids.mean(axis=0)
+        spread = np.sum(centered * centered) / config.num_classes
+        return config.num_sensors * (config.feature_dim * config.sensing_covariance_scale + spread)
+
+
 def build_scenario(config, centroids=None, covariance=None):
     """Materialize a :class:`Scenario` from a config.
 
@@ -215,12 +236,13 @@ def build_scenario(config, centroids=None, covariance=None):
     M, L, K, r = config.feature_dim, config.num_classes, config.num_sensors, config.observation_rank
 
     if centroids is None:
-        rng = substream(config.master_seed, STREAM_CENTROIDS)
-        centroids = generate_centroids(M, L, config.centroid_scale, rng)
+        centroids = _seeded_centroids(config)
     else:
         centroids = np.asarray(centroids, dtype=float)
         if centroids.shape != (L, M):
             raise ConfigError(f"centroids override must have shape {(L, M)}")
+    if not np.all(np.isfinite(centroids)):
+        raise ConfigError("class centroids are not finite")
 
     if covariance is None:
         C = config.sensing_covariance_scale * np.eye(M)
@@ -243,14 +265,16 @@ def build_scenario(config, centroids=None, covariance=None):
         P[chunk] = generate_observation_matrix(rng.standard_normal(P[chunk].shape), r)
     P_bar = P.mean(axis=0)
 
-    centered = centroids - centroids.mean(axis=0)
-    # a spread beyond the largest float leaves nu_sq non-finite, which
-    # validate_scenario rejects
-    with np.errstate(over="ignore"):
+    # centroids near the largest float leave nu_sq non-finite, which
+    # validate_scenario rejects, and may overflow their projections too
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = centroids - centroids.mean(axis=0)
         centroid_cov = centered.T @ centered / L
         # trace(P_k Sigma P_k) = trace(P_k Sigma) for idempotent P_k
         sensor_power = np.einsum("kij,ji->k", P, centroid_cov)
         nu_sq = float((np.trace(C) * K + sensor_power.sum()) / (K * M))
+        proj_centroids_eig = (centroids @ P_bar.T) @ C_evecs
+        sensor_centroids = np.einsum("kij,lj->kli", P, centroids)
 
     sigma_sq = float(10.0 ** (-config.transmit_snr_db / 10.0))
 
@@ -263,8 +287,8 @@ def build_scenario(config, centroids=None, covariance=None):
         C_evecs=C_evecs,
         P=P,
         P_bar=P_bar,
-        proj_centroids_eig=(centroids @ P_bar.T) @ C_evecs,
-        sensor_centroids=np.einsum("kij,lj->kli", P, centroids),
+        proj_centroids_eig=proj_centroids_eig,
+        sensor_centroids=sensor_centroids,
         nu_sq=nu_sq,
         sigma_sq=sigma_sq,
     )

@@ -44,10 +44,12 @@ def _noise_weights(scenario, snr):
     """1/(lambda_i + K/snr) for C's eigenvalues lambda_i, with a trailing
     axis over them: the weighting (C + (K/snr) I)^-1 in C's eigenbasis."""
     snr = np.asarray(snr, dtype=float)
-    if not np.all(snr > 0):
-        raise ValueError("snr must be positive or infinite")
-    # K/inf is 0.0, so infinite SNR is the noiseless weighting 1/lambda_i
-    return 1.0 / (scenario.C_evals + scenario.num_sensors / snr[..., None])
+    if not np.all(snr >= 0):
+        raise ValueError("snr must be nonnegative or infinite")
+    # K/inf is 0.0, so infinite SNR is the noiseless weighting 1/lambda_i;
+    # K/0, or K/snr past the largest float, is inf, and weighs nothing
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (scenario.C_evals + scenario.num_sensors / snr[..., None])
 
 
 def _pair_spread(rows):
@@ -111,10 +113,12 @@ def asymptotic_separation(scenario):
     with t_i the pair spread of the centroids along C's eigenvector i and
     (r/M) I the mean projection of the uniform rank-r synthesis.  (r/M)^2
     scales each term before the sum, so that a spread near the largest
-    float does not overflow it."""
+    float does not overflow it; a term that overflows all the same
+    saturates xi to inf."""
     ratio = scenario.config.observation_rank / scenario.feature_dim
-    spread = _pair_spread(scenario.centroids @ scenario.C_evecs)
-    return float(np.sum(ratio**2 * spread / scenario.C_evals))
+    with np.errstate(over="ignore"):
+        spread = _pair_spread(scenario.centroids @ scenario.C_evecs)
+        return float(np.sum(ratio**2 * spread / scenario.C_evals))
 
 
 def channel_loss_factor(scenario, snr):
@@ -122,17 +126,28 @@ def channel_loss_factor(scenario, snr):
     D_bar(snr) / D_bar(inf).
 
     ``snr`` may be an array of SNRs; the result then has its shape.
-    Infinite SNR gives exactly 1.0, also where D_bar saturates to inf.
+    Infinite SNR gives exactly 1.0 and SNR 0 gives 0.0.  Where D_bar(inf)
+    saturates to inf, the loss is the same ratio written as the mean of
+    lambda_i / (lambda_i + K/snr) weighted by s_i / lambda_i, with the
+    fused centroids scaled by their largest entry and the weights by
+    lambda_min / lambda_i, so that no sum overflows and the loss stays in
+    [0, 1].
 
     Raises:
-        ValueError: if an SNR is not positive.
+        ValueError: if an SNR is negative.
         NumericalError: if the noiseless mean separation is zero.
     """
     snr = np.asarray(snr, dtype=float)
-    degraded = np.asarray(mean_separation(scenario, snr))
     d_bar = mean_separation(scenario)
     if d_bar <= 0:
         raise NumericalError("mean separation is zero; loss factor undefined")
+    if d_bar < np.inf:
+        degraded = np.asarray(mean_separation(scenario, snr))
+    else:
+        Y, lam = scenario.proj_centroids_eig, scenario.C_evals
+        weights = _pair_spread(Y / np.abs(Y).max()) * (lam[0] / lam)
+        degraded = np.sum(weights * lam * _noise_weights(scenario, snr), axis=-1)
+        d_bar = weights.sum()
     loss = np.divide(degraded, d_bar, out=np.ones_like(degraded), where=snr != np.inf)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -145,12 +160,18 @@ def expected_loss_factor_bounds(r):
 
         e1_form  = 1 - e^(1/r) E1(1/r) / r      (tighter)
         log_form = 1 - log(1 + r) / r           (looser, elementary)
+
+    Both tend to 1 as r grows and to 0 as r falls, within one rounding
+    of 1 below r = 1e-16; at r = 0, and wherever 1/r overflows, both are 0.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    if not r >= 0:
+        raise ValueError("r must be nonnegative")
     if r == np.inf:
         return 1.0, 1.0
-    x = 1.0 / r
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.divide(1.0, r)
+    if x == np.inf:
+        return 0.0, 0.0
     e1_form = 1.0 - x * exp_integral_e1_scaled(x)
     log_form = 1.0 - np.log1p(r) / r
     return float(e1_form), float(log_form)
@@ -158,11 +179,13 @@ def expected_loss_factor_bounds(r):
 
 def expected_loss_r(scenario, omega):
     """Scale parameter of the averaged-loss bounds for array ratio omega:
-    r = 2 gamma (1 + sqrt(omega))^2 lambda_min(C) / nu^2."""
+    r = 2 gamma (1 + sqrt(omega))^2 lambda_min(C) / nu^2, inf past the
+    largest float."""
     if omega < 0:
         raise ValueError("omega must be nonnegative")
     lam_min = float(scenario.C_evals[0])  # C is positive definite, so r is inf at gamma = inf
-    return 2.0 * scenario.transmit_snr * (1.0 + np.sqrt(omega)) ** 2 * lam_min / scenario.nu_sq
+    with np.errstate(over="ignore"):
+        return 2.0 * scenario.transmit_snr * (1.0 + np.sqrt(omega)) ** 2 * lam_min / scenario.nu_sq
 
 
 def exp_integral_e1_scaled(x):

@@ -393,7 +393,7 @@ def test_zf_singular_gram_reported():
 
 @pytest.mark.parametrize("K", [10, 15, 16, 30, 64, 65])
 def test_shared_gram_changes_no_snr(K):
-    # snr_pairs forms H^H H once where N > K and reads both statistics
+    # snr_pairs forms H^H H once where N >= K and reads both statistics
     # from it; each SNR keeps the bits of its statistic taken alone, on both
     # sides of the eigensolver switch, at N < K (no zero forcing), at the
     # square edge and above, and each stacked row keeps its one-draw bits
@@ -414,6 +414,37 @@ def test_shared_gram_changes_no_snr(K):
         for i in range(3):
             one = channel.snr_pairs(H[i : i + 1], scen)
             assert (one[0][0], one[1][0]) == (gamma_air[i], gamma_aoa[i])
+
+
+
+@pytest.mark.parametrize("K", [4, 12])
+def test_a_square_draw_forms_one_gram(monkeypatch, K):
+    # at N = K a draw is tall: the eigensolver gets the very H^H H that the
+    # zero-forcing norms read, and no H H^H or back-projection is formed
+    # (each would take one more conjugate transpose), on both sides of the
+    # eigensolver switch
+    seen, transposes = {}, []
+    top, zf_diag, conj_t = channel._top_eigenpairs, channel._zf_diag, channel._conj_t
+
+    def spy(name, real):
+        def call(G):
+            seen[name] = G
+            return real(G)
+
+        return call
+
+    def counted(H):
+        transposes.append(H.shape)
+        return conj_t(H)
+
+    monkeypatch.setattr(channel, "_top_eigenpairs", spy("eig", top))
+    monkeypatch.setattr(channel, "_zf_diag", spy("zf", zf_diag))
+    monkeypatch.setattr(channel, "_conj_t", counted)
+    H = _channel(K, K, substream(19, K), draws=3)
+    channel.snr_pairs(H, _scenario(num_sensors=K, num_antennas=K))
+    assert seen["eig"] is seen["zf"] and seen["eig"].shape == (3, K, K)
+    np.testing.assert_array_equal(seen["eig"], H.conj().mT @ H)
+    assert transposes == [(3, K, K)]
 
 
 # each channel statistic as a function of H and a scenario

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import isea_sim as iz
 from isea_sim import _blas, channel, inference
@@ -885,6 +887,121 @@ def test_cli_maps_numerical_failures_to_exit_three(tmp_path, capsys, monkeypatch
     assert "numerical failure" in capsys.readouterr().err
 
 
+
+def _draw_counts(monkeypatch):
+    """A Counter of the trial runs and channel draws that follow, in process."""
+    calls = Counter()
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(experiments, "run_trials")
+    count(experiments, "sample_channel")  # channel-only points
+    count(inference, "sample_channel")  # trial stacks
+    return calls
+
+
+# inputs that exited 1 with a traceback, leaked a RuntimeWarning or exited 2
+# only after trials ran, with the exit code each has now
+_SATURATING = {
+    # every trial's SNR underflows to 0: nothing gets through, the loss is 0
+    "sweep-n-zero-snr": ("sweep-n", None, 0, dict(
+        feature_dim=4, num_classes=2, num_sensors=1, num_antennas=1,
+        sensing_covariance_scale=1e300, transmit_snr_db=-300)),
+    "sweep-k-zero-snr": ("sweep-k", None, 0, dict(
+        feature_dim=3, num_classes=2, num_sensors=2, num_antennas=4, observation_rank=3,
+        sensing_covariance_scale=1.15e164, centroid_scale=3.2e47, transmit_snr_db=-2244)),
+    # the averaged-loss bounds' r underflows to 0, where both bounds are 0
+    "aloss-zero-r": ("aloss", None, 0, dict(
+        feature_dim=3, num_classes=3, num_sensors=3, num_antennas=4, observation_rank=2,
+        sensing_covariance_scale=1e-300, centroid_scale=1e153)),
+    # nu^2 overflows at K = 300 only: rejected before K = 1 runs
+    "sweep-k-nu-overflow": ("sweep-k", "1,300", 2, dict(
+        feature_dim=4, num_classes=3, centroid_scale=2e153)),
+    # xi saturates to inf and every SNR is 0: xi times a zero loss is NaN
+    "sweep-n-xi-overflow": ("sweep-n", None, 3, dict(
+        feature_dim=4, num_classes=2, num_sensors=2, num_antennas=4, observation_rank=4,
+        sensing_covariance_scale=7e-229, centroid_scale=8.4e85, transmit_snr_db=-2549)),
+    # gamma_aoa saturates to inf
+    "bnorm-dist-snr-overflow": ("bnorm-dist", None, 0, dict(
+        feature_dim=2, num_classes=2, num_sensors=2, num_antennas=2, observation_rank=2,
+        sensing_covariance_scale=7.1e-61, centroid_scale=3.3e-33, transmit_snr_db=2724)),
+    # SNRs whose noise power 1/snr overflows deliver nothing
+    "sweep-k-noise-overflow": ("sweep-k", None, 0, dict(
+        feature_dim=1, num_classes=3, num_sensors=3, num_antennas=3, observation_rank=1,
+        sensing_covariance_scale=5e-107, centroid_scale=1.25e64, transmit_snr_db=-1851)),
+    # 1/r overflows in the averaged-loss bounds
+    "aloss-r-overflow": ("aloss", None, 0, dict(
+        feature_dim=1, num_classes=3, num_sensors=3, num_antennas=4, observation_rank=1,
+        sensing_covariance_scale=2.3e-300, centroid_scale=9.5e11, transmit_snr_db=1697)),
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, sweep, code, fields", _SATURATING.values(), ids=list(_SATURATING)
+)
+def test_saturating_inputs_get_their_documented_exit_code(
+    tmp_path, capsys, monkeypatch, experiment, sweep, code, fields
+):
+    # the suite's filter turns any RuntimeWarning into a failure here, and
+    # a configuration error comes before any trial or channel draw
+    calls = _draw_counts(monkeypatch)
+    text = "".join(f"{key} = {value}\n" for key, value in {**fields, "mc_trials": 120}.items())
+    out = tmp_path / "out.csv"
+    args = [experiment, "--config", str(_write_config(tmp_path, text)), "--out", str(out)]
+    assert cli.main(args + (["--sweep", sweep] if sweep else [])) == code
+    assert out.exists() == (code == 0)
+    if code == 2:
+        assert not calls
+        assert "transmit symbol variance inf is not finite" in capsys.readouterr().err
+    if code == 3:
+        assert "asymptotic_prediction is NaN" in capsys.readouterr().err
+
+
+_POWERS_OF_TEN = st.floats(-300, 300).map(lambda e: float(f"{10.0**e:.3g}"))
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    experiment=st.sampled_from(EXPERIMENTS),
+    counts=st.tuples(st.integers(1, 4), st.integers(2, 3), st.integers(1, 3), st.integers(1, 4)),
+    rank=st.integers(1, 4),
+    scales=st.tuples(_POWERS_OF_TEN, _POWERS_OF_TEN),
+    snr_db=st.integers(-3000, 3000),
+    trials=st.integers(100, 120),
+)
+def test_every_input_in_the_box_gets_a_documented_exit_code(
+    tmp_path, experiment, counts, rank, scales, snr_db, trials
+):
+    # M <= 4, L <= 3, K <= 3, N <= 4, scales from 1e-300 to 1e300 and
+    # transmit SNRs from -3000 to 3000 dB: exit 0, 2 or 3 with no
+    # RuntimeWarning (the suite's filter), and exit 2 before any draw
+    M, L, K, N = counts
+    fields = dict(
+        feature_dim=M, num_classes=L, num_sensors=K, num_antennas=N,
+        observation_rank=min(rank, M), sensing_covariance_scale=scales[0],
+        centroid_scale=scales[1], transmit_snr_db=snr_db, mc_trials=trials,
+    )
+    text = "".join(f"{key} = {value}\n" for key, value in fields.items())
+    args = [experiment, "--config", str(_write_config(tmp_path, text))]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _draw_counts(monkeypatch)
+        code = cli.main(args + ["--out", str(tmp_path / "out.csv")])
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert not calls
+
 def test_cli_help_mentions_usage(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["--help"])
@@ -1253,14 +1370,15 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
     assert counts["inference.pool"] == 3
     assert counts["inference.run_trials"] == 3
     assert counts["channel.sample"] == 2 + 3
-    # two substreams for each point's scenario build, and one per point that
+    # two substreams for each point's scenario build, one per point for the
+    # centroids of the spec's symbol variance bound, and one per point that
     # the re-keyed trial_streams generator of its draws starts from
     counts = _traced_span_counts(
         tmp_path, "aloss", ["aloss", "--config", str(config), "--sweep", "1,10"]
     )
     assert counts["channel.sample"] == 2
     assert counts["channel.air_snr"] == 0
-    assert counts["streams.substream"] == 2 * 2 + 2
+    assert counts["streams.substream"] == 2 * 2 + 2 + 2
     for experiment, sweep in (("snr-dist", "8,10"), ("bnorm-dist", "8,12,16")):
         counts = _traced_span_counts(
             tmp_path,
@@ -1268,10 +1386,11 @@ def test_benchmark_trace_counts_each_channel_call(tmp_path):
             [experiment, "--config", str(config), "--sweep", sweep, "--trials", "100"],
         )
         # one stack of 100 draws per point that draws; bnorm-dist builds
-        # the scenario of its infeasible N = 8 point too but draws nothing
+        # the scenario of its infeasible N = 8 point too but draws nothing;
+        # the spec draws each point's centroids for its bound
         points = len(sweep.split(","))
         assert counts["channel.sample"] == 2, experiment
-        assert counts["streams.substream"] == 2 * points + 2, experiment
+        assert counts["streams.substream"] == 3 * points + 2, experiment
         for name in ("channel.air_snr", "channel.orth_snr"):
             assert counts[name] == 0, (experiment, name)
 

@@ -177,6 +177,20 @@ def test_classifier_at_zero_snr_is_uninformative():
     np.testing.assert_array_equal(decisions, [0, 1, 0, 3, 0])
 
 
+
+def test_an_snr_whose_noise_power_overflows_delivers_nothing():
+    # 1/snr of a subnormal SNR is past the largest float: such a trial is
+    # received and classified as at SNR 0, with no warning, while an SNR
+    # whose noise power is a float is received at it
+    scen = iz.build_scenario(_config())
+    snrs = np.array([5e-324, 1e-300, 0.0, 5.0])
+    f_bar = np.repeat(scen.centroids[:1] @ scen.P_bar.T, 4, axis=0)
+    f_tilde = channel._receive(f_bar, snrs, np.ones_like(f_bar))
+    assert np.isnan(f_tilde[[0, 2]]).all() and np.isfinite(f_tilde[[1, 3]]).all()
+    entropies, probs, _ = inference._classify(scen, f_tilde, snrs)
+    np.testing.assert_array_equal(probs[[0, 2]], 0.2)
+    np.testing.assert_array_equal(entropies[[0, 2]], np.log(5))
+
 def test_classifier_recovers_exact_centroid():
     scen = iz.build_scenario(_config())
     decisions = _classified(scen, scen.centroids @ scen.P_bar.T)[2]
@@ -598,7 +612,7 @@ def _reference_pair(H):
     ``np.linalg.norm``, and the largest entry's phase divided out by its
     scalar modulus."""
     N, K = H.shape
-    if N <= K:
+    if N < K:
         w, V = np.linalg.eigh(H @ H.conj().T)
         q1 = H.conj().T @ V[:, -1] / np.sqrt(w[-1])
     else:

@@ -4,6 +4,7 @@ Everything here is deterministic or runs on frozen substreams, so observed
 values quoted in comments are stable across runs.
 """
 
+import dataclasses
 import math
 from itertools import repeat
 
@@ -322,22 +323,45 @@ def test_loss_factor_limits_and_monotonicity():
     vals = [iz.channel_loss_factor(sc, s) for s in (0.1, 1.0, 10.0, 100.0)]
     assert all(0.0 < v < 1.0 for v in vals)
     assert all(a < b for a, b in zip(vals, vals[1:]))
+    # at SNR 0 nothing gets through: D_bar(0) = 0, so the loss is exactly 0
+    assert iz.channel_loss_factor(sc, 0.0) == 0.0
     with pytest.raises(ValueError):
-        iz.channel_loss_factor(sc, 0.0)
+        iz.channel_loss_factor(sc, -1.0)
 
 
 def test_loss_factor_is_one_at_infinite_snr_where_the_gain_saturates():
     # centroids at 5e153 push D_bar past the largest float: D_bar(inf) is
-    # inf, and the loss at infinite SNR is still exactly 1, with no warning;
-    # at an SNR small enough for a finite D_bar(snr) it is 0
+    # inf, and the loss at infinite SNR is still exactly 1, at SNR 0
+    # exactly 0, with no warning; C = 0.1 I, so at every SNR the loss is
+    # lambda / (lambda + K/snr) whatever the centroids, D_bar(snr) finite
+    # (1e-300) or saturated too (2, where D_bar(inf) / D_bar(2) was inf/inf)
     sc = _scenario(
         feature_dim=4, num_classes=3, num_sensors=1, observation_rank=1, centroid_scale=5e153
     )
     assert iz.mean_separation(sc) == np.inf
+    assert iz.mean_separation(sc, 2.0) == np.inf
     assert iz.channel_loss_factor(sc, np.inf) == 1.0
-    snrs = np.array([np.inf, 1e-300])
-    np.testing.assert_array_equal(iz.channel_loss_factor(sc, snrs), [1.0, 0.0])
+    snrs = np.array([np.inf, 0.0, 1e-300, 2.0, 1e300])
+    loss = iz.channel_loss_factor(sc, snrs)
+    assert loss[0] == 1.0 and loss[1] == 0.0
+    np.testing.assert_allclose(loss[2:], 0.1 / (0.1 + 1.0 / snrs[2:]), rtol=1e-12)
+    assert np.all((0.0 <= loss) & (loss <= 1.0))
 
+
+
+def test_saturated_loss_factor_is_the_ratio_at_any_centroid_scale():
+    # D_bar(snr) / D_bar(inf) does not depend on the centroids' scale, so
+    # where D_bar(inf) saturates, under a structured C, the loss is the
+    # plain ratio of the same centroids 2e153 times smaller
+    structured = _structured_scenario()
+    cfg = dataclasses.replace(structured.config, num_sensors=1)
+    small = iz.build_scenario(cfg, covariance=structured.C)
+    big = iz.build_scenario(cfg, centroids=small.centroids * 2e153, covariance=structured.C)
+    assert iz.mean_separation(big) == np.inf
+    snrs = np.array([0.0, 1e-3, 0.5, 2.0, 50.0, np.inf])
+    want = iz.channel_loss_factor(small, snrs)
+    assert 0.0 < want[1] and want[-2] < 1.0
+    np.testing.assert_allclose(iz.channel_loss_factor(big, snrs), want, rtol=1e-12, atol=0)
 
 def test_surrogate_saturates_without_a_warning():
     # at K = 300 the exponents -kappa K D pass the largest float; each
@@ -368,8 +392,12 @@ def test_loss_factor_accepts_an_array_of_snrs():
         assert val == iz.channel_loss_factor(sc, snr)  # bit for bit
     assert vals[-1] == 1.0
     assert iz.channel_loss_factor(sc, snrs.reshape(5, 1)).shape == (5, 1)
+    # SNR 0 gives 0 beside any other SNR, each entry as it gives alone
+    np.testing.assert_array_equal(
+        iz.channel_loss_factor(sc, np.array([1.0, 0.0])), [iz.channel_loss_factor(sc, 1.0), 0.0]
+    )
     with pytest.raises(ValueError):
-        iz.channel_loss_factor(sc, np.array([1.0, 0.0]))
+        iz.channel_loss_factor(sc, np.array([1.0, -1.0]))
 
 
 def test_loss_factor_matches_an_inverse_oracle_down_to_tiny_snr():
@@ -491,8 +519,16 @@ def test_averaged_loss_bounds_limits():
     small = iz.expected_loss_factor_bounds(1e-6)
     assert 0.0 < small[0] < 1e-4 and 0.0 < small[1] < 1e-4
     assert iz.expected_loss_factor_bounds(np.inf) == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        iz.expected_loss_factor_bounds(0.0)
+    # both bounds tend to 0 as r falls, within one rounding of 1 below
+    # r = 1e-16, and are exactly 0 at r = 0 and where 1/r overflows, with
+    # no warning
+    for r in (1e-18, 1e-300):
+        assert all(0.0 <= bound <= 2.0**-53 for bound in iz.expected_loss_factor_bounds(r))
+    for r in (5e-324, 0.0):
+        assert iz.expected_loss_factor_bounds(r) == (0.0, 0.0)
+    for r in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            iz.expected_loss_factor_bounds(r)
 
 
 def test_expected_loss_scale_parameter_formula():

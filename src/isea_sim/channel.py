@@ -111,7 +111,7 @@ def _principal_pairs(H, gram=None):
     parts, and its largest entry is made real positive by its ``np.hypot``.
     """
     wide = H.shape[1] < H.shape[2]
-    if wide or gram is None:
+    if gram is None:
         gram = H @ _conj_t(H) if wide else _conj_t(H) @ H
     lam, v = _top_eigenpairs(gram)
     if np.any(lam <= 0):

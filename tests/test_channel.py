@@ -416,7 +416,6 @@ def test_shared_gram_changes_no_snr(K):
             assert (one[0][0], one[1][0]) == (gamma_air[i], gamma_aoa[i])
 
 
-
 @pytest.mark.parametrize("K", [4, 12])
 def test_a_square_draw_forms_one_gram(monkeypatch, K):
     # at N = K a draw is tall: the eigensolver gets the very H^H H that the

@@ -887,7 +887,6 @@ def test_cli_maps_numerical_failures_to_exit_three(tmp_path, capsys, monkeypatch
     assert "numerical failure" in capsys.readouterr().err
 
 
-
 def _draw_counts(monkeypatch):
     """A Counter of the trial runs and channel draws that follow, in process."""
     calls = Counter()
@@ -1001,6 +1000,7 @@ def test_every_input_in_the_box_gets_a_documented_exit_code(
     assert code in (0, 2, 3)
     if code == 2:
         assert not calls
+
 
 def test_cli_help_mentions_usage(capsys):
     with pytest.raises(SystemExit) as excinfo:

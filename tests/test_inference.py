@@ -177,7 +177,6 @@ def test_classifier_at_zero_snr_is_uninformative():
     np.testing.assert_array_equal(decisions, [0, 1, 0, 3, 0])
 
 
-
 def test_an_snr_whose_noise_power_overflows_delivers_nothing():
     # 1/snr of a subnormal SNR is past the largest float: such a trial is
     # received and classified as at SNR 0, with no warning, while an SNR
@@ -190,6 +189,7 @@ def test_an_snr_whose_noise_power_overflows_delivers_nothing():
     entropies, probs, _ = inference._classify(scen, f_tilde, snrs)
     np.testing.assert_array_equal(probs[[0, 2]], 0.2)
     np.testing.assert_array_equal(entropies[[0, 2]], np.log(5))
+
 
 def test_classifier_recovers_exact_centroid():
     scen = iz.build_scenario(_config())

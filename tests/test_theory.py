@@ -348,7 +348,6 @@ def test_loss_factor_is_one_at_infinite_snr_where_the_gain_saturates():
     assert np.all((0.0 <= loss) & (loss <= 1.0))
 
 
-
 def test_saturated_loss_factor_is_the_ratio_at_any_centroid_scale():
     # D_bar(snr) / D_bar(inf) does not depend on the centroids' scale, so
     # where D_bar(inf) saturates, under a structured C, the loss is the
@@ -362,6 +361,7 @@ def test_saturated_loss_factor_is_the_ratio_at_any_centroid_scale():
     want = iz.channel_loss_factor(small, snrs)
     assert 0.0 < want[1] and want[-2] < 1.0
     np.testing.assert_allclose(iz.channel_loss_factor(big, snrs), want, rtol=1e-12, atol=0)
+
 
 def test_surrogate_saturates_without_a_warning():
     # at K = 300 the exponents -kappa K D pass the largest float; each

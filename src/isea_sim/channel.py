@@ -59,15 +59,16 @@ class AggregationOutcome:
 
 def _any_stack(stat):
     """Let ``stat`` of a complex128 stack H (n, N, K) take one draw or any
-    stack (..., N, K), real or complex; each array it returns (n, ...) comes
-    back with the draws' leading shape in place of n."""
+    stack (..., N, K), real or complex, at one BLAS thread; each array it
+    returns (n, ...) comes back with the draws' leading shape in place of n."""
 
     @functools.wraps(stat)
     def stacked(H, *args, **kwargs):
         H = np.asarray(H)
         if H.ndim < 2:
             raise ValueError("channel matrix must be at least two-dimensional")
-        out = stat(H.astype(complex, copy=False).reshape(-1, *H.shape[-2:]), *args, **kwargs)
+        with one_blas_thread():
+            out = stat(H.astype(complex, copy=False).reshape(-1, *H.shape[-2:]), *args, **kwargs)
         many = isinstance(out, tuple)
         parts = tuple(x.reshape(H.shape[:-2] + x.shape[1:])[()] for x in (out if many else (out,)))
         return parts if many else parts[0]
@@ -100,7 +101,6 @@ def _top_eigenpairs(G):
     return lam, V
 
 
-@one_blas_thread()
 def _principal_pairs(H, gram=None):
     """``(lambda1, q1)`` of each matrix in a stack H (n, N, K), each row
     equal bit for bit to the same matrix taken on its own.
@@ -161,11 +161,12 @@ def min_beam_alignment(H):
 
 
 def _air_snrs(align, num_sensors, scenario):
-    """gamma_air and the degenerate flag from weakest alignments."""
+    """gamma_air, inf past the largest float, and the degenerate flag from weakest alignments."""
     degenerate = align <= 0
     gamma_air = np.zeros_like(align)
     scale = 2.0 * num_sensors**2 * scenario.transmit_snr / scenario.nu_sq
-    np.multiply(scale, align, out=gamma_air, where=~degenerate)
+    with np.errstate(over="ignore"):
+        np.multiply(scale, align, out=gamma_air, where=~degenerate)
     return gamma_air[()], degenerate
 
 
@@ -213,7 +214,6 @@ def aircomp_receive(scenario, H, local_features, rng):
 
 
 @_any_stack
-@one_blas_thread()
 def zf_norms_sq(H):
     """Squared norms ||b_k||^2 (..., K) of the zero-forcing receive beams
     B = H (H^H H)^-1 of one draw or a stack H (..., N, K), never forming B:
@@ -285,7 +285,6 @@ def adaptive_receive(scenario, H, local_features, rng):
 
 
 @_any_stack
-@one_blas_thread()
 def snr_pairs(H, scenario):
     """``(gamma_air, gamma_aoa)`` of one draw H or of each draw of a stack,
     -inf where N < K, bit for bit as :func:`air_snrs` and :func:`orth_snrs`

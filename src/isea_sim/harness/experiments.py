@@ -128,6 +128,14 @@ class ExperimentSpec:
                     f"{self.experiment} at K={K:g}, N={N:g} needs {size / 2**30:.3g} GiB of "
                     f"arrays, above the {_MAX_POINT_BYTES // 2**30} GiB limit"
                 )
+            # the classifier inverts C/K, and eigh of c I returns c exactly;
+            # validate_scenario rejects a c whose own inverse 1/c overflows
+            c = point.sensing_covariance_scale
+            if not channel_only and 1.0 / c < np.inf and not 1.0 / (c / K) < np.inf:
+                raise ConfigError(
+                    f"{self.experiment} at K={K}: the classifier's inverse covariance "
+                    f"K/c = {K}/{c:g} is not finite"
+                )
             # a bound M L times below the largest float proves nu^2 finite,
             # whatever the order of the build's sums; past it, the point's
             # own build decides, and raises where nu^2 is not finite

@@ -127,27 +127,30 @@ def channel_loss_factor(scenario, snr):
 
     ``snr`` may be an array of SNRs; the result then has its shape.
     Infinite SNR gives exactly 1.0 and SNR 0 gives 0.0.  Where D_bar(inf)
-    saturates to inf, the loss is the same ratio written as the mean of
-    lambda_i / (lambda_i + K/snr) weighted by s_i / lambda_i, with the
-    fused centroids scaled by their largest entry and the weights by
-    lambda_min / lambda_i, so that no sum overflows and the loss stays in
-    [0, 1].
+    saturates to inf or underflows to 0, the loss is the same ratio written
+    as the mean of lambda_i / (lambda_i + K/snr) weighted by s_i / lambda_i,
+    with the fused centroids scaled by their largest entry and the weights
+    by lambda_min / lambda_i, so that no sum overflows or underflows to 0
+    and the loss stays in [0, 1].
 
     Raises:
         ValueError: if an SNR is negative.
-        NumericalError: if the noiseless mean separation is zero.
+        NumericalError: if the fused centroids have no spread, also
+            scaled by their largest entry.
     """
     snr = np.asarray(snr, dtype=float)
     d_bar = mean_separation(scenario)
-    if d_bar <= 0:
-        raise NumericalError("mean separation is zero; loss factor undefined")
-    if d_bar < np.inf:
+    if 0 < d_bar < np.inf:
         degraded = np.asarray(mean_separation(scenario, snr))
     else:
         Y, lam = scenario.proj_centroids_eig, scenario.C_evals
-        weights = _pair_spread(Y / np.abs(Y).max()) * (lam[0] / lam)
-        degraded = np.sum(weights * lam * _noise_weights(scenario, snr), axis=-1)
+        # fused centroids that are all 0 scale to NaN, which fails the check
+        with np.errstate(invalid="ignore"):
+            weights = _pair_spread(Y / np.abs(Y).max()) * (lam[0] / lam)
         d_bar = weights.sum()
+        if not d_bar > 0:
+            raise NumericalError("mean separation is zero; loss factor undefined")
+        degraded = np.sum(weights * lam * _noise_weights(scenario, snr), axis=-1)
     loss = np.divide(degraded, d_bar, out=np.ones_like(degraded), where=snr != np.inf)
     return float(loss) if loss.ndim == 0 else loss
 

@@ -906,47 +906,59 @@ def _draw_counts(monkeypatch):
     return calls
 
 
-# inputs that exited 1 with a traceback, leaked a RuntimeWarning or exited 2
-# only after trials ran, with the exit code each has now
+# inputs that exited 1 with a traceback, leaked a RuntimeWarning, or exited
+# 2 or 3 only after trials ran, with the exit code each has now and the
+# message an exit 2 or 3 prints
 _SATURATING = {
     # every trial's SNR underflows to 0: nothing gets through, the loss is 0
-    "sweep-n-zero-snr": ("sweep-n", None, 0, dict(
+    "sweep-n-zero-snr": ("sweep-n", None, 0, None, dict(
         feature_dim=4, num_classes=2, num_sensors=1, num_antennas=1,
         sensing_covariance_scale=1e300, transmit_snr_db=-300)),
-    "sweep-k-zero-snr": ("sweep-k", None, 0, dict(
+    "sweep-k-zero-snr": ("sweep-k", None, 0, None, dict(
         feature_dim=3, num_classes=2, num_sensors=2, num_antennas=4, observation_rank=3,
         sensing_covariance_scale=1.15e164, centroid_scale=3.2e47, transmit_snr_db=-2244)),
     # the averaged-loss bounds' r underflows to 0, where both bounds are 0
-    "aloss-zero-r": ("aloss", None, 0, dict(
+    "aloss-zero-r": ("aloss", None, 0, None, dict(
         feature_dim=3, num_classes=3, num_sensors=3, num_antennas=4, observation_rank=2,
         sensing_covariance_scale=1e-300, centroid_scale=1e153)),
     # nu^2 overflows at K = 300 only: rejected before K = 1 runs
-    "sweep-k-nu-overflow": ("sweep-k", "1,300", 2, dict(
-        feature_dim=4, num_classes=3, centroid_scale=2e153)),
+    "sweep-k-nu-overflow": (
+        "sweep-k", "1,300", 2, "transmit symbol variance inf is not finite",
+        dict(feature_dim=4, num_classes=3, centroid_scale=2e153)),
     # xi saturates to inf and every SNR is 0: xi times a zero loss is NaN
-    "sweep-n-xi-overflow": ("sweep-n", None, 3, dict(
+    "sweep-n-xi-overflow": ("sweep-n", None, 3, "asymptotic_prediction is NaN", dict(
         feature_dim=4, num_classes=2, num_sensors=2, num_antennas=4, observation_rank=4,
         sensing_covariance_scale=7e-229, centroid_scale=8.4e85, transmit_snr_db=-2549)),
     # gamma_aoa saturates to inf
-    "bnorm-dist-snr-overflow": ("bnorm-dist", None, 0, dict(
+    "bnorm-dist-snr-overflow": ("bnorm-dist", None, 0, None, dict(
         feature_dim=2, num_classes=2, num_sensors=2, num_antennas=2, observation_rank=2,
         sensing_covariance_scale=7.1e-61, centroid_scale=3.3e-33, transmit_snr_db=2724)),
     # SNRs whose noise power 1/snr overflows deliver nothing
-    "sweep-k-noise-overflow": ("sweep-k", None, 0, dict(
+    "sweep-k-noise-overflow": ("sweep-k", None, 0, None, dict(
         feature_dim=1, num_classes=3, num_sensors=3, num_antennas=3, observation_rank=1,
         sensing_covariance_scale=5e-107, centroid_scale=1.25e64, transmit_snr_db=-1851)),
     # 1/r overflows in the averaged-loss bounds
-    "aloss-r-overflow": ("aloss", None, 0, dict(
+    "aloss-r-overflow": ("aloss", None, 0, None, dict(
         feature_dim=1, num_classes=3, num_sensors=3, num_antennas=4, observation_rank=1,
         sensing_covariance_scale=2.3e-300, centroid_scale=9.5e11, transmit_snr_db=1697)),
+    # gamma_air saturates to inf
+    "sweep-k-air-snr-overflow": ("sweep-k", "1,2", 0, None, dict(
+        feature_dim=5, num_classes=5, num_sensors=3, num_antennas=2, observation_rank=2,
+        sensing_covariance_scale=8.93e-109, centroid_scale=1e-100, transmit_snr_db=1989)),
+    # D_bar(inf) underflows to 0: the loss factor is the rescaled ratio
+    "sweep-k-separation-underflow": ("sweep-k", "1,2", 0, None, dict(
+        feature_dim=3, num_classes=2, num_antennas=4, centroid_scale=1e-200)),
+    # 1/c is finite but K/c overflows at K = 2: rejected before K = 1 runs
+    "sweep-k-inverse-overflow": ("sweep-k", "1,2", 2, "K/c = 2/1e-308 is not finite", dict(
+        feature_dim=3, num_classes=2, num_antennas=4, sensing_covariance_scale=1e-308)),
 }
 
 
 @pytest.mark.parametrize(
-    "experiment, sweep, code, fields", _SATURATING.values(), ids=list(_SATURATING)
+    "experiment, sweep, code, message, fields", _SATURATING.values(), ids=list(_SATURATING)
 )
 def test_saturating_inputs_get_their_documented_exit_code(
-    tmp_path, capsys, monkeypatch, experiment, sweep, code, fields
+    tmp_path, capsys, monkeypatch, experiment, sweep, code, message, fields
 ):
     # the suite's filter turns any RuntimeWarning into a failure here, and
     # a configuration error comes before any trial or channel draw
@@ -958,12 +970,11 @@ def test_saturating_inputs_get_their_documented_exit_code(
     assert out.exists() == (code == 0)
     if code == 2:
         assert not calls
-        assert "transmit symbol variance inf is not finite" in capsys.readouterr().err
-    if code == 3:
-        assert "asymptotic_prediction is NaN" in capsys.readouterr().err
+    if code != 0:
+        assert message in capsys.readouterr().err
 
 
-_POWERS_OF_TEN = st.floats(-300, 300).map(lambda e: float(f"{10.0**e:.3g}"))
+_POWERS_OF_TEN = st.floats(-320, 308.25).map(lambda e: float(f"{10.0**e:.3g}"))
 
 
 @settings(
@@ -983,7 +994,7 @@ _POWERS_OF_TEN = st.floats(-300, 300).map(lambda e: float(f"{10.0**e:.3g}"))
 def test_every_input_in_the_box_gets_a_documented_exit_code(
     tmp_path, experiment, counts, rank, scales, snr_db, trials
 ):
-    # M <= 4, L <= 3, K <= 3, N <= 4, scales from 1e-300 to 1e300 and
+    # M <= 4, L <= 3, K <= 3, N <= 4, scales from 1e-320 to 1.78e308 and
     # transmit SNRs from -3000 to 3000 dB: exit 0, 2 or 3 with no
     # RuntimeWarning (the suite's filter), and exit 2 before any draw
     M, L, K, N = counts

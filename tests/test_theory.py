@@ -350,17 +350,27 @@ def test_loss_factor_is_one_at_infinite_snr_where_the_gain_saturates():
 
 def test_saturated_loss_factor_is_the_ratio_at_any_centroid_scale():
     # D_bar(snr) / D_bar(inf) does not depend on the centroids' scale, so
-    # where D_bar(inf) saturates, under a structured C, the loss is the
-    # plain ratio of the same centroids 2e153 times smaller
+    # where D_bar(inf) overflows to inf or underflows to 0, under a
+    # structured C, the loss is the plain ratio of the same centroids at
+    # their own scale
     structured = _structured_scenario()
     cfg = dataclasses.replace(structured.config, num_sensors=1)
     small = iz.build_scenario(cfg, covariance=structured.C)
-    big = iz.build_scenario(cfg, centroids=small.centroids * 2e153, covariance=structured.C)
-    assert iz.mean_separation(big) == np.inf
     snrs = np.array([0.0, 1e-3, 0.5, 2.0, 50.0, np.inf])
     want = iz.channel_loss_factor(small, snrs)
     assert 0.0 < want[1] and want[-2] < 1.0
-    np.testing.assert_allclose(iz.channel_loss_factor(big, snrs), want, rtol=1e-12, atol=0)
+    for scale, saturated in [(2e153, np.inf), (1e-200, 0.0)]:
+        scaled = iz.build_scenario(cfg, centroids=small.centroids * scale, covariance=structured.C)
+        assert iz.mean_separation(scaled) == saturated
+        np.testing.assert_allclose(iz.channel_loss_factor(scaled, snrs), want, rtol=1e-12, atol=0)
+
+
+def test_loss_factor_is_undefined_where_the_fused_centroids_are_all_zero():
+    # D_bar(inf) is 0 and the rescaled route finds no spread either: the
+    # centroids separate nothing at any scale, and no warning leaks
+    sc = iz.build_scenario(_scenario().config, centroids=np.zeros((6, 5)))
+    with pytest.raises(iz.NumericalError, match="mean separation is zero"):
+        iz.channel_loss_factor(sc, 2.0)
 
 
 def test_surrogate_saturates_without_a_warning():
